@@ -28,6 +28,7 @@ from .geometry import (
 from .miniball import min_enclosing_ball
 from .spectral import (
     SpectralCertificate,
+    _certify,
     certify,
     defect_matrix,
     perron_frobenius_check,
@@ -117,10 +118,10 @@ def diameter_bound(
         diam = diameter(points)
         if diam > 1.0 + tol.dist_tol:
             raise ValueError(f"diameter {diam:.12g} exceeds 1 + dist_tol")
-        cert = certify(points, tol)
+        u = defect_matrix(points)
+        cert = _certify(u, points, tol)
         eig_tol = tol.eig_tol if tol.eig_tol > 0 else 1e-8
-        neg_u = -defect_matrix(points).array
-        pf = perron_frobenius_check(neg_u, eig_tol)
+        pf = perron_frobenius_check(-u.array, eig_tol)
         lam_sum = cert.lambda_max + cert.lambda_min
         detail.update(
             {
@@ -379,9 +380,8 @@ def general_bound_pipeline(
         raise ValueError(f"set is not almost-equidistant, witness triple {check.witness}")
     centered = recenter_to_barycenter(s)
     stages.append({"name": "recenter", "ok": True})
-    fs = f_statistic(centered)
-    stages.append({"name": "row_statistic", "ok": True, "f": float(fs.value)})
     nb = recentred_norm_bounds(centered, tol)
+    stages.append({"name": "row_statistic", "ok": True, "f": nb.f_value})
     stages.append(
         {
             "name": "norm_band",

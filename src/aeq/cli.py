@@ -8,7 +8,6 @@ The csv format switches stdout to the tabular payload where one exists.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -22,10 +21,11 @@ from .bounds import (
     sphere_bound,
 )
 from .constructions import (
-    construct_rosenfeld,
-    construct_simplex,
-    construct_two_simplices,
+    INV_SQRT2,
+    ConstructionSpec,
+    construct,
     lift_to_halfsphere,
+    simplex_circumradius,
 )
 from .geometry import EXACT_MODE, PointSet, Tolerance, is_almost_equidistant
 from .search import SearchConfig, optimize
@@ -133,20 +133,14 @@ def cmd_certify(args):
 
 
 def cmd_construct(args):
-    kind = args.kind
+    kind = args.kind.replace("-", "_")
+    # the two-simplices sphere is the circumsphere of one (dim+1)-simplex
+    k = args.count if kind == "simplex" and args.count is not None else args.dim + 1
     try:
-        if kind == "simplex":
-            k = args.count if args.count is not None else args.dim + 1
-            s = construct_simplex(k, args.dim)
-            radius = math.sqrt((k - 1) / (2.0 * k))
-        elif kind == "two-simplices":
-            s = construct_two_simplices(args.dim)
-            radius = math.sqrt(args.dim / (2.0 * (args.dim + 1)))
-        else:
-            s = construct_rosenfeld(args.dim)
-            radius = 1.0 / math.sqrt(2.0)
+        s = construct(ConstructionSpec(kind, args.dim, {"k": k}))
         if args.lift:
-            s = lift_to_halfsphere(s, radius)
+            r = INV_SQRT2 if kind == "rosenfeld" else simplex_circumradius(k)
+            s = lift_to_halfsphere(s, r)
     except ValueError as e:
         raise UsageError(str(e)) from e
     check = is_almost_equidistant(s, _tolerance(args))

@@ -77,10 +77,10 @@ def construct_simplex(k: int, d: int) -> PointSet:
 def construct_two_simplices(d: int) -> PointSet:
     """Two unit d-simplices sharing the circumsphere of radius sqrt(d/(2(d+1))).
 
-    The second copy is the antipodal image of the first; on a vertex
-    collision it is rotated by pi/(d+1) in the first coordinate plane. In
-    R^1 the segment is centrally symmetric and there is no second plane to
-    rotate in, so only the 2 distinct points are emitted, with a warning.
+    The second copy is the antipodal image of the first. For d >= 2 no
+    vertex collides with its image: the closest cross pair is at
+    |v_i + v_j|^2 = (d-1)/(d+1) >= 1/3. In R^1 the segment is centrally
+    symmetric, so only the 2 distinct points are emitted, with a warning.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
@@ -91,21 +91,7 @@ def construct_two_simplices(d: int) -> PointSet:
             "image coincides with the segment, emitting 2 points instead of 4"
         )
         return PointSet.from_array(first)
-    second = -first
-    min_gap = _min_cross_distance_sq(first, second)
-    if min_gap <= 1e-9:
-        theta = math.pi / (d + 1)
-        rot = np.eye(d)
-        rot[0, 0] = rot[1, 1] = math.cos(theta)
-        rot[0, 1] = -math.sin(theta)
-        rot[1, 0] = math.sin(theta)
-        second = second @ rot.T
-    return PointSet.from_array(np.vstack([first, second]))
-
-
-def _min_cross_distance_sq(a: np.ndarray, b: np.ndarray) -> float:
-    diff = a[:, None, :] - b[None, :, :]
-    return float(np.einsum("ijk,ijk->ij", diff, diff).min())
+    return PointSet.from_array(np.vstack([first, -first]))
 
 
 def construct_rosenfeld(d: int) -> PointSet:

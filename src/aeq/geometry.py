@@ -7,7 +7,7 @@ explicit tolerances (``dist_tol`` acts on squared distances).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
@@ -60,16 +60,25 @@ def _coerce_row(row: Sequence, mode: str) -> tuple:
                     % type(c).__name__
                 )
         return tuple(out)
-    return tuple(float(c) for c in row)
+    out = tuple(float(c) for c in row)
+    if not all(map(math.isfinite, out)):
+        raise ValueError("coordinates must be finite, got %r" % (out,))
+    return out
 
 
 @dataclass(frozen=True)
 class PointSet:
-    """A finite list of points in R^dim, all rows of equal length."""
+    """A finite list of points in R^dim, all rows of equal length.
+
+    The coordinate array and the squared-distance matrix are computed once,
+    on first use, and are read-only: every check on the set shares them.
+    """
 
     dim: int
     points: Tuple[tuple, ...]
     mode: str = FLOAT_MODE
+    # dist_tol -> TripleCheck, filled by is_almost_equidistant
+    _triple_checks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in (FLOAT_MODE, EXACT_MODE):
@@ -92,7 +101,23 @@ class PointSet:
 
     @cached_property
     def array(self) -> np.ndarray:
-        return np.array([[float(c) for c in row] for row in self.points], dtype=float)
+        a = np.array([[float(c) for c in row] for row in self.points], dtype=float)
+        a.flags.writeable = False
+        return a
+
+    @cached_property
+    def sqdist(self):
+        """n x n squared distances: ndarray in float mode, Fraction rows in exact."""
+        if self.mode == EXACT_MODE:
+            pts, n = self.points, self.n
+            m = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    m[i][j] = m[j][i] = squared_distance(pts[i], pts[j])
+            return tuple(map(tuple, m))
+        d2 = pairwise_squared_distances(self.array)
+        d2.flags.writeable = False
+        return d2
 
     @classmethod
     def from_array(cls, arr, mode: str = FLOAT_MODE) -> "PointSet":
@@ -122,23 +147,17 @@ def squared_distance(p: Sequence, q: Sequence):
     return sum((a - b) * (a - b) for a, b in zip(p, q))
 
 
-def squared_distance_matrix(s: PointSet):
-    """n x n squared distances: ndarray in float mode, Fraction rows in exact."""
-    if s.mode == EXACT_MODE:
-        pts = s.points
-        n = s.n
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                d2 = squared_distance(pts[i], pts[j])
-                m[i][j] = d2
-                m[j][i] = d2
-        return m
-    x = s.array
+def pairwise_squared_distances(x: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of a float array, clamped at 0."""
     sq = np.einsum("ij,ij->i", x, x)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
     np.fill_diagonal(d2, 0.0)
     return np.maximum(d2, 0.0)
+
+
+def squared_distance_matrix(s: PointSet):
+    """The set's own n x n squared distances (read-only; see PointSet.sqdist)."""
+    return s.sqdist
 
 
 @dataclass(frozen=True)
@@ -152,31 +171,31 @@ def is_almost_equidistant(s: PointSet, tol: Optional[Tolerance] = None) -> Tripl
 
     Equivalent formulation: the graph of non-unit pairs must be triangle
     free. Detection walks non-unit pairs and intersects adjacency bitsets,
-    returning the first offending triple in index order.
+    returning the first offending triple in index order. The verdict is
+    kept on the set, so each (set, dist_tol) is checked once.
     """
     tol = _resolve_tol(s, tol)
+    check = s._triple_checks.get(tol.dist_tol)
+    if check is None:
+        check = s._triple_checks[tol.dist_tol] = _triple_check(s, tol.dist_tol)
+    return check
+
+
+def _triple_check(s: PointSet, dist_tol: float) -> TripleCheck:
     n = s.n
     if n < 3:
         return TripleCheck(True, None)
-    d2 = squared_distance_matrix(s)
-    masks = [0] * n  # bit k of masks[i] set iff pair (i, k) is not unit
+    d2 = s.sqdist
     if s.mode == EXACT_MODE:
-        one = Fraction(1)
-        for i in range(n):
-            row = d2[i]
-            m = 0
-            for k in range(n):
-                if k != i and row[k] != one:
-                    m |= 1 << k
-            masks[i] = m
+        nonunit = np.array([[v != 1 for v in row] for row in d2])
     else:
-        nonunit = np.abs(d2 - 1.0) > tol.dist_tol
-        np.fill_diagonal(nonunit, False)
-        for i in range(n):
-            m = 0
-            for k in np.flatnonzero(nonunit[i]):
-                m |= 1 << int(k)
-            masks[i] = m
+        nonunit = np.abs(d2 - 1.0) > dist_tol
+    np.fill_diagonal(nonunit, False)
+    # bit k of masks[i] set iff pair (i, k) is not unit
+    masks = [
+        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+        for row in nonunit
+    ]
     for i in range(n):
         mi = masks[i]
         for j in range(i + 1, n):
@@ -208,7 +227,7 @@ def recenter_to_barycenter(s: PointSet) -> PointSet:
 
 
 def diameter(s: PointSet) -> float:
-    d2 = squared_distance_matrix(s)
+    d2 = s.sqdist
     if s.mode == EXACT_MODE:
         worst = max(max(row) for row in d2)
         return math.sqrt(float(worst))
@@ -250,31 +269,20 @@ def barycenter_identity_check(x: PointSet, y: PointSet):
         raise ValueError("the identity needs two sets of the same size")
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
-    exact = x.mode == EXACT_MODE and y.mode == EXACT_MODE
-    if exact:
+    if x.mode == EXACT_MODE and y.mode == EXACT_MODE:
         lhs = sum(
             squared_distance(p, q) for p in x.points for q in y.points
         )
-        ax = sum(
-            squared_distance(x.points[i], x.points[j])
-            for i in range(x.n)
-            for j in range(i + 1, x.n)
-        )
-        ay = sum(
-            squared_distance(y.points[i], y.points[j])
-            for i in range(y.n)
-            for j in range(i + 1, y.n)
-        )
+        ax = sum(map(sum, x.sqdist)) / 2
+        ay = sum(map(sum, y.sqdist)) / 2
         cross = squared_distance(barycenter(x), barycenter(y))
         rhs = ax + ay + x.n * x.n * cross
         return abs(lhs - rhs)
     xa, ya = x.array, y.array
     diff = xa[:, None, :] - ya[None, :, :]
     lhs = float(np.einsum("ijk,ijk->", diff, diff))
-    dx = xa[:, None, :] - xa[None, :, :]
-    ax = 0.5 * float(np.einsum("ijk,ijk->", dx, dx))
-    dy = ya[:, None, :] - ya[None, :, :]
-    ay = 0.5 * float(np.einsum("ijk,ijk->", dy, dy))
+    ax = 0.5 * float(pairwise_squared_distances(xa).sum())
+    ay = 0.5 * float(pairwise_squared_distances(ya).sum())
     cb = xa.mean(axis=0) - ya.mean(axis=0)
     rhs = ax + ay + x.n * x.n * float(cb @ cb)
     return abs(lhs - rhs)

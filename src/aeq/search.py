@@ -21,7 +21,7 @@ from scipy.optimize import least_squares
 
 from .bounds import conjectured_diameter_max
 from .constructions import construct_rosenfeld, construct_two_simplices
-from .geometry import PointSet, Tolerance, is_almost_equidistant
+from .geometry import PointSet, Tolerance, is_almost_equidistant, pairwise_squared_distances
 from .spectral import SpectralCertificate, certify
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -53,13 +53,6 @@ class SearchResult:
     certificate: Optional[SpectralCertificate]
 
 
-def _sqdist(x: np.ndarray) -> np.ndarray:
-    sq = np.einsum("ij,ij->i", x, x)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.fill_diagonal(d2, 0.0)
-    return np.maximum(d2, 0.0)
-
-
 def triple_penalty(s) -> float:
     """Sum over triples of the squared defect of the best pair; 0 below n=3."""
     x = s.array if isinstance(s, PointSet) else np.asarray(s, dtype=float)
@@ -67,7 +60,7 @@ def triple_penalty(s) -> float:
     if n < 3:
         return 0.0
     tri = np.array(list(combinations(range(n), 3)))
-    return float(_triple_penalty_given(_sqdist(x) - 1.0, tri))
+    return float(_triple_penalty_given(pairwise_squared_distances(x) - 1.0, tri))
 
 
 def _triple_penalty_given(q: np.ndarray, tri: np.ndarray) -> float:
@@ -81,8 +74,7 @@ def _triple_penalty_given(q: np.ndarray, tri: np.ndarray) -> float:
     return float(vals.min(axis=0).sum())
 
 
-def _constraint_penalty(x: np.ndarray, cfg: SearchConfig) -> float:
-    q = _sqdist(x) - 1.0
+def _constraint_penalty(x: np.ndarray, q: np.ndarray, cfg: SearchConfig) -> float:
     total = 0.0
     if cfg.diameter_cap:
         iu = np.triu_indices(len(x), 1)
@@ -94,9 +86,9 @@ def _constraint_penalty(x: np.ndarray, cfg: SearchConfig) -> float:
 
 
 def total_penalty(x: np.ndarray, cfg: SearchConfig, tri: np.ndarray) -> float:
-    q = _sqdist(x) - 1.0
+    q = pairwise_squared_distances(x) - 1.0
     val = _triple_penalty_given(q, tri) if len(tri) else 0.0
-    return val + _constraint_penalty(x, cfg)
+    return val + _constraint_penalty(x, q, cfg)
 
 
 def _active_pairs(q: np.ndarray, tri: np.ndarray) -> np.ndarray:
@@ -116,7 +108,7 @@ def _active_pairs(q: np.ndarray, tri: np.ndarray) -> np.ndarray:
 
 def _gradient(x: np.ndarray, cfg: SearchConfig, tri: np.ndarray) -> np.ndarray:
     n = len(x)
-    q = _sqdist(x) - 1.0
+    q = pairwise_squared_distances(x) - 1.0
     grad = np.zeros_like(x)
     if len(tri):
         act = _active_pairs(q, tri)
@@ -206,7 +198,7 @@ def _polish(x: np.ndarray, cfg: SearchConfig, tri: np.ndarray) -> np.ndarray:
     best_x, best_val = x, total_penalty(x, cfg, tri)
     prev_active = None
     for _ in range(cfg.polish_rounds):
-        q = _sqdist(best_x) - 1.0
+        q = pairwise_squared_distances(best_x) - 1.0
         active = _active_pairs(q, tri) if len(tri) else np.zeros((0, 2), dtype=int)
         key = frozenset(map(tuple, active))
         if key == prev_active:
@@ -216,7 +208,7 @@ def _polish(x: np.ndarray, cfg: SearchConfig, tri: np.ndarray) -> np.ndarray:
 
         def residuals(flat):
             pts = flat.reshape(n, d)
-            q = _sqdist(pts) - 1.0
+            q = pairwise_squared_distances(pts) - 1.0
             out = [q[a, b]]
             if cfg.diameter_cap:
                 out.append(np.maximum(q[iu, ju], 0.0))

@@ -26,6 +26,13 @@ def pointset_to_dict(s: PointSet) -> dict:
     return {"dim": s.dim, "mode": s.mode, "points": points}
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"coordinate {text!r} has a zero denominator") from None
+
+
 def pointset_from_dict(obj: dict) -> PointSet:
     if not isinstance(obj, dict):
         raise ValueError("point set JSON must be an object")
@@ -45,7 +52,7 @@ def pointset_from_dict(obj: dict) -> PointSet:
             coords = []
             for c in row:
                 if isinstance(c, str):
-                    coords.append(Fraction(c))
+                    coords.append(_fraction(c))
                 elif isinstance(c, int) and not isinstance(c, bool):
                     coords.append(Fraction(c))
                 else:
@@ -58,7 +65,7 @@ def pointset_from_dict(obj: dict) -> PointSet:
             for c in row:
                 if isinstance(c, bool) or not isinstance(c, (int, float, str)):
                     raise ValueError("coordinates must be numbers")
-                coords.append(float(Fraction(c)) if isinstance(c, str) else float(c))
+                coords.append(float(_fraction(c)) if isinstance(c, str) else float(c))
             parsed.append(tuple(coords))
     return PointSet(dim=int(dim), points=tuple(parsed), mode=mode)
 

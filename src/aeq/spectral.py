@@ -28,17 +28,23 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DefectMatrix:
-    """Symmetric n x n matrix, zero diagonal, entries d^2(v_i, v_j) - 1."""
+    """Symmetric n x n matrix, zero diagonal, entries d^2(v_i, v_j) - 1.
+
+    entries is a read-only ndarray in float mode and a tuple of Fraction
+    row tuples in exact mode.
+    """
 
     n: int
-    entries: tuple  # tuple of row tuples, float or Fraction
+    entries: object
     mode: str = FLOAT_MODE
 
     @property
     def array(self) -> np.ndarray:
-        return np.array([[float(c) for c in row] for row in self.entries], dtype=float)
+        if self.mode == EXACT_MODE:
+            return np.array([[float(c) for c in row] for row in self.entries], dtype=float)
+        return self.entries
 
 
 def defect_matrix(s: PointSet) -> DefectMatrix:
@@ -53,7 +59,8 @@ def defect_matrix(s: PointSet) -> DefectMatrix:
         return DefectMatrix(n=s.n, entries=tuple(rows), mode=EXACT_MODE)
     u = d2 - 1.0
     np.fill_diagonal(u, 0.0)
-    return DefectMatrix(n=s.n, entries=tuple(map(tuple, u.tolist())), mode=FLOAT_MODE)
+    u.flags.writeable = False
+    return DefectMatrix(n=s.n, entries=u, mode=FLOAT_MODE)
 
 
 # reports call this matrix family "u" (trace_u, trace_u3), so the builder
@@ -74,9 +81,10 @@ def trace_identities(
 ) -> TraceIdentities:
     """Directly summed trace and cube-trace; independent of any eigensolver.
 
-    The cube-trace is sum_{i,j,k} U_ij U_jk U_ki. Every closed triple walks
-    through some unit pair when the set is almost equidistant, so both
-    traces vanish (exactly in rational mode, within n^3 * eig_tol in float).
+    The cube-trace is sum_{i,j,k} U_ij U_jk U_ki, summed in float mode as
+    ((U @ U) * U^T).sum(). Every closed triple walks through some unit pair
+    when the set is almost equidistant, so both traces vanish (exactly in
+    rational mode, within n^3 * eig_tol in float).
     """
     tol = _resolve_tol(s, tol)
     check = is_almost_equidistant(s, tol)
@@ -98,7 +106,7 @@ def trace_identities(
         return TraceIdentities(tr, tr3, holds)
     m = u.array
     tr = float(np.trace(m))
-    tr3 = float(np.einsum("ij,jk,ki->", m, m, m))
+    tr3 = float(((m @ m) * m.T).sum())
     cap = (n ** 3) * tol.eig_tol
     return TraceIdentities(tr, tr3, tr == 0.0 and abs(tr3) <= cap)
 
@@ -163,8 +171,11 @@ class SpectralCertificate:
 
 def certify(s: PointSet, tol: Optional[Tolerance] = None) -> SpectralCertificate:
     """Full spectral certificate of an almost-equidistant set."""
+    return _certify(defect_matrix(s), s, tol)
+
+
+def _certify(u: DefectMatrix, s: PointSet, tol: Optional[Tolerance]) -> SpectralCertificate:
     tol = _resolve_tol(s, tol)
-    u = defect_matrix(s)
     ident = trace_identities(u, s, tol)  # also enforces the triple condition
     eig_tol = tol.eig_tol if tol.eig_tol > 0 else DEFAULT_TOL.eig_tol
     spec = eigenvalues(u, eig_tol)

@@ -99,6 +99,12 @@ def test_verify_ragged_csv_is_usage_error(capsys, tmp_path):
     assert "row 2 has 1 columns" in captured.err
     rep = json.loads(captured.out)
     assert rep["outcome"] == "error"
+    for text in ("0,0\n1,0\nnan,nan\n", "0,0\n1,0\ninf,0\n"):
+        p.write_text(text)
+        for verb in ("verify", "certify"):
+            code, rep = run_cli(capsys, verb, "--input", str(p))
+            assert code == 2 and rep["outcome"] == "error"
+            assert "finite" in rep["payload"]["message"]
 
 
 def test_verify_missing_file(capsys):
@@ -111,6 +117,15 @@ def test_empty_pointset_is_usage_error(capsys, tmp_path):
     p.write_text('{"dim": 1, "points": []}')
     code, rep = run_cli(capsys, "verify", "--input", str(p))
     assert code == 2 and rep["outcome"] == "error"
+    for text in (
+        '{"dim": 2, "points": [[0, 0], [1, 0], [NaN, NaN]]}',
+        '{"dim": 2, "points": [[0, 0], [1, 0], [Infinity, 0]]}',
+        '{"dim": 2, "mode": "exact", "points": [["0", "0"], ["1", "0"], ["1/0", "0"]]}',
+        '{"dim": 2, "points": [["0", "0"], ["1", "0"], ["1/0", "0"]]}',
+    ):
+        p.write_text(text)
+        code, rep = run_cli(capsys, "verify", "--input", str(p))
+        assert code == 2 and rep["outcome"] == "error"
 
 
 def test_exact_flag_rejects_float_input(capsys, triangle_csv):

@@ -48,6 +48,9 @@ def test_pointset_validation():
         PointSet(dim=1, points=((0.5,),), mode="exact")  # float coord in exact mode
     with pytest.raises(ValueError):
         PointSet(dim=0, points=((),))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            PointSet(dim=2, points=((0.0, 0.0), (1.0, bad)))
 
 
 def test_tolerance_validation():
@@ -167,3 +170,52 @@ def test_barycenter_identity_exact_is_zero(rhombus, zigzag):
 def test_barycenter_identity_size_mismatch(rhombus, unit_triangle):
     with pytest.raises(ValueError):
         aeq.barycenter_identity_check(rhombus, unit_triangle)
+
+
+def test_cached_distances_match_per_pair_oracle(rhombus):
+    exact = aeq.squared_distance_matrix(rhombus)
+    for i, p in enumerate(rhombus.points):
+        for j, q in enumerate(rhombus.points):
+            assert exact[i][j] == aeq.squared_distance(p, q)
+    rng = np.random.default_rng(5)
+    s = PointSet.from_array(rng.normal(size=(12, 4)))
+    floats = aeq.squared_distance_matrix(s)
+    assert floats is aeq.squared_distance_matrix(s)  # computed once
+    for i, p in enumerate(s.points):
+        for j, q in enumerate(s.points):
+            assert abs(floats[i, j] - aeq.squared_distance(p, q)) <= 1e-12
+
+
+def test_cached_arrays_are_read_only():
+    s = aeq.construct_simplex(4, 3)
+    for arr in (s.array, aeq.squared_distance_matrix(s)):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+
+def test_triple_check_verdict_per_tolerance():
+    # pair (0, 1) misses unit distance by 5e-4; the other pairs are far
+    a = math.sqrt(1.0005)
+    s = PointSet.from_array([[0.0, 0.0], [a, 0.0], [a / 2, math.sqrt(4.0 - a * a / 4)]])
+    for _ in range(2):
+        assert aeq.is_almost_equidistant(s, Tolerance(dist_tol=1e-9)).witness == (0, 1, 2)
+        assert aeq.is_almost_equidistant(s, Tolerance(dist_tol=1e-3)).ok
+
+
+def test_pipeline_computes_distances_once_per_set(monkeypatch, capsys, tmp_path):
+    from aeq import geometry
+    from aeq.cli import main
+
+    calls = []
+    kernel = geometry.pairwise_squared_distances
+
+    def counting(x):
+        calls.append(len(x))
+        return kernel(x)
+
+    monkeypatch.setattr(geometry, "pairwise_squared_distances", counting)
+    path = tmp_path / "simplex.json"
+    path.write_text(aeq.dumps_report(aeq.pointset_to_dict(aeq.construct_simplex(5, 4))))
+    assert main(["pipeline", "--diameter", "--input", str(path)]) == 0
+    capsys.readouterr()
+    assert len(calls) <= 2  # the set and its recentred copy

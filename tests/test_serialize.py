@@ -60,6 +60,15 @@ def test_from_dict_rejects_missing_keys():
 def test_load_pointset_bad_json():
     with pytest.raises(ValueError, match="invalid JSON"):
         aeq.load_pointset("{not json")
+    for token in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(ValueError, match="finite"):
+            aeq.load_pointset('{"dim": 1, "points": [[0.0], [%s]]}' % token)
+
+
+def test_from_dict_rejects_zero_denominator():
+    for mode in ("exact", "float"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            aeq.pointset_from_dict({"dim": 1, "mode": mode, "points": [["0"], ["1/0"]]})
 
 
 def test_csv_roundtrip_with_comments():
@@ -76,6 +85,9 @@ def test_csv_errors_carry_line_numbers():
         aeq.load_pointset_csv("1.0 2.0\n3.0\n")
     with pytest.raises(ValueError, match="empty"):
         aeq.load_pointset_csv("# nothing\n")
+    for text in ("0,0\nnan,nan\n", "0,0\ninf,0\n"):
+        with pytest.raises(ValueError, match="finite"):
+            aeq.load_pointset_csv(text)
 
 
 def test_matrix_csv():

@@ -38,6 +38,26 @@ def test_unit_simplex_defect_vanishes():
     assert np.abs(u).max() < 1e-12
 
 
+def test_defect_entries_read_only():
+    u = aeq.defect_matrix(aeq.construct_two_simplices(3))
+    assert u.array is u.entries
+    with pytest.raises(ValueError):
+        u.entries[0, 1] = 0.0
+
+
+def test_cube_trace_matches_einsum_oracle():
+    fleet = [aeq.construct_simplex(k, 6) for k in (3, 7)]
+    fleet += [aeq.construct_two_simplices(d) for d in (2, 3, 5, 8, 13)]
+    fleet += [aeq.construct_rosenfeld(d) for d in (2, 4, 9)]
+    fleet += [aeq.lift_to_halfsphere(aeq.construct_two_simplices(4), math.sqrt(0.4))]
+    for s in fleet:
+        u = aeq.defect_matrix(s)
+        m = u.array
+        oracle = float(np.einsum("ij,jk,ki->", m, m, m))
+        got = aeq.trace_identities(u, s).trace_u3
+        assert abs(got - oracle) <= s.n ** 3 * 1e-15 * float(np.abs(m).max()) ** 3
+
+
 def test_vocabulary_aliases():
     assert aeq.build_u is aeq.defect_matrix
     assert aeq.UMatrix is aeq.DefectMatrix
