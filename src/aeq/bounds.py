@@ -119,7 +119,7 @@ def diameter_bound(
         if diam > 1.0 + tol.dist_tol:
             raise ValueError(f"diameter {diam:.12g} exceeds 1 + dist_tol")
         u = defect_matrix(points)
-        cert = _certify(u, points, tol)
+        cert = _certify(points, tol, u)
         eig_tol = tol.eig_tol if tol.eig_tol > 0 else 1e-8
         pf = perron_frobenius_check(-u.array, eig_tol)
         lam_sum = cert.lambda_max + cert.lambda_min

@@ -71,7 +71,8 @@ class PointSet:
     """A finite list of points in R^dim, all rows of equal length.
 
     The coordinate array and the squared-distance matrix are computed once,
-    on first use, and are read-only: every check on the set shares them.
+    on first use, and are read-only: every check on the set shares them, as
+    it shares the triple verdict and the spectral certificate per tolerance.
     """
 
     dim: int
@@ -79,6 +80,8 @@ class PointSet:
     mode: str = FLOAT_MODE
     # dist_tol -> TripleCheck, filled by is_almost_equidistant
     _triple_checks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Tolerance -> SpectralCertificate, filled by spectral.certify
+    _certificates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in (FLOAT_MODE, EXACT_MODE):

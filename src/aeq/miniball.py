@@ -1,128 +1,99 @@
-"""Smallest enclosing ball via Welzl's randomized recursion.
+"""Smallest enclosing ball by the pivoting walk of Fischer, Gärtner and Kutz
+(Fast smallest-enclosing-ball computation in high dimensions, ESA 2003).
 
-Rational mode runs the recursion over Fractions with exact comparisons.
-Floating mode runs the same recursion in float arithmetic with a relative
-containment slack, then tightens the radius to the true farthest point so
-the containment invariant holds by construction.
+The walk keeps a ball that encloses every point and a support T of points on
+its boundary, affinely independent. Each step moves the center c toward the
+circumcenter of T, the point of aff(T) nearest to c, which keeps T on the
+boundary and shrinks the ball. A point that reaches the boundary first joins
+T (ties: lowest index). If c reaches the circumcenter, c lies in aff(T); if
+every affine coefficient of c is nonnegative, c lies in conv(T) and the ball
+is the smallest, otherwise the lowest-indexed point with a negative
+coefficient leaves T. The same loop runs over a float ndarray and over an
+object array of Fractions: the modes differ only in the linear solve and in
+the slack of the comparisons, which is 0 in exact mode.
+
+Why the walk ends (in exact arithmetic). The radius never grows, and it
+shrinks at every step of positive length. A drop happens at c = cc(T), so a
+support seen at one drop is never seen at a drop after a positive step, and
+between two drops T only grows, to at most d + 1 points. Steps of length 0
+keep c fixed; among them a cycle is impossible by Bland's argument: let f be
+the highest-indexed point that leaves and joins within the cycle, D the step
+where it leaves (c = sum of lam_t t over T_D) and J the step where it joins
+T_J along v = cc(T_J) - c, and g(t) = v.(t_0 - t) for some t_0 in T_J. Then
+sum lam_t g(t) = |v|^2 > 0, yet every term is <= 0 and f's is < 0: g vanishes
+on T_J, f joined with g(f) > 0 and lam_f < 0, and every other point of
+T_D outside T_J cycles with a lower index, so lam_t >= 0 and g(t) <= 0.
+
+Float mode lets a point join only while its rate toward the boundary exceeds
+a floor scaled by the data's spread, so rounding cannot bring a duplicate or
+an affinely dependent point into T, then tightens the radius to the farthest
+point, so the containment invariant holds by construction.
 """
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .geometry import EXACT_MODE, PointSet
 
-_SHUFFLE_SEED = 0x9E3779B9  # fixed so repeated runs give identical results
 _REL_SLACK = 1e-12
 
 
-def _circumball_exact(support: Sequence[tuple]):
-    """Smallest sphere through affinely independent support points (exact)."""
-    if not support:
-        return None, None
-    p0 = support[0]
-    if len(support) == 1:
-        return p0, Fraction(0)
-    us = [tuple(a - b for a, b in zip(p, p0)) for p in support[1:]]
-    k = len(us)
-    # Gram system: 2 G a = (|u_i|^2)_i, center = p0 + sum a_i u_i
-    g = [[2 * sum(x * y for x, y in zip(us[i], us[j])) for j in range(k)] for i in range(k)]
-    b = [sum(x * x for x in us[i]) for i in range(k)]
-    a = _solve_fraction(g, b)
-    if a is None:
-        return None, None
-    center = list(p0)
-    for coef, u in zip(a, us):
-        for t in range(len(center)):
-            center[t] += coef * u[t]
-    center = tuple(center)
-    r2 = sum((x - y) * (x - y) for x, y in zip(center, p0))
-    return center, r2
-
-
 def _solve_fraction(g, b):
-    k = len(g)
-    m = [row[:] + [b[i]] for i, row in enumerate(g)]
+    """Gauss-Jordan over Fractions; g is a Gram matrix of an affinely
+    independent support, positive definite, so every pivot is positive."""
+    k = len(b)
+    m = [list(row) + [rhs] for row, rhs in zip(g, b)]
     for col in range(k):
-        piv = next((r for r in range(col, k) if m[r][col] != 0), None)
-        if piv is None:
-            return None  # affinely dependent support
-        m[col], m[piv] = m[piv], m[col]
-        inv = m[col][col]
-        m[col] = [x / inv for x in m[col]]
+        m[col] = [x / m[col][col] for x in m[col]]
         for r in range(k):
             if r != col and m[r][col] != 0:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][k] for r in range(k)]
+    return np.array([row[k] for row in m], dtype=object)
 
 
-def _circumball_float(support: np.ndarray):
-    if len(support) == 0:
-        return None, None
-    p0 = support[0]
-    if len(support) == 1:
-        return p0.copy(), 0.0
-    u = support[1:] - p0
-    g = 2.0 * (u @ u.T)
-    b = np.einsum("ij,ij->i", u, u)
-    try:
-        a = np.linalg.solve(g, b)
-    except np.linalg.LinAlgError:
-        return None, None
-    center = p0 + a @ u
-    r2 = float(((support - center) ** 2).sum(axis=1).max())
-    return center, r2
-
-
-def _welzl(pts, d, circumball, contains):
-    import sys
-
-    order = list(range(len(pts)))
-    random.Random(_SHUFFLE_SEED).shuffle(order)
-    seq = [pts[i] for i in order]
-    limit = sys.getrecursionlimit()
-    if 2 * len(seq) + 100 > limit:
-        sys.setrecursionlimit(2 * len(seq) + 100)
-
-    def rec(end: int, boundary: tuple):
-        if end == 0 or len(boundary) == d + 1:
-            return circumball(list(boundary))
-        ball = rec(end - 1, boundary)
-        p = seq[end - 1]
-        if ball[0] is not None and contains(ball, p):
-            return ball
-        return rec(end - 1, boundary + (p,))
-
-    return rec(len(seq), ())
+def _walk(x, solve, slack):
+    """Center and support of the smallest ball enclosing the rows of x."""
+    c = x[0]
+    d2 = ((x - c) ** 2).sum(axis=1)
+    support = [int(np.argmax(d2))]
+    floor = slack * d2.max()
+    while True:
+        p0 = x[support[0]]
+        u = x[support[1:]] - p0
+        a = solve(2 * (u @ u.T), (u * u).sum(axis=1))
+        cc = p0 + a @ u
+        room = ((c - p0) ** 2).sum() - ((x - c) ** 2).sum(axis=1)
+        rate = 2 * ((p0 - x) @ (cc - c))  # room lost per unit of the step
+        hit = np.flatnonzero(rate > floor)
+        if len(hit):
+            steps = np.maximum(room[hit], 0) / rate[hit]
+            k = int(np.argmin(steps))
+            if steps[k] < 1:
+                c = c + steps[k] * (cc - c)
+                support.append(int(hit[k]))
+                continue
+        c = cc
+        coefs = [1 - a.sum(), *a]
+        out = [p for p, lam in zip(support, coefs) if lam < -slack]
+        if not out:
+            return c, support
+        support.remove(min(out))
 
 
 def min_enclosing_ball(s: PointSet) -> Tuple[tuple, float, Optional[Fraction]]:
     """Returns (center, radius, exact squared radius or None)."""
     if s.mode == EXACT_MODE:
-        def contains(ball, p):
-            c, r2 = ball
-            return sum((a - b) * (a - b) for a, b in zip(c, p)) <= r2
-
-        center, r2 = _welzl(list(s.points), s.dim, _circumball_exact, contains)
-        if center is None:
-            raise RuntimeError("degenerate support in enclosing-ball recursion")
+        x = np.array(s.points, dtype=object)
+        center, support = _walk(x, _solve_fraction, 0)
+        r2 = ((x[support[0]] - center) ** 2).sum()
         return tuple(center), math.sqrt(float(r2)), r2
-
     x = s.array
-
-    def contains(ball, p):
-        c, r2 = ball
-        d2 = float(((p - c) ** 2).sum())
-        return d2 <= r2 * (1.0 + _REL_SLACK) + 1e-30
-
-    center, _ = _welzl([x[i] for i in range(len(x))], s.dim, _circumball_float, contains)
-    if center is None:
-        raise RuntimeError("degenerate support in enclosing-ball recursion")
+    center, _ = _walk(x, np.linalg.solve, _REL_SLACK)
     # tighten: report the true farthest distance from the computed center
     r = math.sqrt(float(((x - center) ** 2).sum(axis=1).max()))
     return tuple(float(c) for c in center), r, None

@@ -104,9 +104,12 @@ def load_matrix_csv(text: str) -> np.ndarray:
         if not line or line.startswith("#"):
             continue
         try:
-            rows.append([float(tok) for tok in line.replace(",", " ").split()])
+            row = [float(tok) for tok in line.replace(",", " ").split()]
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric entry")
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"line {lineno}: entries must be finite")
+        rows.append(row)
     if not rows:
         raise ValueError("empty matrix CSV")
     width = len(rows[0])

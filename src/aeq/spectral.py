@@ -170,12 +170,24 @@ class SpectralCertificate:
 
 
 def certify(s: PointSet, tol: Optional[Tolerance] = None) -> SpectralCertificate:
-    """Full spectral certificate of an almost-equidistant set."""
-    return _certify(defect_matrix(s), s, tol)
+    """Full spectral certificate of an almost-equidistant set.
+
+    The certificate is kept on the set, so each (set, tolerance) is
+    certified once.
+    """
+    return _certify(s, tol)
 
 
-def _certify(u: DefectMatrix, s: PointSet, tol: Optional[Tolerance]) -> SpectralCertificate:
+def _certify(
+    s: PointSet, tol: Optional[Tolerance], u: Optional[DefectMatrix] = None
+) -> SpectralCertificate:
+    """certify(s, tol); u, when given, is the caller's defect matrix of s."""
     tol = _resolve_tol(s, tol)
+    cert = s._certificates.get(tol)
+    if cert is not None:
+        return cert
+    if u is None:
+        u = defect_matrix(s)
     ident = trace_identities(u, s, tol)  # also enforces the triple condition
     eig_tol = tol.eig_tol if tol.eig_tol > 0 else DEFAULT_TOL.eig_tol
     spec = eigenvalues(u, eig_tol)
@@ -183,7 +195,7 @@ def _certify(u: DefectMatrix, s: PointSet, tol: Optional[Tolerance]) -> Spectral
     count_eq_one = int(np.sum(np.abs(vals - 1.0) <= eig_tol))
     count_gt_one = int(np.sum(vals > 1.0 + eig_tol))
     structural = count_gt_one <= 1 and count_eq_one >= s.n - s.dim - 2
-    return SpectralCertificate(
+    cert = s._certificates[tol] = SpectralCertificate(
         n=s.n,
         dim=s.dim,
         trace_u=float(ident.trace_u),
@@ -194,6 +206,7 @@ def _certify(u: DefectMatrix, s: PointSet, tol: Optional[Tolerance]) -> Spectral
         lambda_min=spec.values[-1],
         lemma1_holds=bool(structural and ident.holds),
     )
+    return cert
 
 
 @dataclass(frozen=True)

@@ -389,6 +389,15 @@ def test_perron_command(capsys, tmp_path):
     assert rep["outcome"] == "fail"
 
 
+def test_nonfinite_matrix_csv_is_usage_error(capsys, tmp_path):
+    m = tmp_path / "m.csv"
+    m.write_text("nan,1\n1,0\n")
+    for verb in ("gershgorin", "perron"):
+        code, rep = run_cli(capsys, verb, "--input", str(m))
+        assert code == 2 and rep["outcome"] == "error"
+        assert "line 1: entries must be finite" in rep["payload"]["message"]
+
+
 def test_gershgorin_command(capsys, tmp_path):
     m = tmp_path / "m.csv"
     m.write_text("0 1.2\n1.2 0\n")

@@ -219,3 +219,27 @@ def test_pipeline_computes_distances_once_per_set(monkeypatch, capsys, tmp_path)
     assert main(["pipeline", "--diameter", "--input", str(path)]) == 0
     capsys.readouterr()
     assert len(calls) <= 2  # the set and its recentred copy
+
+
+def test_pipeline_certifies_once_per_set(monkeypatch, capsys, tmp_path):
+    from aeq import spectral
+    from aeq.cli import main
+
+    calls = []
+    solver = spectral.eigenvalues
+
+    def counting(m, eig_tol):
+        calls.append(eig_tol)
+        return solver(m, eig_tol)
+
+    monkeypatch.setattr(spectral, "eigenvalues", counting)
+    path = tmp_path / "simplex.json"
+    path.write_text(aeq.dumps_report(aeq.pointset_to_dict(aeq.construct_simplex(30, 29))))
+    assert main(["pipeline", "--diameter", "--input", str(path)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1  # diameter_bound and the pipeline share one certificate
+    s = aeq.construct_two_simplices(3)
+    for _ in range(2):
+        aeq.certify(s, Tolerance(dist_tol=1e-9, eig_tol=1e-8))
+        aeq.certify(s, Tolerance(dist_tol=1e-9, eig_tol=1e-6))
+    assert calls[1:] == [1e-8, 1e-6]  # one certificate per tolerance

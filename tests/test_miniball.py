@@ -1,11 +1,27 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aeq
 from aeq import PointSet
+
+
+def cross_rows(d):
+    """The 2d rows +-(e_2k +- e_2k+1)/2 of R^d (d even), on the sphere of
+    radius 1/sqrt(2) around the origin, in antipodal pairs."""
+    h = Fraction(1, 2)
+    rows = []
+    for k in range(0, d, 2):
+        for a, b in itertools.product((h, -h), repeat=2):
+            row = [Fraction(0)] * d
+            row[k], row[k + 1] = a, b
+            rows.append(row)
+    return rows
 
 
 def brute_min_ball(pts):
@@ -56,13 +72,27 @@ def test_duplicate_points():
     s = PointSet.from_array([[1.0, 1.0]] * 4 + [[2.0, 1.0]])
     _, r, _ = aeq.min_enclosing_ball(s)
     assert abs(r - 0.5) < 1e-12
+    # rotated sets with repeated rows: rounding must not let a copy of a
+    # support point join the support, which would make its solve singular
+    rng = np.random.default_rng(11)
+    for trial in range(120):
+        n, d = int(rng.integers(2, 8)), int(rng.integers(1, 5))
+        x = rng.normal(size=(n, d))
+        if trial % 2:
+            x = np.round(2.0 * x) / 2.0
+        x = np.vstack([x, x[rng.integers(0, n, size=3)]])
+        x = x @ np.linalg.qr(rng.normal(size=(d, d)))[0]
+        _, r, _ = aeq.min_enclosing_ball(PointSet.from_array(x))
+        assert abs(r - brute_min_ball(x)[0]) < 1e-9
 
 
 def test_cospherical_configuration():
-    # 62 points sharing one circumsphere stress the support search
-    s = aeq.construct_two_simplices(30)
-    _, r, _ = aeq.min_enclosing_ball(s)
-    assert abs(r - math.sqrt(30.0 / 62.0)) < 1e-9
+    # 2d + 2 points sharing one circumsphere stress the support search;
+    # at d = 80 Welzl's recursion did not finish in 30 s
+    for d in (30, 80):
+        s = aeq.construct_two_simplices(d)
+        _, r, _ = aeq.min_enclosing_ball(s)
+        assert abs(r - math.sqrt(d / (2.0 * d + 2.0))) < 1e-9
 
 
 def test_exact_mode_rational_radius(rhombus):
@@ -71,6 +101,14 @@ def test_exact_mode_rational_radius(rhombus):
     assert r2 == Fraction(4, 5)
     assert c == (Fraction(4, 5), Fraction(2, 5))
     assert abs(r - math.sqrt(0.8)) < 1e-12
+    # cross24 with row 33 pulled 1/7 of the way in: the antipodal pairs
+    # still pin the critical ball (Welzl's recursion took 18 s here)
+    rows = cross_rows(24)
+    rows[33] = [x * Fraction(6, 7) for x in rows[33]]
+    c, r, r2 = aeq.min_enclosing_ball(PointSet.exact_rows(rows))
+    assert r2 == Fraction(1, 2)
+    assert c == (0,) * 24
+    assert abs(r - 1.0 / math.sqrt(2.0)) < 1e-15
 
 
 def test_matches_brute_force_fuzz():
@@ -91,3 +129,57 @@ def test_all_points_contained_fuzz():
         c, r, _ = aeq.min_enclosing_ball(PointSet.from_array(pts))
         dist = np.sqrt(((pts - np.asarray(c)) ** 2).sum(axis=1))
         assert dist.max() <= r + 1e-9
+
+
+def test_recursion_limit_untouched():
+    limit = sys.getrecursionlimit()
+    _, r, _ = aeq.min_enclosing_ball(aeq.construct_two_simplices(500))
+    assert sys.getrecursionlimit() == limit
+    assert abs(r - math.sqrt(500.0 / 1002.0)) < 1e-9
+
+
+def test_exact_grids_with_duplicates_and_collinear_points():
+    rng = np.random.default_rng(77)
+    for trial in range(60):
+        n = int(rng.integers(1, 9))
+        d = int(rng.integers(1, 4))
+        den = 1 if trial % 2 == 0 else int(rng.integers(2, 6))
+        rows = [[Fraction(int(v), den) for v in r] for r in rng.integers(-2, 3, size=(n, d))]
+        rows += [rows[int(i)] for i in rng.integers(0, n, size=2)]  # duplicates
+        base, step = rng.integers(-2, 3, size=d), rng.integers(-1, 2, size=d)
+        rows += [[Fraction(int(b + k * v), den) for b, v in zip(base, step)] for k in (-1, 0, 2)]
+        s = PointSet.exact_rows(rows)
+        c, r, r2 = aeq.min_enclosing_ball(s)
+        assert all(isinstance(v, Fraction) for v in (*c, r2))
+        assert all(sum((a - b) ** 2 for a, b in zip(p, c)) <= r2 for p in s.points)
+        want_r, _ = brute_min_ball(s.array)
+        assert abs(r - want_r) < 1e-9
+
+
+_small_fraction = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def exact_point_lists(draw):
+    d = draw(st.integers(1, 3))
+    return draw(st.lists(st.lists(_small_fraction, min_size=d, max_size=d), min_size=1, max_size=8))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(rows=exact_point_lists(), data=st.data())
+def test_exact_ball_invariant_under_permutation(rows, data):
+    order = data.draw(st.permutations(range(len(rows))))
+    c, _, r2 = aeq.min_enclosing_ball(PointSet.exact_rows(rows))
+    pc, _, pr2 = aeq.min_enclosing_ball(PointSet.exact_rows([rows[i] for i in order]))
+    assert (pc, pr2) == (c, r2)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(rows=exact_point_lists(), data=st.data())
+def test_exact_ball_follows_translation(rows, data):
+    shift = data.draw(st.lists(_small_fraction, min_size=len(rows[0]), max_size=len(rows[0])))
+    c, _, r2 = aeq.min_enclosing_ball(PointSet.exact_rows(rows))
+    moved = [[a + b for a, b in zip(row, shift)] for row in rows]
+    tc, _, tr2 = aeq.min_enclosing_ball(PointSet.exact_rows(moved))
+    assert tr2 == r2
+    assert tc == tuple(a + b for a, b in zip(c, shift))

@@ -97,6 +97,9 @@ def test_matrix_csv():
         aeq.load_matrix_csv("0 1\n1\n")
     with pytest.raises(ValueError, match="line 1"):
         aeq.load_matrix_csv("a b\n")
+    for text, line in (("nan,1\n1,0\n", 1), ("0 1\n1 inf\n", 2), ("0 1\n-inf 0\n", 2)):
+        with pytest.raises(ValueError, match=f"line {line}: entries must be finite"):
+            aeq.load_matrix_csv(text)
 
 
 def test_report_floats_have_17_digits():
