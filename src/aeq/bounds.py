@@ -18,12 +18,11 @@ from .geometry import (
     EXACT_MODE,
     PointSet,
     Tolerance,
+    _float_sqdist,
     _resolve_tol,
-    barycenter,
     diameter,
     is_almost_equidistant,
     recenter_to_barycenter,
-    squared_distance_matrix,
 )
 from .miniball import min_enclosing_ball
 from .spectral import (
@@ -232,10 +231,14 @@ class FStatistic:
 def f_statistic(s: PointSet) -> FStatistic:
     u = defect_matrix(s)
     if s.mode == EXACT_MODE:
-        sums = tuple(sum(row) for row in u.entries)
-        absmax = max(abs(v) for v in sums)
+        sums = [sum(row) for row in u.values.tolist()]
+        absmax = max(map(abs, sums))
         arg = next(i for i, v in enumerate(sums) if abs(v) == absmax)
-        return FStatistic(value=absmax, argmax_index=arg, per_point_sums=sums)
+        return FStatistic(
+            value=Fraction(absmax, u.scale),
+            argmax_index=arg,
+            per_point_sums=tuple(Fraction(v, u.scale) for v in sums),
+        )
     sums = u.array.sum(axis=1)
     arg = int(np.abs(sums).argmax())
     return FStatistic(
@@ -267,14 +270,15 @@ def recentred_norm_bounds(
     tol = _resolve_tol(s, tol)
     n = s.n
     if s.mode == EXACT_MODE:
-        if any(c != 0 for c in barycenter(s)):
+        x, q = s.integer_form
+        if any(x.sum(axis=0)):
             raise ValueError("set must be recentred to its barycenter")
         fs = f_statistic(s)
         centered = max(abs(v - 1) for v in fs.per_point_sums)
-        half = Fraction(1, 2)
-        max_dev = max(
-            abs(sum(c * c for c in p) - half) for p in s.points
-        )
+        # |norm^2 - 1/2| = |2 |X_i|^2 - q^2| / (2 q^2), over the integers
+        q2 = q * q
+        norms = np.einsum("ij,ij->i", x, x).tolist()
+        max_dev = Fraction(max(abs(2 * v - q2) for v in norms), 2 * q2)
         budget = Fraction(3, 2) * centered / n
         return RecentredNormBounds(
             max_deviation=float(max_dev),
@@ -338,10 +342,7 @@ def anchor_defect_ratio(
     worst = float(np.abs(norms_sq - 0.5).max())
     if worst > x + max(tol.dist_tol, 1e-15):
         raise ValueError(f"norm band violated: |norm^2 - 1/2| up to {worst:.3e} > x={x:.3e}")
-    d2 = squared_distance_matrix(s)
-    d2 = np.asarray(
-        [[float(v) for v in row] for row in d2] if s.mode == EXACT_MODE else d2
-    )
+    d2 = _float_sqdist(s)
     slack = max(tol.dist_tol, 1e-15)
     others = [i for i in range(s.n) if i != anchor_index]
     kept = [i for i in others if abs(d2[anchor_index, i] - 1.0) > slack]

@@ -6,6 +6,7 @@ decomposition over Fractions. Intended for small matrices, n <= 12.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -13,23 +14,26 @@ import numpy as np
 
 
 def charpoly_int(a: Sequence[Sequence[int]]) -> List[int]:
-    """Monic characteristic polynomial coefficients, highest degree first."""
+    """Monic characteristic polynomial coefficients, highest degree first.
+
+    Each Faddeev-LeVerrier step is one object-dtype product, so the
+    arithmetic stays in Python ints and cannot overflow.
+    """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # identity
+    a = np.array([[operator.index(v) for v in row] for row in a], dtype=object).reshape(n, n)
+    m = np.identity(n, dtype=int).astype(object)
     coeffs = [1]
     for k in range(1, n + 1):
-        am = [
-            [sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        tr = sum(am[i][i] for i in range(n))
+        am = a.dot(m)
+        tr = am.trace()
         if tr % k != 0:
             raise ArithmeticError("trace division is not exact; matrix not integral?")
         c = -tr // k
         coeffs.append(c)
-        m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+        m = am
+        m[np.diag_indices(n)] += c
     return coeffs
 
 

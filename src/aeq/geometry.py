@@ -2,7 +2,11 @@
 
 Coordinates are either floats or exact ``fractions.Fraction`` values. Every
 operation keeps rational inputs exact; floating inputs are compared against
-explicit tolerances (``dist_tol`` acts on squared distances).
+explicit tolerances (``dist_tol`` acts on squared distances). An exact set
+computes over integers: its points are X / q for one common denominator q,
+and its squared distances are the integers D of the same kernel as float
+mode, with true value D / q^2. Fractions are built only for the public
+views (``points``, ``squared_distance_matrix``) and for reports.
 """
 from __future__ import annotations
 
@@ -73,6 +77,8 @@ class PointSet:
     The coordinate array and the squared-distance matrix are computed once,
     on first use, and are read-only: every check on the set shares them, as
     it shares the triple verdict and the spectral certificate per tolerance.
+    An exact set also keeps its integer form (``integer_form``,
+    ``integer_sqdist``), on which every exact check computes.
     """
 
     dim: int
@@ -109,15 +115,35 @@ class PointSet:
         return a
 
     @cached_property
+    def integer_form(self) -> Tuple[np.ndarray, int]:
+        """Exact mode: (X, q) with points == X / q, X a read-only object
+        array of Python ints and q the lcm of the coordinate denominators."""
+        if self.mode != EXACT_MODE:
+            raise ValueError("only an exact point set has an integer form")
+        q = math.lcm(*(c.denominator for row in self.points for c in row))
+        x = np.array(
+            [[c.numerator * (q // c.denominator) for c in row] for row in self.points],
+            dtype=object,
+        )
+        x.flags.writeable = False
+        return x, q
+
+    @cached_property
+    def integer_sqdist(self) -> Tuple[np.ndarray, int]:
+        """Exact mode: (D, q^2) with D / q^2 the squared distances, D a
+        read-only object array of Python ints; a pair is at unit distance
+        iff its entry is q^2."""
+        x, q = self.integer_form
+        d2 = pairwise_squared_distances(x)
+        d2.flags.writeable = False
+        return d2, q * q
+
+    @cached_property
     def sqdist(self):
         """n x n squared distances: ndarray in float mode, Fraction rows in exact."""
         if self.mode == EXACT_MODE:
-            pts, n = self.points, self.n
-            m = [[Fraction(0)] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    m[i][j] = m[j][i] = squared_distance(pts[i], pts[j])
-            return tuple(map(tuple, m))
+            d2, q2 = self.integer_sqdist
+            return tuple(tuple(Fraction(v, q2) for v in row) for row in d2.tolist())
         d2 = pairwise_squared_distances(self.array)
         d2.flags.writeable = False
         return d2
@@ -151,15 +177,32 @@ def squared_distance(p: Sequence, q: Sequence):
 
 
 def pairwise_squared_distances(x: np.ndarray) -> np.ndarray:
-    """Squared distances between the rows of a float array, clamped at 0."""
+    """Squared distances between the rows of an array, clamped at 0.
+
+    Serves both modes: a float array gives floats, an object array of
+    Python ints gives exact ints.
+    """
     sq = np.einsum("ij,ij->i", x, x)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.fill_diagonal(d2, 0.0)
-    return np.maximum(d2, 0.0)
+    d2 = sq[:, None] + sq[None, :] - 2 * (x @ x.T)
+    np.fill_diagonal(d2, 0)
+    return np.maximum(d2, 0)
+
+
+def _exact_floats(ints: np.ndarray, scale: int) -> np.ndarray:
+    """ints / scale as floats, each entry correctly rounded like
+    float(Fraction(v, scale)); never rounded twice."""
+    return np.array([[v / scale for v in row] for row in ints.tolist()], dtype=float)
 
 
 def squared_distance_matrix(s: PointSet):
     """The set's own n x n squared distances (read-only; see PointSet.sqdist)."""
+    return s.sqdist
+
+
+def _float_sqdist(s: PointSet) -> np.ndarray:
+    """The squared distances as floats; in exact mode each is correctly rounded."""
+    if s.mode == EXACT_MODE:
+        return _exact_floats(*s.integer_sqdist)
     return s.sqdist
 
 
@@ -188,11 +231,11 @@ def _triple_check(s: PointSet, dist_tol: float) -> TripleCheck:
     n = s.n
     if n < 3:
         return TripleCheck(True, None)
-    d2 = s.sqdist
     if s.mode == EXACT_MODE:
-        nonunit = np.array([[v != 1 for v in row] for row in d2])
+        d2, q2 = s.integer_sqdist
+        nonunit = d2 != q2
     else:
-        nonunit = np.abs(d2 - 1.0) > dist_tol
+        nonunit = np.abs(s.sqdist - 1.0) > dist_tol
     np.fill_diagonal(nonunit, False)
     # bit k of masks[i] set iff pair (i, k) is not unit
     masks = [
@@ -221,20 +264,21 @@ def barycenter(s: PointSet) -> tuple:
 
 def recenter_to_barycenter(s: PointSet) -> PointSet:
     """Translate so the barycenter is the origin; exact in rational mode."""
-    c = barycenter(s)
     if s.mode == EXACT_MODE:
-        rows = [tuple(a - b for a, b in zip(p, c)) for p in s.points]
-        return s.with_points(rows)
-    x = s.array - np.asarray(c)
+        # points - barycenter == (n X - column sums of X) / (n q)
+        x, q = s.integer_form
+        nq = s.n * q
+        rows = (s.n * x - x.sum(axis=0)).tolist()
+        return s.with_points([tuple(Fraction(v, nq) for v in row) for row in rows])
+    x = s.array - np.asarray(barycenter(s))
     return s.with_points(map(tuple, x.tolist()))
 
 
 def diameter(s: PointSet) -> float:
-    d2 = s.sqdist
     if s.mode == EXACT_MODE:
-        worst = max(max(row) for row in d2)
-        return math.sqrt(float(worst))
-    return math.sqrt(float(d2.max()))
+        d2, q2 = s.integer_sqdist
+        return math.sqrt(d2.max() / q2)
+    return math.sqrt(float(s.sqdist.max()))
 
 
 @dataclass(frozen=True)

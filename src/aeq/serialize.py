@@ -42,6 +42,9 @@ def pointset_from_dict(obj: dict) -> PointSet:
         rows = obj["points"]
     except KeyError as e:
         raise ValueError(f"point set JSON missing key {e}")
+    integral = isinstance(dim, int) or (isinstance(dim, float) and dim.is_integer())
+    if isinstance(dim, bool) or not integral:
+        raise ValueError(f"dim must be an integer, got {dim!r}")
     if not isinstance(rows, list) or not rows:
         raise ValueError("points must be a nonempty list")
     parsed = []

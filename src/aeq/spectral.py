@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,6 +23,7 @@ from .geometry import (
     FLOAT_MODE,
     PointSet,
     Tolerance,
+    _exact_floats,
     _resolve_tol,
     is_almost_equidistant,
     squared_distance_matrix,
@@ -32,35 +34,45 @@ from .geometry import (
 class DefectMatrix:
     """Symmetric n x n matrix, zero diagonal, entries d^2(v_i, v_j) - 1.
 
-    entries is a read-only ndarray in float mode and a tuple of Fraction
-    row tuples in exact mode.
+    In float mode ``values`` holds the entries, a read-only ndarray. In
+    exact mode it holds the integers scale * entries (D - q^2 off the
+    diagonal, with scale q^2), a read-only object array; ``entries`` gives
+    them as Fraction row tuples and ``array`` as correctly rounded floats,
+    both built on first use.
     """
 
     n: int
-    entries: object
+    values: np.ndarray
     mode: str = FLOAT_MODE
+    scale: int = 1
 
-    @property
+    @cached_property
+    def entries(self):
+        if self.mode == EXACT_MODE:
+            q2 = self.scale
+            return tuple(tuple(Fraction(v, q2) for v in row) for row in self.values.tolist())
+        return self.values
+
+    @cached_property
     def array(self) -> np.ndarray:
         if self.mode == EXACT_MODE:
-            return np.array([[float(c) for c in row] for row in self.entries], dtype=float)
-        return self.entries
+            a = _exact_floats(self.values, self.scale)
+            a.flags.writeable = False
+            return a
+        return self.values
 
 
 def defect_matrix(s: PointSet) -> DefectMatrix:
-    d2 = squared_distance_matrix(s)
     if s.mode == EXACT_MODE:
-        one = Fraction(1)
-        rows = []
-        for i in range(s.n):
-            rows.append(
-                tuple(Fraction(0) if i == j else d2[i][j] - one for j in range(s.n))
-            )
-        return DefectMatrix(n=s.n, entries=tuple(rows), mode=EXACT_MODE)
-    u = d2 - 1.0
+        d2, q2 = s.integer_sqdist
+        e = d2 - q2
+        np.fill_diagonal(e, 0)
+        e.flags.writeable = False
+        return DefectMatrix(n=s.n, values=e, mode=EXACT_MODE, scale=q2)
+    u = squared_distance_matrix(s) - 1.0
     np.fill_diagonal(u, 0.0)
     u.flags.writeable = False
-    return DefectMatrix(n=s.n, entries=u, mode=FLOAT_MODE)
+    return DefectMatrix(n=s.n, values=u, mode=FLOAT_MODE)
 
 
 # reports call this matrix family "u" (trace_u, trace_u3), so the builder
@@ -82,9 +94,10 @@ def trace_identities(
     """Directly summed trace and cube-trace; independent of any eigensolver.
 
     The cube-trace is sum_{i,j,k} U_ij U_jk U_ki, summed in float mode as
-    ((U @ U) * U^T).sum(). Every closed triple walks through some unit pair
-    when the set is almost equidistant, so both traces vanish (exactly in
-    rational mode, within n^3 * eig_tol in float).
+    ((U @ U) * U^T).sum() and in exact mode over the integers scale * U,
+    walking only its nonzero entries. Every closed triple walks through
+    some unit pair when the set is almost equidistant, so both traces
+    vanish (exactly in rational mode, within n^3 * eig_tol in float).
     """
     tol = _resolve_tol(s, tol)
     check = is_almost_equidistant(s, tol)
@@ -92,18 +105,16 @@ def trace_identities(
         raise ValueError(f"set is not almost-equidistant, witness triple {check.witness}")
     n = u.n
     if u.mode == EXACT_MODE:
-        rows = u.entries
-        tr = sum(rows[i][i] for i in range(n))
-        tr3 = Fraction(0)
-        for i in range(n):
-            ri = rows[i]
-            for j in range(n):
-                if ri[j] == 0:
-                    continue
+        rows = u.values.tolist()
+        support = [[k for k, v in enumerate(row) if v] for row in rows]
+        tr3 = 0
+        for i, ri in enumerate(rows):
+            for j in support[i]:
                 rj = rows[j]
-                tr3 += ri[j] * sum(rj[k] * rows[k][i] for k in range(n))
-        holds = tr == 0 and tr3 == 0
-        return TraceIdentities(tr, tr3, holds)
+                tr3 += ri[j] * sum(rj[k] * ri[k] for k in support[j])
+        tr = Fraction(sum(rows[i][i] for i in range(n)), u.scale)
+        tr3 = Fraction(tr3, u.scale ** 3)
+        return TraceIdentities(tr, tr3, tr == 0 and tr3 == 0)
     m = u.array
     tr = float(np.trace(m))
     tr3 = float(((m @ m) * m.T).sum())

@@ -15,12 +15,11 @@ import numpy as np
 
 from .charpoly import eigen_multiplicities_exact
 from .geometry import (
-    EXACT_MODE,
     PointSet,
     Tolerance,
+    _float_sqdist,
     _resolve_tol,
     is_almost_equidistant,
-    squared_distance_matrix,
 )
 
 EXACT_RANK_LIMIT = 12
@@ -84,9 +83,7 @@ def two_distance_to_graph(s: PointSet, a: float, tol: Optional[Tolerance] = None
     check = is_almost_equidistant(s, tol)
     if not check.ok:
         raise ValueError(f"set is not almost-equidistant, witness triple {check.witness}")
-    d2 = squared_distance_matrix(s)
-    if s.mode == EXACT_MODE:
-        d2 = np.array([[float(v) for v in row] for row in d2])
+    d2 = _float_sqdist(s)
     slack = max(tol.dist_tol, 1e-15)
     far_sq = a * a
     edges = []

@@ -4,6 +4,43 @@ import numpy as np
 import pytest
 
 import aeq
+from aeq.tdgraph import EXACT_RANK_LIMIT
+
+
+def charpoly_oracle(a):
+    """Faddeev-LeVerrier with the plain triple-loop product over Python ints."""
+    n = len(a)
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    coeffs = [1]
+    for k in range(1, n + 1):
+        am = [
+            [sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        tr = sum(am[i][i] for i in range(n))
+        assert tr % k == 0
+        c = -tr // k
+        coeffs.append(c)
+        m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+    return coeffs
+
+
+def test_charpoly_matches_oracle_on_corpus(corpus):
+    assert len(corpus) > 400
+    for g in corpus:
+        a = g.adjacency().tolist()
+        assert aeq.charpoly_int(a) == charpoly_oracle(a)
+
+
+def test_charpoly_matches_oracle_on_random_symmetric():
+    rng = np.random.default_rng(2024)
+    for n in range(1, EXACT_RANK_LIMIT + 1):
+        for span in (1, 9, 10 ** 6):
+            a = rng.integers(-span, span + 1, size=(n, n))
+            a = (a + a.T).tolist()
+            got = aeq.charpoly_int(a)
+            assert got == charpoly_oracle(a)
+            assert all(type(c) is int for c in got)
 
 
 def test_charpoly_2x2():

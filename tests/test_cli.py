@@ -128,6 +128,15 @@ def test_empty_pointset_is_usage_error(capsys, tmp_path):
         assert code == 2 and rep["outcome"] == "error"
 
 
+def test_non_integral_dim_is_usage_error(capsys, tmp_path):
+    p = tmp_path / "dim.json"
+    for dim in ("2.7", "null", "[2]"):
+        p.write_text('{"dim": %s, "points": [[0, 0], [1, 0], [0.5, 0.8660254037844386]]}' % dim)
+        code, rep = run_cli(capsys, "verify", "--input", str(p))
+        assert code == 2 and rep["outcome"] == "error"
+        assert "dim must be an integer" in rep["payload"]["message"]
+
+
 def test_exact_flag_rejects_float_input(capsys, triangle_csv):
     code, rep = run_cli(capsys, "verify", "--input", triangle_csv, "--exact")
     assert code == 2

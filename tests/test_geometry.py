@@ -221,6 +221,32 @@ def test_pipeline_computes_distances_once_per_set(monkeypatch, capsys, tmp_path)
     assert len(calls) <= 2  # the set and its recentred copy
 
 
+def test_exact_pipeline_builds_no_per_pair_fractions(monkeypatch, capsys, tmp_path):
+    from aeq import geometry
+    from aeq.cli import main
+
+    calls = []
+    per_pair = geometry.squared_distance
+
+    def counting(p, q):
+        calls.append(1)
+        return per_pair(p, q)
+
+    monkeypatch.setattr(geometry, "squared_distance", counting)
+    half = Fraction(1, 2)
+    rows = []
+    for k in range(8):  # cross16: the rows +-(e_2k +- e_2k+1)/2 of R^16
+        for a, b in itertools.product((half, -half), repeat=2):
+            row = [0] * 16
+            row[2 * k], row[2 * k + 1] = a, b
+            rows.append(row)
+    path = tmp_path / "cross16.json"
+    path.write_text(aeq.dumps_report(aeq.pointset_to_dict(PointSet.exact_rows(rows))))
+    assert main(["pipeline", "--exact", "--input", str(path)]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
 def test_pipeline_certifies_once_per_set(monkeypatch, capsys, tmp_path):
     from aeq import spectral
     from aeq.cli import main

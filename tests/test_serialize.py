@@ -57,6 +57,16 @@ def test_from_dict_rejects_missing_keys():
         aeq.pointset_from_dict({"dim": 1, "points": []})
 
 
+def test_from_dict_rejects_non_integral_dim():
+    for dim in (2.7, None, [2], "2", True, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            aeq.pointset_from_dict({"dim": dim, "points": [[0.0, 0.0], [1.0, 0.0]]})
+    with pytest.raises(ValueError, match="dim must be an integer"):
+        aeq.pointset_from_dict({"dim": 1.5, "mode": "exact", "points": [["0"], ["1"]]})
+    # an integral float is an integer, as JSON Schema reads it
+    assert aeq.pointset_from_dict({"dim": 2.0, "points": [[0.0, 0.0]]}).dim == 2
+
+
 def test_load_pointset_bad_json():
     with pytest.raises(ValueError, match="invalid JSON"):
         aeq.load_pointset("{not json")
