@@ -8,6 +8,7 @@ The csv format switches stdout to the tabular payload where one exists.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -87,10 +88,24 @@ def _load_matrix(path: str):
         raise UsageError(str(e)) from e
 
 
+def _float_tolerance(args) -> Tolerance:
+    try:
+        return Tolerance(dist_tol=args.tol, eig_tol=args.eig_tol)
+    except ValueError as e:
+        raise UsageError(str(e)) from e
+
+
 def _tolerance(args) -> Tolerance:
     if getattr(args, "exact", False):
         return Tolerance.exact()
-    return Tolerance(dist_tol=args.tol, eig_tol=args.eig_tol)
+    return _float_tolerance(args)
+
+
+def _reject_nonfinite(args) -> None:
+    """argparse's float() takes "nan" and "inf"; no flag of aeq means either."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
 
 
 def _bound_payload(report) -> dict:
@@ -193,18 +208,20 @@ def _resolve_threads(args) -> int:
 
 
 def cmd_search(args):
-    threads = _resolve_threads(args)
-    cfg = SearchConfig(
-        dim=args.dim,
-        target_n=args.n,
-        restarts=args.restarts,
-        max_iters=args.iters,
-        penalty_tol=args.penalty_tol,
-        seed=args.seed,
-        diameter_cap=args.diameter_le_1,
-        sphere_radius=args.sphere_radius,
-        threads=threads,
-    )
+    _resolve_threads(args)  # still validates AEQ_THREADS; the search runs on one thread
+    try:
+        cfg = SearchConfig(
+            dim=args.dim,
+            target_n=args.n,
+            restarts=args.restarts,
+            max_iters=args.iters,
+            penalty_tol=args.penalty_tol,
+            seed=args.seed,
+            diameter_cap=args.diameter_le_1,
+            sphere_radius=args.sphere_radius,
+        )
+    except ValueError as e:
+        raise UsageError(str(e)) from e
     res = optimize(cfg)
     payload = {
         "best_points": pointset_to_dict(res.best_points),
@@ -229,7 +246,7 @@ def cmd_tdrank(args):
     if not graphs:
         raise UsageError(f"no graphs on {args.n} vertices in {args.graphs}")
     # clustering always needs float slack; --exact upgrades to exact counts
-    tol = Tolerance(dist_tol=args.tol, eig_tol=args.eig_tol)
+    tol = _float_tolerance(args)
     scan = min_rank_scan(args.n, graphs, tol, exact=args.exact_rank or args.exact)
     rows = []
     for idx, rec in enumerate(scan.records):
@@ -289,14 +306,14 @@ def cmd_pipeline(args):
 def cmd_weyl(args):
     a = _load_matrix(args.a)
     b = _load_matrix(args.b)
-    res = weyl_check(a, b, args.eig_tol)
+    res = weyl_check(a, b, _float_tolerance(args).eig_tol)
     payload = {"alpha": res.alpha, "beta": res.beta, "gamma": res.gamma, "holds": res.holds}
     return (PASS if res.holds else FAIL), payload, None
 
 
 def cmd_perron(args):
     m = _load_matrix(args.input)
-    res = perron_frobenius_check(m, args.eig_tol)
+    res = perron_frobenius_check(m, _float_tolerance(args).eig_tol)
     payload = {"rho": res.rho, "attained": res.attained}
     return (PASS if res.attained else FAIL), payload, None
 
@@ -324,7 +341,7 @@ def _emit(args, command: str, outcome: str, payload: dict, table) -> None:
         sys.stdout.write("\n".join(lines) + "\n")
         return
     inputs = {
-        k: v
+        k: v if not isinstance(v, float) or math.isfinite(v) else str(v)
         for k, v in vars(args).items()
         if k not in ("handler", "format", "command") and v is not None and not callable(v)
     }
@@ -411,6 +428,7 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _reject_nonfinite(args)
         outcome, payload, table = args.handler(args)
     except UsageError as e:
         print(f"aeq: {e}", file=sys.stderr)

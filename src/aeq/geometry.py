@@ -35,8 +35,9 @@ class Tolerance:
     eig_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.dist_tol < 0 or self.eig_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
+        for tol in (self.dist_tol, self.eig_tol):
+            if not (math.isfinite(tol) and tol >= 0):
+                raise ValueError(f"tolerances must be finite and nonnegative, got {tol}")
 
     @classmethod
     def exact(cls) -> "Tolerance":

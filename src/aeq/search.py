@@ -4,17 +4,19 @@ The objective charges every triple the squared defect of its best pair, so
 a zero of the penalty is exactly an almost-equidistant set. Each restart
 runs subgradient descent with per-iteration active-pair reselection and a
 geometric step schedule, then an active-set Gauss-Newton polish drives the
-survivors to machine precision. Restarts are reduced by (penalty, restart
-index), so results are deterministic for a fixed seed; the generator is
-numpy PCG64.
+survivors to machine precision. A descent step computes the squared
+distances of its iterate once; the penalty, the active pairs and the next
+gradient all read them. Restarts run one after another and are reduced by
+(penalty, restart index), so results are deterministic for a fixed seed;
+the generator is numpy PCG64.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -40,7 +42,19 @@ class SearchConfig:
     diameter_cap: bool = False
     sphere_radius: Optional[float] = None
     polish_rounds: int = 8
-    threads: int = 1
+
+    def __post_init__(self) -> None:
+        if min(self.target_n, self.dim, self.restarts) < 1:
+            raise ValueError("target_n, dim and restarts must be positive, got "
+                             f"{self.target_n}, {self.dim} and {self.restarts}")
+        if min(self.max_iters, self.seed) < 0:
+            raise ValueError("max_iters and seed must be nonnegative, got "
+                             f"{self.max_iters} and {self.seed}")
+        r = self.sphere_radius
+        if r is not None and not (math.isfinite(r) and r > 0):
+            raise ValueError(f"sphere_radius must be finite and positive, got {r}")
+        if not (math.isfinite(self.penalty_tol) and self.penalty_tol >= 0):
+            raise ValueError(f"penalty_tol must be finite and nonnegative, got {self.penalty_tol}")
 
 
 @dataclass(frozen=True)
@@ -53,72 +67,66 @@ class SearchResult:
     certificate: Optional[SpectralCertificate]
 
 
+class _Tables(NamedTuple):
+    """Index tables of one point count, built once per search."""
+
+    pairs: np.ndarray  # (3, 2, T): pairs (i, j), (i, k), (j, k) of each triple i < j < k
+    upper: Tuple[np.ndarray, np.ndarray]  # every pair i < j
+    column: np.ndarray  # arange(T)
+
+
+def _tables(n: int) -> _Tables:
+    tri = np.array(list(combinations(range(n), 3)), dtype=int).reshape(-1, 3)
+    pairs = tri.T[[[0, 1], [0, 2], [1, 2]]]
+    return _Tables(pairs, np.triu_indices(n, 1), np.arange(len(tri)))
+
+
+def _triple_defects(q: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """The squared defects of the three pairs of every triple, (3, T)."""
+    return q[pairs[:, 0], pairs[:, 1]] ** 2
+
+
 def triple_penalty(s) -> float:
     """Sum over triples of the squared defect of the best pair; 0 below n=3."""
     x = s.array if isinstance(s, PointSet) else np.asarray(s, dtype=float)
-    n = len(x)
-    if n < 3:
+    if len(x) < 3:
         return 0.0
-    tri = np.array(list(combinations(range(n), 3)))
-    return float(_triple_penalty_given(pairwise_squared_distances(x) - 1.0, tri))
+    sq = _triple_defects(pairwise_squared_distances(x) - 1.0, _tables(len(x)).pairs)
+    return float(sq.min(axis=0).sum())
 
 
-def _triple_penalty_given(q: np.ndarray, tri: np.ndarray) -> float:
-    vals = np.stack(
-        [
-            q[tri[:, 0], tri[:, 1]] ** 2,
-            q[tri[:, 0], tri[:, 2]] ** 2,
-            q[tri[:, 1], tri[:, 2]] ** 2,
-        ]
-    )
-    return float(vals.min(axis=0).sum())
-
-
-def _constraint_penalty(x: np.ndarray, q: np.ndarray, cfg: SearchConfig) -> float:
+def _constraint_penalty(x: np.ndarray, q: np.ndarray, cfg: SearchConfig, upper) -> float:
     total = 0.0
     if cfg.diameter_cap:
-        iu = np.triu_indices(len(x), 1)
-        total += float((np.maximum(q[iu], 0.0) ** 2).sum())
+        total += float((np.maximum(q[upper], 0.0) ** 2).sum())
     if cfg.sphere_radius is not None:
         norms = np.einsum("ij,ij->i", x, x)
         total += float(((norms - cfg.sphere_radius ** 2) ** 2).sum())
     return total
 
 
-def total_penalty(x: np.ndarray, cfg: SearchConfig, tri: np.ndarray) -> float:
-    q = pairwise_squared_distances(x) - 1.0
-    val = _triple_penalty_given(q, tri) if len(tri) else 0.0
-    return val + _constraint_penalty(x, q, cfg)
+def _evaluate(x: np.ndarray, q: np.ndarray, cfg: SearchConfig, tables: _Tables):
+    """The penalty at x, and the best pair (a, b) of every triple (lowest
+    pair index on ties), both from x's shifted squared distances q."""
+    sq = _triple_defects(q, tables.pairs)
+    choice = sq.argmin(axis=0)
+    val = float(sq.min(axis=0).sum()) + _constraint_penalty(x, q, cfg, tables.upper)
+    return val, tables.pairs[choice, 0, tables.column], tables.pairs[choice, 1, tables.column]
 
 
-def _active_pairs(q: np.ndarray, tri: np.ndarray) -> np.ndarray:
-    """The best pair of every triple, lowest pair index on ties."""
-    pairs = np.array(
-        [
-            [tri[:, 0], tri[:, 1]],
-            [tri[:, 0], tri[:, 2]],
-            [tri[:, 1], tri[:, 2]],
-        ]
-    )  # (3, 2, T)
-    vals = np.stack([q[pairs[k, 0], pairs[k, 1]] ** 2 for k in range(3)])
-    choice = vals.argmin(axis=0)
-    t = np.arange(tri.shape[0])
-    return np.column_stack([pairs[choice, 0, t], pairs[choice, 1, t]])
+def total_penalty(x: np.ndarray, cfg: SearchConfig, tables: _Tables) -> float:
+    return _evaluate(x, pairwise_squared_distances(x) - 1.0, cfg, tables)[0]
 
 
-def _gradient(x: np.ndarray, cfg: SearchConfig, tri: np.ndarray) -> np.ndarray:
-    n = len(x)
-    q = pairwise_squared_distances(x) - 1.0
+def _gradient(x, q, a, b, cfg: SearchConfig, upper) -> np.ndarray:
+    """The penalty's gradient at x, given q and the active pairs (a, b)."""
     grad = np.zeros_like(x)
-    if len(tri):
-        act = _active_pairs(q, tri)
-        a, b = act[:, 0], act[:, 1]
-        coef = 4.0 * q[a, b]
-        diff = x[a] - x[b]
-        np.add.at(grad, a, coef[:, None] * diff)
-        np.add.at(grad, b, -coef[:, None] * diff)
+    coef = 4.0 * q[a, b]
+    diff = x[a] - x[b]
+    np.add.at(grad, a, coef[:, None] * diff)
+    np.add.at(grad, b, -coef[:, None] * diff)
     if cfg.diameter_cap:
-        iu, ju = np.triu_indices(n, 1)
+        iu, ju = upper
         viol = np.maximum(q[iu, ju], 0.0)
         mask = viol > 0
         if mask.any():
@@ -151,8 +159,6 @@ def _initial_points(cfg: SearchConfig, restart: int, rng: np.random.Generator) -
     if d >= 2 and restart % 4 == 3:
         base = construct_rosenfeld(d).array
     else:
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             base = construct_two_simplices(d).array
@@ -168,52 +174,52 @@ def _initial_points(cfg: SearchConfig, restart: int, rng: np.random.Generator) -
     return x + 0.02 * rng.normal(size=x.shape)
 
 
-def _descent(x: np.ndarray, cfg: SearchConfig, tri: np.ndarray) -> Tuple[np.ndarray, int]:
-    steps = cfg.max_iters
+def _descent(x: np.ndarray, cfg: SearchConfig, tables: _Tables) -> Tuple[np.ndarray, float, int]:
+    """The best iterate, its penalty and the number of steps taken."""
+    q = pairwise_squared_distances(x) - 1.0
+    best_val, a, b = _evaluate(x, q, cfg, tables)
+    best_x, steps = x, cfg.max_iters
     if steps <= 0:
-        return x, 0
+        return best_x, best_val, 0
     decay = (cfg.step_end / cfg.step_start) ** (1.0 / max(steps - 1, 1))
     eta = cfg.step_start
-    best_x, best_val = x.copy(), total_penalty(x, cfg, tri)
     for it in range(steps):
-        g = _gradient(x, cfg, tri)
+        g = _gradient(x, q, a, b, cfg, tables.upper)
         gn = float(np.sqrt((g * g).sum()))
         if gn < 1e-300:
             break
         x = _project(x - (eta / max(1.0, gn)) * g, cfg)
-        val = total_penalty(x, cfg, tri)
+        q = pairwise_squared_distances(x) - 1.0
+        val, a, b = _evaluate(x, q, cfg, tables)
         if val < best_val:
-            best_val, best_x = val, x.copy()
+            best_val, best_x = val, x
         if best_val <= cfg.penalty_tol * 0.01:
-            return best_x, it + 1
+            return best_x, best_val, it + 1
         eta *= decay
-    return best_x, steps
+    return best_x, best_val, steps
 
 
-def _polish(x: np.ndarray, cfg: SearchConfig, tri: np.ndarray) -> np.ndarray:
+def _polish(x: np.ndarray, val: float, cfg: SearchConfig, tables: _Tables):
+    """Gauss-Newton on the active pairs from x, whose penalty is val; the
+    best point found and its penalty."""
     n, d = x.shape
-    if cfg.sphere_radius is not None:
-        r2 = cfg.sphere_radius ** 2
-    iu, ju = np.triu_indices(n, 1)
-    best_x, best_val = x, total_penalty(x, cfg, tri)
+    best_x, best_val = x, val
     prev_active = None
     for _ in range(cfg.polish_rounds):
-        q = pairwise_squared_distances(best_x) - 1.0
-        active = _active_pairs(q, tri) if len(tri) else np.zeros((0, 2), dtype=int)
-        key = frozenset(map(tuple, active))
+        _, a, b = _evaluate(best_x, pairwise_squared_distances(best_x) - 1.0, cfg, tables)
+        key = frozenset(zip(a.tolist(), b.tolist()))
         if key == prev_active:
             break
         prev_active = key
-        a, b = active[:, 0], active[:, 1]
 
         def residuals(flat):
             pts = flat.reshape(n, d)
             q = pairwise_squared_distances(pts) - 1.0
             out = [q[a, b]]
             if cfg.diameter_cap:
-                out.append(np.maximum(q[iu, ju], 0.0))
+                out.append(np.maximum(q[tables.upper], 0.0))
             if cfg.sphere_radius is not None:
-                out.append(np.einsum("ij,ij->i", pts, pts) - r2)
+                out.append(np.einsum("ij,ij->i", pts, pts) - cfg.sphere_radius ** 2)
             return np.concatenate(out)
 
         try:
@@ -228,40 +234,28 @@ def _polish(x: np.ndarray, cfg: SearchConfig, tri: np.ndarray) -> np.ndarray:
         except Exception:
             break
         cand = sol.x.reshape(n, d)
-        val = total_penalty(cand, cfg, tri)
+        val = total_penalty(cand, cfg, tables)
         if val < best_val:
             best_val, best_x = val, cand
         else:
             break
         if best_val == 0.0:
             break
-    return best_x
+    return best_x, best_val
 
 
-def _run_restart(cfg: SearchConfig, restart: int, tri: np.ndarray):
+def _run_restart(cfg: SearchConfig, restart: int, tables: _Tables):
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, restart))))
     x = _project(_initial_points(cfg, restart, rng), cfg)
-    x, iters = _descent(x, cfg, tri)
-    x = _polish(x, cfg, tri)
-    return total_penalty(x, cfg, tri), restart, iters, x
+    x, val, iters = _descent(x, cfg, tables)
+    x, val = _polish(x, val, cfg, tables)
+    return val, restart, iters, x
 
 
 def optimize(cfg: SearchConfig) -> SearchResult:
     """Multistart search; deterministic for a fixed config and seed."""
-    if cfg.target_n < 1 or cfg.dim < 1:
-        raise ValueError("target_n and dim must be positive")
-    n = cfg.target_n
-    tri = (
-        np.array(list(combinations(range(n), 3)))
-        if n >= 3
-        else np.zeros((0, 3), dtype=int)
-    )
-    runs = []
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            runs = list(pool.map(lambda r: _run_restart(cfg, r, tri), range(cfg.restarts)))
-    else:
-        runs = [_run_restart(cfg, r, tri) for r in range(cfg.restarts)]
+    tables = _tables(cfg.target_n)
+    runs = [_run_restart(cfg, r, tables) for r in range(cfg.restarts)]
     penalty, restart, _, x = min(runs, key=lambda t: (t[0], t[1]))
     iterations_used = sum(r[2] for r in runs)
     best = PointSet.from_array(x)

@@ -7,6 +7,7 @@ import pytest
 
 import aeq
 from aeq.cli import _resolve_threads, main
+from aeq.serialize import dumps_report
 from aeq.schemas import load_schema, schema_names
 
 PAYLOAD_SCHEMA = {
@@ -305,6 +306,103 @@ def test_search_infeasible_exit_code(capsys):
     assert rep["outcome"] == "infeasible"
     assert rep["payload"]["certificate"] is None
     check_report(rep, "search")
+
+
+def test_search_threads_flag_and_env_are_no_ops(capsys, monkeypatch):
+    # the search is single-threaded; --threads and AEQ_THREADS are accepted
+    # and change nothing but the echo of the flag in "inputs"
+    argv = ["search", "--dim", "2", "--n", "5", "--restarts", "4", "--iters", "200", "--seed", "3"]
+    monkeypatch.delenv("AEQ_THREADS", raising=False)
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    monkeypatch.setenv("AEQ_THREADS", "3")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == plain
+    monkeypatch.delenv("AEQ_THREADS")
+    assert main(argv + ["--threads", "4"]) == 0
+    flagged = json.loads(capsys.readouterr().out)
+    assert flagged["inputs"].pop("threads") == 4
+    assert dumps_report(flagged, indent=1) == plain
+    monkeypatch.setenv("AEQ_THREADS", "zero")
+    code, rep = run_cli(capsys, *argv)
+    assert code == 2 and rep["outcome"] == "error" and "AEQ_THREADS" in rep["payload"]["message"]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--restarts", "0"],
+        ["--restarts", "-1"],
+        ["--iters", "-1"],
+        ["--seed", "-1"],
+        ["--sphere-radius", "0"],
+        ["--sphere-radius", "-0.5"],
+        ["--penalty-tol=-1e-18"],
+        ["--n", "0"],  # the last --n wins
+        ["--dim", "0"],
+    ],
+)
+def test_search_meaningless_parameters_are_usage_errors(capsys, flags):
+    code, rep = run_cli(capsys, "search", "--dim", "2", "--n", "4", *flags)
+    assert code == 2 and rep["outcome"] == "error"
+    check_report(rep, "search")
+
+
+def test_search_internal_value_error_is_a_failed_run(capsys, monkeypatch):
+    def broken(cfg):
+        raise ValueError("inside the search")
+
+    monkeypatch.setattr(aeq.cli, "optimize", broken)
+    code, rep = run_cli(capsys, "search", "--dim", "2", "--n", "4")
+    assert code == 1 and rep["outcome"] == "fail"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "--input", "{triangle}"], "--tol"),
+        (["certify", "--input", "{triangle}"], "--eig-tol"),
+        (["pipeline", "--input", "{triangle}"], "--tol"),
+        (["bounds", "--theorem", "sphere", "--dim", "3"], "--radius"),
+        (["bounds", "--theorem", "ball", "--dim", "3"], "--c0"),
+        (["search", "--dim", "2", "--n", "4"], "--sphere-radius"),
+        (["search", "--dim", "2", "--n", "4"], "--penalty-tol"),
+        (["tdrank", "--n", "4", "--graphs", "{graphs}"], "--eig-tol"),
+        (["perron", "--input", "{matrix}"], "--eig-tol"),
+    ],
+)
+def test_nonfinite_float_flags_are_usage_errors(capsys, tmp_path, triangle_csv, corpus_path,
+                                                argv, flag, value):
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("0,1\n1,0\n")
+    paths = {"triangle": triangle_csv, "graphs": corpus_path, "matrix": str(matrix)}
+    argv = [a.format(**paths) for a in argv] + [f"{flag}={value}"]
+    code, rep = run_cli(capsys, *argv)
+    assert code == 2 and rep["outcome"] == "error"
+    assert "finite" in rep["payload"]["message"]
+    check_report(rep, argv[0])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--input", "{triangle}", "--tol=-1"],
+        ["certify", "--input", "{triangle}", "--eig-tol=-1e-8"],
+        ["tdrank", "--n", "4", "--graphs", "{graphs}", "--tol=-1"],
+        ["perron", "--input", "{matrix}", "--eig-tol=-1"],
+        ["weyl", "--a", "{matrix}", "--b", "{matrix}", "--eig-tol=-1"],
+    ],
+)
+def test_negative_tolerance_is_usage_error(capsys, tmp_path, triangle_csv, corpus_path, argv):
+    # a negative slack turned a symmetric nonnegative matrix into a failed
+    # "negative entry" or "not symmetric" check (exit 1)
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("0,1\n1,0\n")
+    argv = [a.format(triangle=triangle_csv, graphs=corpus_path, matrix=matrix) for a in argv]
+    code, rep = run_cli(capsys, *argv)
+    assert code == 2 and rep["outcome"] == "error"
+    check_report(rep, argv[0])
 
 
 def test_tdrank_json(capsys, corpus_path):

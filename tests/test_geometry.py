@@ -56,6 +56,11 @@ def test_pointset_validation():
 def test_tolerance_validation():
     with pytest.raises(ValueError):
         Tolerance(dist_tol=-1e-9)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Tolerance(dist_tol=bad)
+        with pytest.raises(ValueError, match="finite"):
+            Tolerance(eig_tol=bad)
     assert Tolerance.exact().is_exact
     assert not Tolerance().is_exact
 

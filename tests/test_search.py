@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import aeq
-from aeq import PointSet, SearchConfig
+from aeq import PointSet, SearchConfig, search
+from aeq.geometry import pairwise_squared_distances
 
 
 def brute_penalty(pts):
@@ -54,6 +55,198 @@ def test_optimize_validates_config():
         aeq.optimize(SearchConfig(dim=2, target_n=0))
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"restarts": 0},
+        {"restarts": -1},
+        {"max_iters": -1},
+        {"seed": -1},
+        {"sphere_radius": 0.0},
+        {"sphere_radius": -0.5},
+        {"sphere_radius": math.nan},
+        {"sphere_radius": math.inf},
+        {"penalty_tol": -1e-18},
+        {"penalty_tol": math.nan},
+        {"penalty_tol": math.inf},
+    ],
+)
+def test_optimize_rejects_meaningless_parameters(bad):
+    with pytest.raises(ValueError):
+        aeq.optimize(SearchConfig(dim=2, target_n=4, **bad))
+
+
+def test_optimize_accepts_boundary_parameters():
+    res = aeq.optimize(
+        SearchConfig(dim=2, target_n=4, restarts=1, max_iters=0, seed=0, penalty_tol=0.0)
+    )
+    assert res.iterations_used == 0
+
+
+# The descent step as it was before the fused loop: the gradient and the
+# penalty each compute their own distances, and the active pairs come from a
+# second gather. Kept as the oracle of search._descent.
+
+
+def oracle_active_pairs(q, tri):
+    pairs = np.array(
+        [
+            [tri[:, 0], tri[:, 1]],
+            [tri[:, 0], tri[:, 2]],
+            [tri[:, 1], tri[:, 2]],
+        ]
+    )  # (3, 2, T)
+    vals = np.stack([q[pairs[k, 0], pairs[k, 1]] ** 2 for k in range(3)])
+    choice = vals.argmin(axis=0)
+    t = np.arange(tri.shape[0])
+    return np.column_stack([pairs[choice, 0, t], pairs[choice, 1, t]])
+
+
+def oracle_total_penalty(x, cfg, tri):
+    q = pairwise_squared_distances(x) - 1.0
+    val = 0.0
+    if len(tri):
+        vals = np.stack(
+            [
+                q[tri[:, 0], tri[:, 1]] ** 2,
+                q[tri[:, 0], tri[:, 2]] ** 2,
+                q[tri[:, 1], tri[:, 2]] ** 2,
+            ]
+        )
+        val = float(vals.min(axis=0).sum())
+    total = 0.0
+    if cfg.diameter_cap:
+        iu = np.triu_indices(len(x), 1)
+        total += float((np.maximum(q[iu], 0.0) ** 2).sum())
+    if cfg.sphere_radius is not None:
+        norms = np.einsum("ij,ij->i", x, x)
+        total += float(((norms - cfg.sphere_radius ** 2) ** 2).sum())
+    return val + total
+
+
+def oracle_gradient(x, cfg, tri):
+    n = len(x)
+    q = pairwise_squared_distances(x) - 1.0
+    grad = np.zeros_like(x)
+    if len(tri):
+        act = oracle_active_pairs(q, tri)
+        a, b = act[:, 0], act[:, 1]
+        coef = 4.0 * q[a, b]
+        diff = x[a] - x[b]
+        np.add.at(grad, a, coef[:, None] * diff)
+        np.add.at(grad, b, -coef[:, None] * diff)
+    if cfg.diameter_cap:
+        iu, ju = np.triu_indices(n, 1)
+        viol = np.maximum(q[iu, ju], 0.0)
+        mask = viol > 0
+        if mask.any():
+            a, b = iu[mask], ju[mask]
+            coef = 4.0 * viol[mask]
+            diff = x[a] - x[b]
+            np.add.at(grad, a, coef[:, None] * diff)
+            np.add.at(grad, b, -coef[:, None] * diff)
+    if cfg.sphere_radius is not None:
+        norms = np.einsum("ij,ij->i", x, x)
+        grad += 4.0 * (norms - cfg.sphere_radius ** 2)[:, None] * x
+    return grad
+
+
+def oracle_triples(n):
+    return np.array(list(itertools.combinations(range(n), 3))) if n >= 3 else np.zeros((0, 3), int)
+
+
+def oracle_descent(x, cfg):
+    tri = oracle_triples(len(x))
+    steps = cfg.max_iters
+    if steps <= 0:
+        return x, 0
+    decay = (cfg.step_end / cfg.step_start) ** (1.0 / max(steps - 1, 1))
+    eta = cfg.step_start
+    best_x, best_val = x.copy(), oracle_total_penalty(x, cfg, tri)
+    for it in range(steps):
+        g = oracle_gradient(x, cfg, tri)
+        gn = float(np.sqrt((g * g).sum()))
+        if gn < 1e-300:
+            break
+        x = search._project(x - (eta / max(1.0, gn)) * g, cfg)
+        val = oracle_total_penalty(x, cfg, tri)
+        if val < best_val:
+            best_val, best_x = val, x.copy()
+        if best_val <= cfg.penalty_tol * 0.01:
+            return best_x, it + 1
+        eta *= decay
+    return best_x, steps
+
+
+def start_points(cfg, restart):
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, restart))))
+    return search._project(search._initial_points(cfg, restart, rng), cfg)
+
+
+def assert_descent_matches_oracle(cfg, restarts=range(4)):
+    tables = search._tables(cfg.target_n)
+    for restart in restarts:
+        x0 = start_points(cfg, restart)
+        want_x, want_iters = oracle_descent(x0, cfg)
+        got_x, got_val, got_iters = search._descent(x0, cfg, tables)
+        assert np.array_equal(got_x, want_x), (cfg, restart)
+        assert got_iters == want_iters, (cfg, restart)
+        assert got_val == oracle_total_penalty(want_x, cfg, oracle_triples(cfg.target_n))
+        assert got_val == search.total_penalty(got_x, cfg, tables)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_fused_descent_matches_oracle_plain(n, d):
+    assert_descent_matches_oracle(SearchConfig(dim=d, target_n=n, max_iters=120, seed=n + d))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SearchConfig(dim=2, target_n=4, max_iters=300, seed=2, diameter_cap=True),
+        SearchConfig(dim=3, target_n=6, max_iters=200, seed=0, diameter_cap=True),
+        SearchConfig(dim=3, target_n=6, max_iters=200, seed=5, sphere_radius=1 / math.sqrt(2)),
+        SearchConfig(dim=2, target_n=5, max_iters=200, seed=1, sphere_radius=0.6,
+                     diameter_cap=True),
+        SearchConfig(dim=2, target_n=1, max_iters=50, seed=0),
+        SearchConfig(dim=2, target_n=2, max_iters=50, seed=0),
+        SearchConfig(dim=1, target_n=2, max_iters=50, seed=0, diameter_cap=True),
+        SearchConfig(dim=2, target_n=6, max_iters=0, seed=0),
+        SearchConfig(dim=2, target_n=6, max_iters=1, seed=0),
+        SearchConfig(dim=2, target_n=6, max_iters=1, seed=0, sphere_radius=0.5),
+        SearchConfig(dim=2, target_n=5, max_iters=400, seed=1),  # stops early, feasible
+    ],
+    ids=lambda c: f"d{c.dim}-n{c.target_n}-it{c.max_iters}"
+    f"{'-cap' if c.diameter_cap else ''}{'-sphere' if c.sphere_radius else ''}",
+)
+def test_fused_descent_matches_oracle_constrained(cfg):
+    assert_descent_matches_oracle(cfg)
+
+
+def test_optimize_matches_oracle_descent(monkeypatch):
+    configs = [
+        SearchConfig(dim=2, target_n=6, restarts=4, max_iters=300, seed=3),
+        SearchConfig(dim=2, target_n=8, restarts=3, max_iters=150, seed=0),
+        SearchConfig(dim=3, target_n=6, restarts=3, max_iters=300, seed=0, diameter_cap=True),
+        SearchConfig(dim=3, target_n=6, restarts=3, max_iters=300, seed=0,
+                     sphere_radius=1 / math.sqrt(2)),
+    ]
+    fused = [aeq.optimize(cfg) for cfg in configs]
+
+    def descent(x, cfg, tables):
+        best_x, iters = oracle_descent(x, cfg)
+        return best_x, oracle_total_penalty(best_x, cfg, oracle_triples(cfg.target_n)), iters
+
+    monkeypatch.setattr(search, "_descent", descent)
+    for cfg, got in zip(configs, fused):
+        want = aeq.optimize(cfg)
+        assert got.restart_index == want.restart_index
+        assert got.best_penalty == want.best_penalty
+        assert got.iterations_used == want.iterations_used
+        assert np.array_equal(got.best_points.array, want.best_points.array)
+
+
 def test_seeded_restart_hits_construction_immediately():
     # restart 1 reuses the two-simplices layout verbatim, so with descent and
     # polish effectively disabled it is the only restart that can reach zero
@@ -74,15 +267,6 @@ def test_search_deterministic_rerun():
     assert a.best_penalty == b.best_penalty
     assert a.restart_index == b.restart_index
     assert np.array_equal(a.best_points.array, b.best_points.array)
-
-
-def test_search_threaded_matches_serial():
-    cfg = SearchConfig(dim=2, target_n=5, restarts=4, max_iters=200, seed=3)
-    serial = aeq.optimize(cfg)
-    threaded = aeq.optimize(replace(cfg, threads=4))
-    assert serial.best_penalty == threaded.best_penalty
-    assert serial.restart_index == threaded.restart_index
-    assert np.array_equal(serial.best_points.array, threaded.best_points.array)
 
 
 def test_search_small_budget_feasible():
