@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -26,11 +26,9 @@ from .geometry import (
 )
 from .miniball import min_enclosing_ball
 from .spectral import (
-    SpectralCertificate,
     _certify,
     certify,
     defect_matrix,
-    perron_frobenius_check,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -117,17 +115,24 @@ def diameter_bound(
         diam = diameter(points)
         if diam > 1.0 + tol.dist_tol:
             raise ValueError(f"diameter {diam:.12g} exceeds 1 + dist_tol")
-        u = defect_matrix(points)
-        cert = _certify(points, tol, u)
+        cert = _certify(points, tol)
         eig_tol = tol.eig_tol if tol.eig_tol > 0 else 1e-8
-        pf = perron_frobenius_check(-u.array, eig_tol)
+        d2, scale = points.scaled_sqdist
+        u_max = float((d2.max() - scale) / scale)  # the largest entry of U
+        if u_max > eig_tol:
+            raise ValueError("matrix has a negative entry")
+        # Perron-Frobenius on -U with its negative entries cleared, a change
+        # that moves each eigenvalue by at most n * max(0, u_max) (Weyl)
+        rho = max(cert.lambda_max, -cert.lambda_min)
+        slack = eig_tol * max(1.0, rho) + 2 * points.n * max(0.0, u_max)
+        perron_attained = -cert.lambda_min >= cert.lambda_max - slack
         lam_sum = cert.lambda_max + cert.lambda_min
         detail.update(
             {
                 "diameter": diam,
                 "lambda_sum": lam_sum,
                 "lambda_sum_ok": lam_sum <= eig_tol,
-                "perron_attained": pf.attained,
+                "perron_attained": perron_attained,
                 "certificate": cert.as_dict(),
             }
         )
@@ -230,21 +235,15 @@ class FStatistic:
 
 def f_statistic(s: PointSet) -> FStatistic:
     u = defect_matrix(s)
-    if s.mode == EXACT_MODE:
-        sums = [sum(row) for row in u.values.tolist()]
-        absmax = max(map(abs, sums))
-        arg = next(i for i, v in enumerate(sums) if abs(v) == absmax)
-        return FStatistic(
-            value=Fraction(absmax, u.scale),
-            argmax_index=arg,
-            per_point_sums=tuple(Fraction(v, u.scale) for v in sums),
-        )
-    sums = u.array.sum(axis=1)
+    sums = u.values.sum(axis=1)
     arg = int(np.abs(sums).argmax())
+    sums = sums.tolist()
+    if s.mode == EXACT_MODE:
+        sums = [Fraction(v, u.scale) for v in sums]
     return FStatistic(
-        value=float(np.abs(sums[arg])),
+        value=abs(sums[arg]),
         argmax_index=arg,
-        per_point_sums=tuple(float(v) for v in sums),
+        per_point_sums=tuple(sums),
     )
 
 

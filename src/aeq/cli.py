@@ -8,10 +8,11 @@ The csv format switches stdout to the tabular payload where one exists.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import __version__
@@ -38,7 +39,7 @@ from .serialize import (
     pointset_to_dict,
 )
 from .spectral import certify, gershgorin_bound, perron_frobenius_check, weyl_check
-from .tdgraph import lambda2_rank, min_rank_scan, read_graph_file
+from .tdgraph import min_rank_scan, read_graph_file
 
 PASS, FAIL, INFEASIBLE, ERROR = "pass", "fail", "infeasible", "error"
 _EXIT = {PASS: 0, FAIL: 1, INFEASIBLE: 1, ERROR: 2}
@@ -109,15 +110,8 @@ def _reject_nonfinite(args) -> None:
 
 
 def _bound_payload(report) -> dict:
-    return {
-        "theorem": report.theorem,
-        "dim": report.dim,
-        "params": report.params,
-        "bound": report.bound if report.bound is not None else "asymptotic",
-        "n_observed": report.n_observed,
-        "satisfied": report.satisfied,
-        "detail": report.detail,
-    }
+    bound = report.bound if report.bound is not None else "asymptotic"
+    return {**asdict(report), "bound": bound}
 
 
 def cmd_verify(args):
@@ -164,7 +158,7 @@ def cmd_construct(args):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(dumps_report(pointset_to_dict(s), indent=1))
-    table = (None, [list(row) for row in s.points])
+    table = (None, s.array.tolist())
     return (PASS if check.ok else FAIL), payload, table
 
 
@@ -208,6 +202,9 @@ def _resolve_threads(args) -> int:
 
 
 def cmd_search(args):
+    if args.exact:
+        raise UsageError("search runs in float mode only; --exact does not apply")
+    _float_tolerance(args)  # --tol and --eig-tol must still be valid tolerances
     _resolve_threads(args)  # still validates AEQ_THREADS; the search runs on one thread
     try:
         cfg = SearchConfig(
@@ -248,29 +245,16 @@ def cmd_tdrank(args):
     # clustering always needs float slack; --exact upgrades to exact counts
     tol = _float_tolerance(args)
     scan = min_rank_scan(args.n, graphs, tol, exact=args.exact_rank or args.exact)
-    rows = []
-    for idx, rec in enumerate(scan.records):
-        rows.append(
-            {
-                "index": idx,
-                "lambda2": rec.lambda2,
-                "multiplicity": rec.multiplicity,
-                "rank": rec.rank,
-                "lambda2_positive": rec.lambda2_positive,
-            }
-        )
+    header = ["index", "lambda2", "multiplicity", "rank", "lambda2_positive"]
+    rows = [[idx, rec.lambda2, rec.multiplicity, rec.rank, rec.lambda2_positive]
+            for idx, rec in enumerate(scan.records)]
     payload = {
         "n": args.n,
         "min_rank": scan.min_rank,
         "argmin": list(scan.argmin),
-        "rows": rows,
+        "rows": [dict(zip(header, row)) for row in rows],
     }
-    table = (
-        ["index", "lambda2", "multiplicity", "rank", "lambda2_positive"],
-        [[r["index"], r["lambda2"], r["multiplicity"], r["rank"], r["lambda2_positive"]]
-         for r in rows],
-    )
-    return PASS, payload, table
+    return PASS, payload, (header, rows)
 
 
 def cmd_pipeline(args):
@@ -349,6 +333,7 @@ def _emit(args, command: str, outcome: str, payload: dict, table) -> None:
     sys.stdout.write(dumps_report(report, indent=1))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-9, help="squared-distance tolerance")

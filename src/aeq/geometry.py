@@ -11,7 +11,7 @@ views (``points``, ``squared_distance_matrix``) and for reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
@@ -51,67 +51,91 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def _coerce_row(row: Sequence, mode: str) -> tuple:
-    if mode == EXACT_MODE:
-        out = []
-        for c in row:
-            if isinstance(c, Fraction):
-                out.append(c)
-            elif isinstance(c, int):
-                out.append(Fraction(c))
-            else:
-                raise ValueError(
-                    "exact mode requires int or Fraction coordinates, got %r"
-                    % type(c).__name__
-                )
-        return tuple(out)
-    out = tuple(float(c) for c in row)
-    if not all(map(math.isfinite, out)):
-        raise ValueError("coordinates must be finite, got %r" % (out,))
+def _exact_coordinate(c) -> Fraction:
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
+    raise ValueError(
+        "exact mode requires int or Fraction coordinates, got %r" % type(c).__name__
+    )
+
+
+def _float_rows(rows):
+    """The rows as one finite float64 array. On a fault the rows are walked in
+    order, so the first bad row raises; unequal rows go on to the width check."""
+    try:
+        a = np.array(rows, dtype=float)
+        if a.ndim == 2 and np.isfinite(a).all():
+            return a
+    except (TypeError, ValueError, OverflowError):  # unequal rows, or not numbers
+        pass
+    out = []
+    for row in rows:
+        out.append(tuple(map(float, row)))
+        if not all(map(math.isfinite, out[-1])):
+            raise ValueError("coordinates must be finite, got %r" % (out[-1],))
     return out
 
 
-@dataclass(frozen=True)
 class PointSet:
     """A finite list of points in R^dim, all rows of equal length.
 
-    The coordinate array and the squared-distance matrix are computed once,
-    on first use, and are read-only: every check on the set shares them, as
-    it shares the triple verdict and the spectral certificate per tolerance.
-    An exact set also keeps its integer form (``integer_form``,
-    ``integer_sqdist``), on which every exact check computes.
+    A set keeps one numeric form: a float set its read-only float64
+    ``array``, an exact set its integer form (X, q), with points == X / q
+    and q the lcm of the coordinate denominators. The rest is derived on
+    first use and shared by every check: ``points`` (tuples of floats, or
+    of Fractions; an exact set keeps the Fraction rows it was given), the
+    float ``array`` of an exact set, the read-only squared distances, and
+    per tolerance the triple verdict and the spectral certificate.
     """
 
-    dim: int
-    points: Tuple[tuple, ...]
-    mode: str = FLOAT_MODE
-    # dist_tol -> TripleCheck, filled by is_almost_equidistant
-    _triple_checks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # Tolerance -> SpectralCertificate, filled by spectral.certify
-    _certificates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, dim: int, points, mode: str = FLOAT_MODE) -> None:
+        vars(self).update(dim=dim, mode=mode, _given=points)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Checks the rows once and keeps the set's numeric form; runs once per set."""
+        state = vars(self)
+        given = state.pop("_given", None)
         if self.mode not in (FLOAT_MODE, EXACT_MODE):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
-        rows = tuple(_coerce_row(r, self.mode) for r in self.points)
-        if not rows:
+        state.update(_triple_checks={}, _certificates={})
+        if "integer_form" in state:  # built by _from_integers
+            state["n"] = len(self.integer_form[0])
+            return
+        if self.mode == EXACT_MODE:
+            given = state["points"] = tuple(tuple(map(_exact_coordinate, r)) for r in given)
+        else:
+            given = _float_rows(given)
+        if not len(given):
             raise ValueError("point set must contain at least one point")
-        for r in rows:
-            if len(r) != self.dim:
+        for row in given:
+            if len(row) != self.dim:
                 raise ValueError(
-                    f"ragged point set: expected {self.dim} coordinates, got {len(r)}"
+                    f"ragged point set: expected {self.dim} coordinates, got {len(row)}"
                 )
-        object.__setattr__(self, "points", rows)
+        state["n"] = len(given)
+        if self.mode == FLOAT_MODE:
+            given.flags.writeable = False
+            state["array"] = given
 
-    @property
-    def n(self) -> int:
-        return len(self.points)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PointSet is read-only, cannot set {name!r}")
+
+    @cached_property
+    def points(self) -> Tuple[tuple, ...]:
+        if self.mode == EXACT_MODE:
+            x, q = self.integer_form
+            return tuple(tuple(Fraction(v, q) for v in row) for row in x.tolist())
+        return tuple(map(tuple, self.array.tolist()))
 
     @cached_property
     def array(self) -> np.ndarray:
-        a = np.array([[float(c) for c in row] for row in self.points], dtype=float)
+        """Exact mode: the coordinates as correctly rounded floats, read-only."""
+        a = _exact_floats(*self.integer_form)
         a.flags.writeable = False
         return a
 
@@ -149,18 +173,29 @@ class PointSet:
         d2.flags.writeable = False
         return d2
 
+    @property
+    def scaled_sqdist(self) -> tuple:
+        """(D, scale), D / scale the squared distances; scale 1, or q^2 if exact."""
+        return self.integer_sqdist if self.mode == EXACT_MODE else (self.sqdist, 1)
+
     @classmethod
-    def from_array(cls, arr, mode: str = FLOAT_MODE) -> "PointSet":
+    def from_array(cls, arr) -> "PointSet":
         a = np.atleast_2d(np.asarray(arr, dtype=float))
-        return cls(dim=a.shape[1], points=tuple(map(tuple, a.tolist())), mode=mode)
+        return cls(dim=a.shape[1], points=a)
 
     @classmethod
     def exact_rows(cls, rows: Sequence[Sequence]) -> "PointSet":
-        rows = [tuple(Fraction(c) for c in r) for r in rows]
-        return cls(dim=len(rows[0]), points=tuple(rows), mode=EXACT_MODE)
+        return cls(dim=len(rows[0]), points=[[Fraction(c) for c in r] for r in rows],
+                   mode=EXACT_MODE)
 
-    def with_points(self, rows) -> "PointSet":
-        return PointSet(dim=self.dim, points=tuple(tuple(r) for r in rows), mode=self.mode)
+    @classmethod
+    def _from_integers(cls, x: np.ndarray, q: int) -> "PointSet":
+        """The exact set X / q, for X and q with no common factor."""
+        s = cls.__new__(cls)
+        x.flags.writeable = False
+        vars(s).update(dim=x.shape[1], mode=EXACT_MODE, integer_form=(x, q))
+        s.__post_init__()
+        return s
 
     def default_tol(self) -> Tolerance:
         return Tolerance.exact() if self.mode == EXACT_MODE else DEFAULT_TOL
@@ -232,11 +267,8 @@ def _triple_check(s: PointSet, dist_tol: float) -> TripleCheck:
     n = s.n
     if n < 3:
         return TripleCheck(True, None)
-    if s.mode == EXACT_MODE:
-        d2, q2 = s.integer_sqdist
-        nonunit = d2 != q2
-    else:
-        nonunit = np.abs(s.sqdist - 1.0) > dist_tol
+    d2, scale = s.scaled_sqdist
+    nonunit = np.abs(d2 - scale) > (0 if s.mode == EXACT_MODE else dist_tol)
     np.fill_diagonal(nonunit, False)
     # bit k of masks[i] set iff pair (i, k) is not unit
     masks = [
@@ -258,28 +290,25 @@ def _triple_check(s: PointSet, dist_tol: float) -> TripleCheck:
 
 def barycenter(s: PointSet) -> tuple:
     if s.mode == EXACT_MODE:
-        n = s.n
-        return tuple(sum(col) / n for col in zip(*s.points))
+        x, q = s.integer_form
+        return tuple(Fraction(v, s.n * q) for v in x.sum(axis=0))
     return tuple(s.array.mean(axis=0).tolist())
 
 
 def recenter_to_barycenter(s: PointSet) -> PointSet:
     """Translate so the barycenter is the origin; exact in rational mode."""
     if s.mode == EXACT_MODE:
-        # points - barycenter == (n X - column sums of X) / (n q)
+        # points - barycenter == (n X - column sums of X) / (n q), in lowest terms
         x, q = s.integer_form
-        nq = s.n * q
-        rows = (s.n * x - x.sum(axis=0)).tolist()
-        return s.with_points([tuple(Fraction(v, nq) for v in row) for row in rows])
-    x = s.array - np.asarray(barycenter(s))
-    return s.with_points(map(tuple, x.tolist()))
+        y = s.n * x - x.sum(axis=0)
+        g = math.gcd(*y.flat, s.n * q)
+        return PointSet._from_integers(y // g, s.n * q // g)
+    return PointSet.from_array(s.array - s.array.mean(axis=0))
 
 
 def diameter(s: PointSet) -> float:
-    if s.mode == EXACT_MODE:
-        d2, q2 = s.integer_sqdist
-        return math.sqrt(d2.max() / q2)
-    return math.sqrt(float(s.sqdist.max()))
+    d2, scale = s.scaled_sqdist
+    return math.sqrt(d2.max() / scale)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ import json
 import math
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
-from typing import Union
 
 import numpy as np
 
@@ -22,7 +21,7 @@ def pointset_to_dict(s: PointSet) -> dict:
     if s.mode == EXACT_MODE:
         points = [[str(c) for c in row] for row in s.points]
     else:
-        points = [list(row) for row in s.points]
+        points = s.array.tolist()
     return {"dim": s.dim, "mode": s.mode, "points": points}
 
 
@@ -47,30 +46,26 @@ def pointset_from_dict(obj: dict) -> PointSet:
         raise ValueError(f"dim must be an integer, got {dim!r}")
     if not isinstance(rows, list) or not rows:
         raise ValueError("points must be a nonempty list")
-    parsed = []
+    parsed = []  # "p/q" strings parsed; PointSet converts the numbers
     for row in rows:
         if not isinstance(row, list):
             raise ValueError("each point must be a list of coordinates")
-        if mode == EXACT_MODE:
-            coords = []
-            for c in row:
+        coords = []
+        for c in row:
+            if mode == EXACT_MODE:
                 if isinstance(c, str):
-                    coords.append(_fraction(c))
-                elif isinstance(c, int) and not isinstance(c, bool):
-                    coords.append(Fraction(c))
-                else:
+                    c = _fraction(c)
+                elif isinstance(c, bool) or not isinstance(c, int):
                     raise ValueError(
                         "exact mode coordinates must be integers or 'p/q' strings"
                     )
-            parsed.append(tuple(coords))
-        else:
-            coords = []
-            for c in row:
-                if isinstance(c, bool) or not isinstance(c, (int, float, str)):
-                    raise ValueError("coordinates must be numbers")
-                coords.append(float(_fraction(c)) if isinstance(c, str) else float(c))
-            parsed.append(tuple(coords))
-    return PointSet(dim=int(dim), points=tuple(parsed), mode=mode)
+            elif isinstance(c, str):
+                c = float(_fraction(c))
+            elif isinstance(c, bool) or not isinstance(c, (int, float)):
+                raise ValueError("coordinates must be numbers")
+            coords.append(c)
+        parsed.append(coords)
+    return PointSet(dim=int(dim), points=parsed, mode=mode)
 
 
 def load_pointset(text: str) -> PointSet:
@@ -88,7 +83,7 @@ def load_pointset_csv(text: str) -> PointSet:
         if not line or line.startswith("#"):
             continue
         try:
-            rows.append(tuple(float(tok) for tok in line.replace(",", " ").split()))
+            rows.append(list(map(float, line.replace(",", " ").split())))
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric coordinate")
     if not rows:
@@ -97,7 +92,7 @@ def load_pointset_csv(text: str) -> PointSet:
     for i, r in enumerate(rows, 1):
         if len(r) != width:
             raise ValueError(f"ragged CSV: row {i} has {len(r)} columns, expected {width}")
-    return PointSet(dim=width, points=tuple(rows), mode=FLOAT_MODE)
+    return PointSet(dim=width, points=rows)
 
 
 def load_matrix_csv(text: str) -> np.ndarray:

@@ -10,7 +10,7 @@ bound calculators lean on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
@@ -63,16 +63,12 @@ class DefectMatrix:
 
 
 def defect_matrix(s: PointSet) -> DefectMatrix:
-    if s.mode == EXACT_MODE:
-        d2, q2 = s.integer_sqdist
-        e = d2 - q2
-        np.fill_diagonal(e, 0)
-        e.flags.writeable = False
-        return DefectMatrix(n=s.n, values=e, mode=EXACT_MODE, scale=q2)
-    u = squared_distance_matrix(s) - 1.0
-    np.fill_diagonal(u, 0.0)
+    # s.scaled_sqdist, with float distances read through the layer aeqbench counts
+    d2, scale = s.integer_sqdist if s.mode == EXACT_MODE else (squared_distance_matrix(s), 1)
+    u = d2 - scale
+    np.fill_diagonal(u, 0)
     u.flags.writeable = False
-    return DefectMatrix(n=s.n, values=u, mode=FLOAT_MODE)
+    return DefectMatrix(n=s.n, values=u, mode=s.mode, scale=scale)
 
 
 # reports call this matrix family "u" (trace_u, trace_u3), so the builder
@@ -167,17 +163,7 @@ class SpectralCertificate:
     lemma1_holds: bool
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "dim": self.dim,
-            "trace_u": self.trace_u,
-            "trace_u3": self.trace_u3,
-            "count_eq_one": self.count_eq_one,
-            "count_gt_one": self.count_gt_one,
-            "lambda_max": self.lambda_max,
-            "lambda_min": self.lambda_min,
-            "lemma1_holds": self.lemma1_holds,
-        }
+        return asdict(self)
 
 
 def certify(s: PointSet, tol: Optional[Tolerance] = None) -> SpectralCertificate:
@@ -189,16 +175,13 @@ def certify(s: PointSet, tol: Optional[Tolerance] = None) -> SpectralCertificate
     return _certify(s, tol)
 
 
-def _certify(
-    s: PointSet, tol: Optional[Tolerance], u: Optional[DefectMatrix] = None
-) -> SpectralCertificate:
-    """certify(s, tol); u, when given, is the caller's defect matrix of s."""
+def _certify(s: PointSet, tol: Optional[Tolerance]) -> SpectralCertificate:
+    """The body of certify, for the bound calculators."""
     tol = _resolve_tol(s, tol)
     cert = s._certificates.get(tol)
     if cert is not None:
         return cert
-    if u is None:
-        u = defect_matrix(s)
+    u = defect_matrix(s)
     ident = trace_identities(u, s, tol)  # also enforces the triple condition
     eig_tol = tol.eig_tol if tol.eig_tol > 0 else DEFAULT_TOL.eig_tol
     spec = eigenvalues(u, eig_tol)

@@ -269,3 +269,65 @@ def test_pipeline_out_of_regime(rhombus):
 def test_pipeline_rejects_non_ae():
     with pytest.raises(ValueError, match="witness"):
         aeq.general_bound_pipeline(PointSet.from_array([[0.0], [3.0], [9.0]]))
+
+
+def _unit_simplex_with_point(rng):
+    """A rotated unit simplex plus one point within distance 1 of every
+    vertex: almost equidistant, diameter at most 1."""
+    k = int(rng.integers(2, 7))
+    d = int(rng.integers(k - 1, 8))
+    x = aeq.construct_simplex(k, d).array
+    room = 1.0 - aeq.simplex_circumradius(k)
+    offset = rng.normal(size=d)
+    p = x.mean(axis=0) + rng.uniform(0, room) * offset / np.linalg.norm(offset)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    return PointSet.from_array(np.vstack([x, p]) @ q + rng.uniform(-3, 3, size=d))
+
+
+def _pentagon(rng, d):
+    """A regular pentagon with unit diagonals, rotated into R^d: its non-unit
+    pairs form a 5-cycle, so the spectrum of U is not symmetric."""
+    t = 2 * np.pi * np.arange(5) / 5
+    x = np.zeros((5, d))
+    x[:, 0], x[:, 1] = np.cos(t), np.sin(t)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    return PointSet.from_array(x / (2 * np.sin(2 * np.pi / 5)) @ q)
+
+
+def _diameter_fleet(star):
+    rng = np.random.default_rng(8)
+    fleet = [_pentagon(rng, d) for d in range(2, 6)]
+    fleet += [aeq.construct_simplex(k, d) for d in range(1, 9) for k in range(1, d + 2)]
+    fleet.append(star)
+    fleet.append(PointSet.exact_rows([[0], [Fraction(1, 2)], [1]]))
+    fleet.append(PointSet.exact_rows([[0, 0], [1, 0], [Fraction(1, 2), Fraction(1, 3)]]))
+    fleet += [_unit_simplex_with_point(rng) for _ in range(60)]
+    # every pair at 1 + 0.9 dist_tol: U has positive entries just inside eig_tol
+    stretched = aeq.construct_simplex(14, 13).array * math.sqrt(1 + 0.9e-9)
+    fleet.append(PointSet.from_array(stretched))
+    return fleet
+
+
+def test_diameter_perron_from_spectrum_matches_nonsymmetric_oracle(triangle_with_center):
+    for s in _diameter_fleet(triangle_with_center):
+        rep = aeq.diameter_bound(s.dim, points=s)
+        tol = s.default_tol()
+        eig_tol = tol.eig_tol if tol.eig_tol > 0 else 1e-8
+        oracle = aeq.perron_frobenius_check(-aeq.defect_matrix(s).array, eig_tol)
+        assert rep.detail["perron_attained"] is oracle.attained is True
+
+
+def test_diameter_bound_makes_no_nonsymmetric_eigensolve(monkeypatch, triangle_with_center):
+    def eigvals(a):
+        raise AssertionError("diameter_bound called np.linalg.eigvals")
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    for s in _diameter_fleet(triangle_with_center):
+        assert aeq.diameter_bound(s.dim, points=s).detail["perron_attained"]
+
+
+def test_diameter_bound_rejects_a_positive_defect_beyond_eig_tol():
+    # diameter 1.01 passes a loose dist_tol, but U then has an entry above eig_tol
+    s = PointSet.from_array([[0.0], [1.01]])
+    with pytest.raises(ValueError, match="matrix has a negative entry"):
+        aeq.diameter_bound(1, points=s, tol=Tolerance(dist_tol=0.1, eig_tol=1e-8))

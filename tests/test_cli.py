@@ -6,7 +6,7 @@ import jsonschema
 import pytest
 
 import aeq
-from aeq.cli import _resolve_threads, main
+from aeq.cli import _resolve_threads, build_parser, main
 from aeq.serialize import dumps_report
 from aeq.schemas import load_schema, schema_names
 
@@ -340,6 +340,9 @@ def test_search_threads_flag_and_env_are_no_ops(capsys, monkeypatch):
         ["--penalty-tol=-1e-18"],
         ["--n", "0"],  # the last --n wins
         ["--dim", "0"],
+        ["--tol=-1"],
+        ["--eig-tol=-1"],
+        ["--exact"],  # the search is float only
     ],
 )
 def test_search_meaningless_parameters_are_usage_errors(capsys, flags):
@@ -542,3 +545,55 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("aeq ")
+
+
+def test_cached_parser_gives_identical_reports(capsys, tmp_path, triangle_csv, rhombus_json,
+                                               corpus_path):
+    simplex = tmp_path / "simplex.json"
+    simplex.write_text(dumps_report(aeq.pointset_to_dict(aeq.construct_simplex(4, 3))))
+    argvs = [
+        ["verify", "--input", triangle_csv],
+        ["certify", "--input", triangle_csv, "--tol", "1e-7"],
+        ["pipeline", "--input", str(simplex), "--diameter"],
+        ["verify", "--input", rhombus_json, "--exact"],
+        ["bounds", "--theorem", "sphere", "--dim", "3", "--radius", "0.5"],
+        ["certify", "--input", triangle_csv, "--eig-tol", "1e-6", "--format", "csv"],
+        ["search", "--dim", "2", "--n", "4", "--restarts", "2", "--iters", "50"],
+        ["tdrank", "--n", "5", "--graphs", str(corpus_path)],
+        ["search", "--dim", "2", "--n", "4", "--tol=-1"],
+        ["pipeline", "--input", rhombus_json],
+    ]
+
+    def reports(fresh_parser):
+        out = []
+        for argv in argvs:
+            if fresh_parser:
+                build_parser.cache_clear()
+            code = main(argv)
+            out.append((code, capsys.readouterr().out))
+        return out
+
+    fresh = reports(fresh_parser=True)
+    assert [code for code, _ in fresh] == [0, 0, 0, 0, 0, 0, 0, 0, 2, 0]
+    assert reports(fresh_parser=False) == fresh
+    assert build_parser() is build_parser()
+
+
+def test_float_audits_never_build_the_tuple_view(capsys, tmp_path, monkeypatch):
+    built = []
+    view = aeq.PointSet.points.func
+    monkeypatch.setattr(aeq.PointSet, "points", property(lambda s: built.append(s) or view(s)))
+    two = aeq.construct_two_simplices(4).array
+    bent = two.copy()
+    bent[0] += 0.05
+    inputs = {}
+    for name, x in (("two", two), ("bent", bent), ("simplex", aeq.construct_simplex(5, 4).array)):
+        inputs[name + ".json"] = dumps_report({"dim": x.shape[1], "points": x.tolist()})
+        inputs[name + ".csv"] = "".join(",".join(map(repr, row)) + "\n" for row in x.tolist())
+    for name, text in inputs.items():
+        path = tmp_path / name
+        path.write_text(text)
+        for verb in (["verify"], ["certify"], ["pipeline"], ["pipeline", "--diameter"]):
+            main([*verb, "--input", str(path)])
+            assert json.loads(capsys.readouterr().out)["outcome"] in ("pass", "fail")
+    assert built == []

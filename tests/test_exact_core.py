@@ -6,6 +6,7 @@ verbatim in substance: per-pair squared distances, the Fraction defect
 matrix, the triple-loop cube-trace and the Fraction row statistics. Every
 comparison is exact equality.
 """
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -137,7 +138,7 @@ def assert_matches_oracle(rows):
     assert u.entries == ou
     assert all(isinstance(v, Fraction) for row in u.entries for v in row)
     assert np.array_equal(u.array, np.array([[float(c) for c in row] for row in ou]))
-    assert diameter(s) == float(max(max(row) for row in d2)) ** 0.5
+    assert diameter(s) == math.sqrt(max(max(row) for row in d2))  # both correctly rounded
     fs = aeq.f_statistic(s)
     assert (fs.value, fs.argmax_index, fs.per_point_sums) == oracle_f_statistic(ou)
     assert all(isinstance(v, Fraction) for v in fs.per_point_sums)
@@ -326,3 +327,21 @@ def test_float_verify_agrees_with_exact_on_one_denominator(case):
     exact = PointSet.exact_rows(rows)
     floats = PointSet.from_array([[float(c) for c in row] for row in rows])
     assert _verdict(floats, Tolerance()) == _verdict(exact)
+
+
+def _lcm_form(points):
+    q = math.lcm(*(c.denominator for row in points for c in row))
+    return [[c.numerator * (q // c.denominator) for c in row] for row in points], q
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(rows=rational_sets())
+def test_recentred_integer_form_is_the_lcm_form_of_its_fractions(rows):
+    # the recentred set is built from (n X - column sums, n q) reduced by one
+    # gcd; its integer form must be what its Fraction view gives
+    centred = aeq.recenter_to_barycenter(PointSet.exact_rows(rows))
+    x, q = centred.integer_form
+    want_x, want_q = _lcm_form(centred.points)
+    assert q == want_q and x.tolist() == want_x
+    assert all(type(v) is int for v in x.flat) and not x.flags.writeable
+    assert centred.points == oracle_recenter(PointSet.exact_rows(rows).points)

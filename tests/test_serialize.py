@@ -151,3 +151,59 @@ def test_report_indent_mode_is_valid_json():
     out = aeq.dumps_report({"a": [1, 2], "b": {"c": None}}, indent=2)
     assert json.loads(out) == {"a": [1, 2], "b": {"c": None}}
     assert out.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "load, arg, message",
+    [
+        (PointSet, dict(dim=2, points=((0.0, 0.0), (1.0,))),
+         "ragged point set: expected 2 coordinates, got 1"),
+        (PointSet, dict(dim=3, points=((0, 0, 1), (1, 2, 3), (4, 5))),
+         "ragged point set: expected 3 coordinates, got 2"),
+        (PointSet, dict(dim=2, points=()), "point set must contain at least one point"),
+        (PointSet, dict(dim=2, points=((0.0, 0.0),), mode="decimal"), "unknown mode 'decimal'"),
+        (PointSet, dict(dim=1, points=((0.5,),), mode="exact"),
+         "exact mode requires int or Fraction coordinates, got 'float'"),
+        (PointSet, dict(dim=0, points=((),)), "dim must be at least 1"),
+        (PointSet, dict(dim=2, points=((0.0, 0.0), (1.0, math.nan))),
+         "coordinates must be finite, got (1.0, nan)"),
+        (PointSet, dict(dim=2, points=((0.0, 0.0), (-math.inf, 2))),
+         "coordinates must be finite, got (-inf, 2.0)"),
+        (aeq.pointset_from_dict, {"dim": 1, "points": [[0.0], [None]]},
+         "coordinates must be numbers"),
+        (aeq.pointset_from_dict, {"dim": 1, "points": [[0.0], 3]},
+         "each point must be a list of coordinates"),
+        (aeq.pointset_from_dict, {"dim": 2, "points": [[0.0, 1.0], [1.0, 2.0, 3.0]]},
+         "ragged point set: expected 2 coordinates, got 3"),
+        (aeq.pointset_from_dict, {"dim": 2, "points": [[0.0, 1.0], [1.0, "1/0"]]},
+         "coordinate '1/0' has a zero denominator"),
+        (aeq.pointset_from_dict, {"dim": 1, "mode": "exact", "points": [[True], [1]]},
+         "exact mode coordinates must be integers or 'p/q' strings"),
+        (aeq.pointset_from_dict, {"dim": 2, "mode": "exact", "points": [["1/2", 1], [1]]},
+         "ragged point set: expected 2 coordinates, got 1"),
+        (aeq.pointset_from_dict, {"dim": 1, "mode": "decimal", "points": [[0.5], [1]]},
+         "unknown mode 'decimal'"),
+        (aeq.load_pointset, '{"dim": 2, "points": [[0.0, 1], [Infinity, 2]]}',
+         "coordinates must be finite, got (inf, 2.0)"),
+        # a non-finite row is reported before a short one, wherever they stand
+        (PointSet, dict(dim=2, points=((0.0,), (math.nan, 0.0))),
+         "coordinates must be finite, got (nan, 0.0)"),
+        (aeq.load_pointset, '{"dim": 2, "points": [[NaN, 0], [1.0]]}',
+         "coordinates must be finite, got (nan, 0.0)"),
+        (aeq.load_pointset_csv, "1.0\nbogus\n", "line 2: non-numeric coordinate"),
+        (aeq.load_pointset_csv, "# c\n\n1.0 2.0\n3.0 4\n5\n",
+         "ragged CSV: row 3 has 1 columns, expected 2"),
+        (aeq.load_pointset_csv, "0,0\n1,2\ninf,0\n", "coordinates must be finite, got (inf, 0.0)"),
+        (aeq.load_pointset_csv, ",\n", "dim must be at least 1"),
+    ],
+)
+def test_error_messages_keep_their_text(load, arg, message):
+    with pytest.raises(ValueError) as err:
+        load(**arg) if isinstance(arg, dict) and load is PointSet else load(arg)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("rows", [[[[1.0, 2.0]]], [1.0], [[1.0], [[1.0]]]])
+def test_rows_not_of_numbers_are_type_errors(rows):
+    with pytest.raises(TypeError):
+        PointSet(dim=1, points=rows)
