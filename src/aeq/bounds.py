@@ -103,9 +103,10 @@ def diameter_bound(
     """Size bound 2d + 4 for diameter-1 sets.
 
     With a configuration: verifies the diameter cap, certifies the set, and
-    checks lambda_max + lambda_min <= eig_tol through the nonnegativity of
-    the negated defect matrix (its spectral radius is attained at a
-    nonnegative eigenvalue, which forces the sum down).
+    checks lambda_max + lambda_min <= 0 through the nonnegativity of the
+    negated defect matrix (its spectral radius is attained at a nonnegative
+    eigenvalue, which forces the sum down), up to the slack of the
+    eigensolver and of the positive entries that dist_tol lets through.
     """
     bound = 2 * d + 4
     detail = {"conjectured_tight": conjectured_diameter_max(d)}
@@ -127,17 +128,18 @@ def diameter_bound(
         slack = eig_tol * max(1.0, rho) + 2 * points.n * max(0.0, u_max)
         perron_attained = -cert.lambda_min >= cert.lambda_max - slack
         lam_sum = cert.lambda_max + cert.lambda_min
+        lam_sum_ok = lam_sum <= slack
         detail.update(
             {
                 "diameter": diam,
                 "lambda_sum": lam_sum,
-                "lambda_sum_ok": lam_sum <= eig_tol,
+                "lambda_sum_ok": lam_sum_ok,
                 "perron_attained": perron_attained,
                 "certificate": cert.as_dict(),
             }
         )
         n_obs = points.n
-        satisfied = n_obs <= bound and lam_sum <= eig_tol
+        satisfied = n_obs <= bound and lam_sum_ok
     return BoundReport(
         theorem="diameter",
         dim=d,

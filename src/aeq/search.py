@@ -4,11 +4,15 @@ The objective charges every triple the squared defect of its best pair, so
 a zero of the penalty is exactly an almost-equidistant set. Each restart
 runs subgradient descent with per-iteration active-pair reselection and a
 geometric step schedule, then an active-set Gauss-Newton polish drives the
-survivors to machine precision. A descent step computes the squared
-distances of its iterate once; the penalty, the active pairs and the next
-gradient all read them. Restarts run one after another and are reduced by
-(penalty, restart index), so results are deterministic for a fixed seed;
-the generator is numpy PCG64.
+survivors to machine precision. The restarts descend together, stacked as
+(R, n, d) arrays in blocks of at most STACK_ELEMENTS elements per array; a
+restart leaves the stack when it stops, and each takes exactly the steps,
+in the same floating-point arithmetic, that it would take alone. A step
+computes the squared distances of its iterates once; the penalties, the
+active pairs and the next gradients all read them. The polish then runs
+restart by restart, and the runs are reduced by (penalty, restart index),
+so results are deterministic for a fixed seed and do not depend on the
+block size; the generator is numpy PCG64, one per restart.
 """
 from __future__ import annotations
 
@@ -23,10 +27,15 @@ from scipy.optimize import least_squares
 
 from .bounds import conjectured_diameter_max
 from .constructions import construct_rosenfeld, construct_two_simplices
-from .geometry import PointSet, Tolerance, is_almost_equidistant, pairwise_squared_distances
+from .geometry import PointSet, Tolerance, is_almost_equidistant
 from .spectral import SpectralCertificate, certify
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+# The most elements an array of one stacked descent step may hold (see
+# _block_size), so a search's memory does not grow with its restart count.
+# A block of one restart is the plain per-restart loop.
+STACK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -70,20 +79,41 @@ class SearchResult:
 class _Tables(NamedTuple):
     """Index tables of one point count, built once per search."""
 
-    pairs: np.ndarray  # (3, 2, T): pairs (i, j), (i, k), (j, k) of each triple i < j < k
-    upper: Tuple[np.ndarray, np.ndarray]  # every pair i < j
+    # pairs are flat indices i*n + j into an n x n matrix
+    pairs: np.ndarray  # (3, T): pairs (i, j), (i, k), (j, k) of each triple i < j < k
+    upper: np.ndarray  # every pair i < j
     column: np.ndarray  # arange(T)
 
 
 def _tables(n: int) -> _Tables:
     tri = np.array(list(combinations(range(n), 3)), dtype=int).reshape(-1, 3)
-    pairs = tri.T[[[0, 1], [0, 2], [1, 2]]]
-    return _Tables(pairs, np.triu_indices(n, 1), np.arange(len(tri)))
+    pairs = tri.T[[0, 0, 1]] * n + tri.T[[1, 2, 2]]
+    iu, ju = np.triu_indices(n, 1)
+    return _Tables(pairs, iu * n + ju, np.arange(len(tri)))
+
+
+def _distances(x: np.ndarray) -> np.ndarray:
+    """The shifted squared distances D - 1 of stacked point sets x, (R, n, d);
+    slice r is geometry.pairwise_squared_distances(x[r]) - 1 bit for bit."""
+    sq = np.einsum("rij,rij->ri", x, x)
+    d2 = sq[:, :, None] + sq[:, None, :]
+    d2 -= 2 * (x @ x.transpose(0, 2, 1))
+    d2.reshape(len(x), -1)[:, :: x.shape[1] + 1] = 0  # the diagonals
+    np.maximum(d2, 0, out=d2)
+    d2 -= 1.0
+    return d2
+
+
+def _flat(q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """q raveled, and the offset of each stacked matrix in it, (R, 1)."""
+    return q.ravel(), np.arange(len(q))[:, None] * q[0].size
 
 
 def _triple_defects(q: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """The squared defects of the three pairs of every triple, (3, T)."""
-    return q[pairs[:, 0], pairs[:, 1]] ** 2
+    """The squared defects of the three pairs of every triple, (3, R, T), from
+    stacked shifted squared distances q, (R, n, n)."""
+    flat, offset = _flat(q)
+    return flat[offset + pairs[:, None]] ** 2
 
 
 def triple_penalty(s) -> float:
@@ -91,61 +121,68 @@ def triple_penalty(s) -> float:
     x = s.array if isinstance(s, PointSet) else np.asarray(s, dtype=float)
     if len(x) < 3:
         return 0.0
-    sq = _triple_defects(pairwise_squared_distances(x) - 1.0, _tables(len(x)).pairs)
+    sq = _triple_defects(_distances(x[None]), _tables(len(x)).pairs)
     return float(sq.min(axis=0).sum())
 
 
-def _constraint_penalty(x: np.ndarray, q: np.ndarray, cfg: SearchConfig, upper) -> float:
+def _constraint_penalty(x: np.ndarray, q: np.ndarray, cfg: SearchConfig, upper):
     total = 0.0
     if cfg.diameter_cap:
-        total += float((np.maximum(q[upper], 0.0) ** 2).sum())
+        total += (np.maximum(q.reshape(len(q), -1)[:, upper], 0.0) ** 2).sum(axis=1)
     if cfg.sphere_radius is not None:
-        norms = np.einsum("ij,ij->i", x, x)
-        total += float(((norms - cfg.sphere_radius ** 2) ** 2).sum())
+        norms = np.einsum("rij,rij->ri", x, x)
+        total += ((norms - cfg.sphere_radius ** 2) ** 2).sum(axis=1)
     return total
 
 
 def _evaluate(x: np.ndarray, q: np.ndarray, cfg: SearchConfig, tables: _Tables):
-    """The penalty at x, and the best pair (a, b) of every triple (lowest
-    pair index on ties), both from x's shifted squared distances q."""
+    """The penalties of stacked iterates x, (R,), and the best pair of every
+    triple (lowest pair index on ties), (R, T), both from x's shifted squared
+    distances q."""
     sq = _triple_defects(q, tables.pairs)
-    choice = sq.argmin(axis=0)
-    val = float(sq.min(axis=0).sum()) + _constraint_penalty(x, q, cfg, tables.upper)
-    return val, tables.pairs[choice, 0, tables.column], tables.pairs[choice, 1, tables.column]
+    active = tables.pairs[sq.argmin(axis=0), tables.column]
+    return sq.min(axis=0).sum(axis=1) + _constraint_penalty(x, q, cfg, tables.upper), active
 
 
 def total_penalty(x: np.ndarray, cfg: SearchConfig, tables: _Tables) -> float:
-    return _evaluate(x, pairwise_squared_distances(x) - 1.0, cfg, tables)[0]
+    x = x[None]
+    return float(_evaluate(x, _distances(x), cfg, tables)[0][0])
 
 
-def _gradient(x, q, a, b, cfg: SearchConfig, upper) -> np.ndarray:
-    """The penalty's gradient at x, given q and the active pairs (a, b)."""
-    grad = np.zeros_like(x)
-    coef = 4.0 * q[a, b]
-    diff = x[a] - x[b]
-    np.add.at(grad, a, coef[:, None] * diff)
-    np.add.at(grad, b, -coef[:, None] * diff)
+def _gradient(x, q, active, cfg: SearchConfig, upper) -> np.ndarray:
+    """The penalty's gradient at stacked iterates x, given q and the active
+    pairs. Each point sums its terms in the order of one restart alone: as
+    first end of the active pairs, as their second end, then the same for
+    the capped pairs."""
+    r, n, d = x.shape
+    flat, offset = _flat(q)
+    groups = [(active, 4.0 * flat[offset + active])]
     if cfg.diameter_cap:
-        iu, ju = upper
-        viol = np.maximum(q[iu, ju], 0.0)
-        mask = viol > 0
-        if mask.any():
-            a, b = iu[mask], ju[mask]
-            coef = 4.0 * viol[mask]
-            diff = x[a] - x[b]
-            np.add.at(grad, a, coef[:, None] * diff)
-            np.add.at(grad, b, -coef[:, None] * diff)
+        # a pair within the cap has coefficient 0: its terms add nothing
+        groups.append((upper, 4.0 * np.maximum(flat[offset + upper], 0.0)))
+    first = np.arange(r)[:, None] * n  # each restart's first point in coords
+    coords = x.reshape(-1, d).T  # (d, R n): one row per coordinate
+    ends, terms = [], []
+    for pair, coef in groups:
+        i, j = first + pair // n, first + pair % n
+        term = coef * (coords.take(i, axis=1) - coords.take(j, axis=1))  # (d, R, m)
+        ends += [i, j]
+        terms += [term, -term]
+    # bincount adds each term in turn, from 0, as np.add.at does
+    slots = np.concatenate(ends, axis=1) + (np.arange(d) * (r * n))[:, None, None]
+    grad = np.bincount(slots.ravel(), np.concatenate(terms, axis=2).ravel(), minlength=x.size)
+    grad = grad.reshape(d, r * n)
     if cfg.sphere_radius is not None:
-        norms = np.einsum("ij,ij->i", x, x)
-        grad += 4.0 * (norms - cfg.sphere_radius ** 2)[:, None] * x
-    return grad
+        norms = np.einsum("rij,rij->ri", x, x).ravel()
+        grad += 4.0 * (norms - cfg.sphere_radius ** 2) * coords
+    return np.ascontiguousarray(grad.T).reshape(x.shape)
 
 
 def _project(x: np.ndarray, cfg: SearchConfig) -> np.ndarray:
     if cfg.sphere_radius is not None:
-        norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+        norms = np.sqrt(np.einsum("...ij,...ij->...i", x, x))
         norms = np.where(norms < 1e-12, 1.0, norms)
-        x = x * (cfg.sphere_radius / norms)[:, None]
+        x = x * (cfg.sphere_radius / norms)[..., None]
     return x
 
 
@@ -174,27 +211,51 @@ def _initial_points(cfg: SearchConfig, restart: int, rng: np.random.Generator) -
     return x + 0.02 * rng.normal(size=x.shape)
 
 
-def _descent(x: np.ndarray, cfg: SearchConfig, tables: _Tables) -> Tuple[np.ndarray, float, int]:
-    """The best iterate, its penalty and the number of steps taken."""
-    q = pairwise_squared_distances(x) - 1.0
-    best_val, a, b = _evaluate(x, q, cfg, tables)
-    best_x, steps = x, cfg.max_iters
-    if steps <= 0:
-        return best_x, best_val, 0
-    decay = (cfg.step_end / cfg.step_start) ** (1.0 / max(steps - 1, 1))
+def _starts(cfg: SearchConfig, restarts: range) -> np.ndarray:
+    """The projected starts of the given restarts, (R, n, d); restart r draws
+    from its own generator, seeded by (seed, r)."""
+    gens = (np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, r))))
+            for r in restarts)
+    return _project(np.stack([_initial_points(cfg, r, g) for r, g in zip(restarts, gens)]), cfg)
+
+
+def _descent(x: np.ndarray, cfg: SearchConfig, tables: _Tables):
+    """Descend from the stacked starts x, (R, n, d), all at once: each
+    restart's best iterate, its penalty and its number of steps, (R, n, d),
+    (R,) and (R,). The step size depends on the step index alone and is
+    shared. A restart leaves the stack when its gradient vanishes (counting
+    every step, as a run to the end does) or its best penalty reaches the
+    tolerance, so each takes exactly the steps it would take alone."""
+    q = _distances(x)
+    best_val, active = _evaluate(x, q, cfg, tables)
+    best_x, steps = x.copy(), np.full(len(x), cfg.max_iters)
+    if cfg.max_iters <= 0:
+        return best_x, best_val, steps
+    decay = (cfg.step_end / cfg.step_start) ** (1.0 / max(cfg.max_iters - 1, 1))
     eta = cfg.step_start
-    for it in range(steps):
-        g = _gradient(x, q, a, b, cfg, tables.upper)
-        gn = float(np.sqrt((g * g).sum()))
-        if gn < 1e-300:
-            break
-        x = _project(x - (eta / max(1.0, gn)) * g, cfg)
-        q = pairwise_squared_distances(x) - 1.0
-        val, a, b = _evaluate(x, q, cfg, tables)
-        if val < best_val:
-            best_val, best_x = val, x
-        if best_val <= cfg.penalty_tol * 0.01:
-            return best_x, best_val, it + 1
+    live = np.arange(len(x))  # the restarts still descending
+    for it in range(cfg.max_iters):
+        g = _gradient(x, q, active, cfg, tables.upper)
+        gn = np.sqrt((g * g).reshape(len(g), -1).sum(axis=1))
+        stuck = gn < 1e-300
+        if stuck.any():
+            moving = ~stuck
+            live, x, g, gn = live[moving], x[moving], g[moving], gn[moving]
+            if not len(live):
+                break
+        x = _project(x - (eta / np.maximum(1.0, gn))[:, None, None] * g, cfg)
+        q = _distances(x)
+        val, active = _evaluate(x, q, cfg, tables)
+        better = val < best_val[live]
+        best_val[live[better]] = val[better]
+        best_x[live[better]] = x[better]
+        done = best_val[live] <= cfg.penalty_tol * 0.01
+        if done.any():
+            steps[live[done]] = it + 1
+            going = ~done
+            live, x, q, active = live[going], x[going], q[going], active[going]
+            if not len(live):
+                break
         eta *= decay
     return best_x, best_val, steps
 
@@ -206,16 +267,16 @@ def _polish(x: np.ndarray, val: float, cfg: SearchConfig, tables: _Tables):
     best_x, best_val = x, val
     prev_active = None
     for _ in range(cfg.polish_rounds):
-        _, a, b = _evaluate(best_x, pairwise_squared_distances(best_x) - 1.0, cfg, tables)
-        key = frozenset(zip(a.tolist(), b.tolist()))
+        _, (active,) = _evaluate(best_x[None], _distances(best_x[None]), cfg, tables)
+        key = frozenset(active.tolist())
         if key == prev_active:
             break
         prev_active = key
 
         def residuals(flat):
             pts = flat.reshape(n, d)
-            q = pairwise_squared_distances(pts) - 1.0
-            out = [q[a, b]]
+            q = _distances(pts[None]).ravel()
+            out = [q[active]]
             if cfg.diameter_cap:
                 out.append(np.maximum(q[tables.upper], 0.0))
             if cfg.sphere_radius is not None:
@@ -244,20 +305,25 @@ def _polish(x: np.ndarray, val: float, cfg: SearchConfig, tables: _Tables):
     return best_x, best_val
 
 
-def _run_restart(cfg: SearchConfig, restart: int, tables: _Tables):
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, restart))))
-    x = _project(_initial_points(cfg, restart, rng), cfg)
-    x, val, iters = _descent(x, cfg, tables)
-    x, val = _polish(x, val, cfg, tables)
-    return val, restart, iters, x
+def _block_size(cfg: SearchConfig, tables: _Tables) -> int:
+    """Restarts per stacked descent. A step's largest arrays hold at most d
+    coordinates for each of a restart's 3T triple defects and n² pairs, so
+    they stay within STACK_ELEMENTS unless one restart alone needs more."""
+    n = cfg.target_n
+    return max(1, STACK_ELEMENTS // (cfg.dim * (3 * len(tables.column) + n * n)))
 
 
 def optimize(cfg: SearchConfig) -> SearchResult:
     """Multistart search; deterministic for a fixed config and seed."""
     tables = _tables(cfg.target_n)
-    runs = [_run_restart(cfg, r, tables) for r in range(cfg.restarts)]
-    penalty, restart, _, x = min(runs, key=lambda t: (t[0], t[1]))
-    iterations_used = sum(r[2] for r in runs)
+    block = _block_size(cfg, tables)
+    runs, iterations_used = [], 0
+    for first in range(0, cfg.restarts, block):
+        ids = range(first, min(first + block, cfg.restarts))
+        xs, vals, iters = _descent(_starts(cfg, ids), cfg, tables)
+        iterations_used += int(iters.sum())
+        runs += [(*_polish(x, val, cfg, tables), r) for r, x, val in zip(ids, xs, vals.tolist())]
+    x, penalty, restart = min(runs, key=lambda t: (t[1], t[2]))
     best = PointSet.from_array(x)
     feasible = penalty <= cfg.penalty_tol
     certificate = None

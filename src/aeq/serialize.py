@@ -119,6 +119,8 @@ def load_matrix_csv(text: str) -> np.ndarray:
 def _format_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError("reports may not contain NaN or infinity")
+    if x == 0.0 and math.copysign(1.0, x) < 0:
+        return "-0.0"  # "-0" would read back as the integer 0
     return format(x, ".17g")
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -324,6 +325,41 @@ def test_diameter_bound_makes_no_nonsymmetric_eigensolve(monkeypatch, triangle_w
     monkeypatch.setattr(np.linalg, "eigvals", eigvals)
     for s in _diameter_fleet(triangle_with_center):
         assert aeq.diameter_bound(s.dim, points=s).detail["perron_attained"]
+
+
+def test_diameter_bound_stretched_simplex_is_satisfied():
+    # every pair at 1 + 0.9 dist_tol: lambda_max + lambda_min = 1.08e-8 > eig_tol,
+    # but within the slack that U's positive entries allow
+    s = PointSet.from_array(aeq.construct_simplex(14, 13).array * math.sqrt(1 + 0.9e-9))
+    rep = aeq.diameter_bound(13, points=s)
+    assert rep.detail["lambda_sum"] > s.default_tol().eig_tol
+    assert rep.detail["lambda_sum_ok"] and rep.satisfied
+
+
+@pytest.mark.parametrize("points", ["simplex", "stretched", "star"])
+def test_diameter_bound_fails_a_lambda_sum_beyond_the_slack(points, monkeypatch,
+                                                           triangle_with_center):
+    s = {
+        "simplex": aeq.construct_simplex(4, 3),
+        "stretched": PointSet.from_array(
+            aeq.construct_simplex(14, 13).array * math.sqrt(1 + 0.9e-9)),
+        "star": triangle_with_center,
+    }[points]
+    d2, scale = s.scaled_sqdist
+    u_max = max(0.0, float((d2.max() - scale) / scale))
+    certify = aeq.bounds._certify
+    for excess, ok in ((0.5, True), (2.0, False)):
+        def shifted(points, tol):
+            # lambda_max raised so that the sum sits at a multiple of the slack
+            cert = certify(points, tol)
+            rho = max(cert.lambda_max, -cert.lambda_min)
+            slack = tol.eig_tol * max(1.0, rho) + 2 * points.n * u_max
+            lam_max = excess * slack - cert.lambda_min
+            return replace(cert, lambda_max=lam_max)
+
+        monkeypatch.setattr(aeq.bounds, "_certify", shifted)
+        rep = aeq.diameter_bound(s.dim, points=s)
+        assert rep.detail["lambda_sum_ok"] is ok and rep.satisfied is ok
 
 
 def test_diameter_bound_rejects_a_positive_defect_beyond_eig_tol():

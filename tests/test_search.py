@@ -83,6 +83,15 @@ def test_optimize_accepts_boundary_parameters():
     assert res.iterations_used == 0
 
 
+def test_stacked_distances_match_the_geometry_kernel():
+    rng = np.random.default_rng(5)
+    for n in range(1, 13):
+        for d in range(1, 7):
+            x = rng.normal(size=(int(rng.integers(1, 9)), n, d)) * rng.uniform(0.1, 3.0)
+            want = np.stack([pairwise_squared_distances(xr) - 1.0 for xr in x])
+            assert np.array_equal(search._distances(x), want), (n, d)
+
+
 # The descent step as it was before the fused loop: the gradient and the
 # penalty each compute their own distances, and the active pairs come from a
 # second gather. Kept as the oracle of search._descent.
@@ -155,6 +164,14 @@ def oracle_triples(n):
     return np.array(list(itertools.combinations(range(n), 3))) if n >= 3 else np.zeros((0, 3), int)
 
 
+def oracle_project(x, cfg):
+    if cfg.sphere_radius is not None:
+        norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+        norms = np.where(norms < 1e-12, 1.0, norms)
+        x = x * (cfg.sphere_radius / norms)[:, None]
+    return x
+
+
 def oracle_descent(x, cfg):
     tri = oracle_triples(len(x))
     steps = cfg.max_iters
@@ -168,7 +185,7 @@ def oracle_descent(x, cfg):
         gn = float(np.sqrt((g * g).sum()))
         if gn < 1e-300:
             break
-        x = search._project(x - (eta / max(1.0, gn)) * g, cfg)
+        x = oracle_project(x - (eta / max(1.0, gn)) * g, cfg)
         val = oracle_total_penalty(x, cfg, tri)
         if val < best_val:
             best_val, best_x = val, x.copy()
@@ -180,19 +197,31 @@ def oracle_descent(x, cfg):
 
 def start_points(cfg, restart):
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, restart))))
-    return search._project(search._initial_points(cfg, restart, rng), cfg)
+    return oracle_project(search._initial_points(cfg, restart, rng), cfg)
+
+
+def oracle_stack_descent(x, cfg):
+    """The oracle run on each restart of a stack, restacked like search._descent's result."""
+    runs = [oracle_descent(start, cfg) for start in x]
+    tri = oracle_triples(cfg.target_n)
+    best_x = np.stack([run[0] for run in runs])
+    vals = np.array([oracle_total_penalty(bx, cfg, tri) for bx in best_x])
+    return best_x, vals, np.array([run[1] for run in runs])
 
 
 def assert_descent_matches_oracle(cfg, restarts=range(4)):
+    """All the restarts descend as one stack; each must match the oracle run alone."""
     tables = search._tables(cfg.target_n)
-    for restart in restarts:
-        x0 = start_points(cfg, restart)
-        want_x, want_iters = oracle_descent(x0, cfg)
-        got_x, got_val, got_iters = search._descent(x0, cfg, tables)
-        assert np.array_equal(got_x, want_x), (cfg, restart)
-        assert got_iters == want_iters, (cfg, restart)
-        assert got_val == oracle_total_penalty(want_x, cfg, oracle_triples(cfg.target_n))
-        assert got_val == search.total_penalty(got_x, cfg, tables)
+    x0 = search._starts(cfg, restarts)
+    assert np.array_equal(x0, np.stack([start_points(cfg, r) for r in restarts]))
+    got_x, got_val, got_iters = search._descent(x0, cfg, tables)
+    want_x, want_val, want_iters = oracle_stack_descent(x0, cfg)
+    for k, restart in enumerate(restarts):
+        assert np.array_equal(got_x[k], want_x[k]), (cfg, restart)
+        assert got_iters[k] == want_iters[k], (cfg, restart)
+        assert got_val[k] == want_val[k], (cfg, restart)
+        assert got_val[k] == search.total_penalty(got_x[k], cfg, tables)
+    return got_iters
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -224,6 +253,23 @@ def test_fused_descent_matches_oracle_constrained(cfg):
     assert_descent_matches_oracle(cfg)
 
 
+@pytest.mark.parametrize(
+    "cfg, restarts",
+    [
+        # restarts reach the tolerance at different steps, or run to the end
+        (SearchConfig(dim=2, target_n=5, max_iters=400, seed=1), range(8)),
+        (SearchConfig(dim=2, target_n=6, max_iters=300, seed=3), range(8)),
+        (SearchConfig(dim=3, target_n=6, max_iters=600, seed=5, sphere_radius=1 / math.sqrt(2)),
+         range(6)),
+        # a vanishing gradient stops the restarts whose two points are within the cap
+        (SearchConfig(dim=1, target_n=2, max_iters=50, seed=4, diameter_cap=True), range(8)),
+    ],
+)
+def test_stacked_restarts_leave_the_stack_at_their_own_step(cfg, restarts):
+    iters = assert_descent_matches_oracle(cfg, restarts)
+    assert len(set(iters.tolist())) > 1
+
+
 def test_optimize_matches_oracle_descent(monkeypatch):
     configs = [
         SearchConfig(dim=2, target_n=6, restarts=4, max_iters=300, seed=3),
@@ -231,20 +277,72 @@ def test_optimize_matches_oracle_descent(monkeypatch):
         SearchConfig(dim=3, target_n=6, restarts=3, max_iters=300, seed=0, diameter_cap=True),
         SearchConfig(dim=3, target_n=6, restarts=3, max_iters=300, seed=0,
                      sphere_radius=1 / math.sqrt(2)),
+        SearchConfig(dim=2, target_n=5, restarts=8, max_iters=400, seed=1),
     ]
     fused = [aeq.optimize(cfg) for cfg in configs]
 
+    stacked = []
+
     def descent(x, cfg, tables):
-        best_x, iters = oracle_descent(x, cfg)
-        return best_x, oracle_total_penalty(best_x, cfg, oracle_triples(cfg.target_n)), iters
+        stacked.append(len(x))
+        return oracle_stack_descent(x, cfg)
 
     monkeypatch.setattr(search, "_descent", descent)
     for cfg, got in zip(configs, fused):
+        stacked.clear()
         want = aeq.optimize(cfg)
+        assert sum(stacked) == cfg.restarts  # the oracle ran every restart
         assert got.restart_index == want.restart_index
         assert got.best_penalty == want.best_penalty
         assert got.iterations_used == want.iterations_used
         assert np.array_equal(got.best_points.array, want.best_points.array)
+
+
+def restart_elements(cfg):
+    return cfg.dim * (3 * math.comb(cfg.target_n, 3) + cfg.target_n ** 2)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SearchConfig(dim=2, target_n=7, restarts=11, max_iters=300, seed=7),
+        SearchConfig(dim=2, target_n=6, restarts=8, max_iters=300, seed=3),
+        SearchConfig(dim=2, target_n=5, restarts=7, max_iters=400, seed=1),
+        SearchConfig(dim=2, target_n=6, restarts=6, max_iters=0, seed=0),
+        SearchConfig(dim=2, target_n=6, restarts=6, max_iters=1, seed=0),
+        SearchConfig(dim=2, target_n=1, restarts=5, max_iters=50, seed=0),
+        SearchConfig(dim=2, target_n=2, restarts=5, max_iters=50, seed=0),
+        SearchConfig(dim=1, target_n=2, restarts=6, max_iters=50, seed=4, diameter_cap=True),
+        SearchConfig(dim=3, target_n=6, restarts=6, max_iters=200, seed=0, diameter_cap=True),
+        SearchConfig(dim=3, target_n=6, restarts=6, max_iters=200, seed=5,
+                     sphere_radius=1 / math.sqrt(2)),
+        SearchConfig(dim=2, target_n=5, restarts=6, max_iters=200, seed=1, sphere_radius=0.6,
+                     diameter_cap=True),
+    ],
+    ids=lambda c: f"d{c.dim}-n{c.target_n}-r{c.restarts}-it{c.max_iters}"
+    f"{'-cap' if c.diameter_cap else ''}{'-sphere' if c.sphere_radius else ''}",
+)
+def test_search_result_does_not_depend_on_the_stack_size(cfg, monkeypatch):
+    descent = search._descent
+    stacked = []
+
+    def spy(x, cfg, tables):
+        stacked.append(len(x))
+        return descent(x, cfg, tables)
+
+    monkeypatch.setattr(search, "_descent", spy)
+    want = aeq.optimize(cfg)
+    assert stacked == [cfg.restarts]  # the default budget holds every restart in one stack
+    for block in (1, 2, 5):
+        monkeypatch.setattr(search, "STACK_ELEMENTS", block * restart_elements(cfg))
+        stacked.clear()
+        got = aeq.optimize(cfg)
+        whole, rest = divmod(cfg.restarts, block)
+        assert stacked == [block] * whole + ([rest] if rest else [])
+        assert np.array_equal(got.best_points.array, want.best_points.array)
+        assert (got.best_penalty, got.feasible, got.iterations_used, got.restart_index,
+                got.certificate) == (want.best_penalty, want.feasible, want.iterations_used,
+                                     want.restart_index, want.certificate)
 
 
 def test_seeded_restart_hits_construction_immediately():

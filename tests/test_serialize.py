@@ -207,3 +207,20 @@ def test_error_messages_keep_their_text(load, arg, message):
 def test_rows_not_of_numbers_are_type_errors(rows):
     with pytest.raises(TypeError):
         PointSet(dim=1, points=rows)
+
+
+def test_negative_zero_keeps_its_sign_through_a_report():
+    s = PointSet.from_array([[-0.0, 1.0], [0.0, -0.0]])
+    text = aeq.dumps_report(aeq.pointset_to_dict(s))
+    back = aeq.load_pointset(text).array
+    assert np.array_equal(np.signbit(back), np.signbit(s.array))
+    assert np.signbit(back[0, 0]) and not np.signbit(back[1, 0])
+
+
+@pytest.mark.parametrize(
+    "x, text",
+    [(0.0, "0"), (-0.0, "-0.0"), (1.0, "1"), (-2.5, "-2.5"), (0.1, "0.10000000000000001"),
+     (-1e-300, "-1e-300"), (5e-324, "4.9406564584124654e-324")],
+)
+def test_report_floats_keep_their_bytes(x, text):
+    assert aeq.dumps_report(x) == text + "\n"
