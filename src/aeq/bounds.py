@@ -206,9 +206,14 @@ def ball_bound(
     }
     n_obs = satisfied = None
     if points is not None:
-        tol = _resolve_tol(points, tol)
-        center, mer_radius, _ = min_enclosing_ball(points)
-        if mer_radius > radius + max(tol.dist_tol, 1e-12):
+        center, mer_radius, mer_radius_sq = min_enclosing_ball(points)
+        if mer_radius_sq is not None:
+            # exact: the only slack is the rounding of the float radius
+            limit = radius * radius
+            too_wide = mer_radius_sq > limit + 4 * math.ulp(limit)
+        else:
+            too_wide = mer_radius > radius + max(_resolve_tol(points, tol).dist_tol, 1e-12)
+        if too_wide:
             raise ValueError(
                 f"enclosing radius {mer_radius:.12g} exceeds the stated ball radius {radius:.12g}"
             )

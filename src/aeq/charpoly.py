@@ -2,10 +2,16 @@
 
 Faddeev-LeVerrier over Python ints (all intermediates are integral for an
 integer matrix; the divisions are exact), then Yun's square-free
-decomposition over Fractions. Intended for small matrices, n <= 12.
+decomposition over the integers: a characteristic polynomial is monic, so
+by Gauss's lemma every gcd and quotient in Yun's algorithm is a monic
+integer polynomial. The gcds come from primitive pseudo-remainder
+sequences, the quotients from exact division by a monic divisor, and
+Fractions are built only for the factors returned. Intended for small
+matrices, n <= 12.
 """
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import List, Sequence, Tuple
@@ -37,80 +43,110 @@ def charpoly_int(a: Sequence[Sequence[int]]) -> List[int]:
     return coeffs
 
 
-def _trim(p: List[Fraction]) -> List[Fraction]:
+def _trim(p: List[int]) -> List[int]:
     i = 0
     while i < len(p) - 1 and p[i] == 0:
         i += 1
     return p[i:]
 
 
-def _derivative(p: List[Fraction]) -> List[Fraction]:
+def _derivative(p: List[int]) -> List[int]:
     n = len(p) - 1
     if n == 0:
-        return [Fraction(0)]
+        return [0]
     return [c * (n - i) for i, c in enumerate(p[:-1])]
 
 
-def _divmod(a: List[Fraction], b: List[Fraction]):
-    a = _trim(a[:])
-    b = _trim(b)
-    if len(b) == 1 and b[0] == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(a) < len(b):
-        return [Fraction(0)], a
-    q: List[Fraction] = []
+def _primitive(p: List[int]) -> List[int]:
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _prem(a: List[int], b: List[int]) -> List[int]:
+    """Pseudo-remainder of a by b != 0: a times a power of b's leading
+    coefficient, minus a multiple of b, of lower degree than b."""
+    lead = b[0]
+    while len(a) >= len(b) and a != [0]:
+        f = a[0]
+        a = _trim([lead * x - f * y for x, y in zip(a[1:], b[1:])]
+                  + [lead * x for x in a[len(b):]]) or [0]
+    return a
+
+
+def _gcd(a: List[int], b: List[int]) -> List[int]:
+    """The primitive gcd by the primitive pseudo-remainder sequence, with a
+    positive leading coefficient."""
+    a, b = _primitive(a), _primitive(b)
+    while b != [0]:
+        a, b = b, _primitive(_prem(a, b))
+    return a if a[0] > 0 else [-c for c in a]
+
+
+def _divide(a: List[int], b: List[int]) -> List[int]:
+    """The quotient of a by a monic b that divides it; a monic divisor keeps
+    the quotient of an integer polynomial integral."""
+    a = a[:]
+    q = []
     for _ in range(len(a) - len(b) + 1):
-        f = a[0] / b[0]
+        f = a[0]
         q.append(f)
-        for i in range(len(b)):
+        for i in range(1, len(b)):
             a[i] -= f * b[i]
         a.pop(0)
-    return _trim(q), (_trim(a) if a else [Fraction(0)])
+    return _trim(q) if q else [0]
 
 
-def _gcd(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    a, b = _trim(a), _trim(b)
-    while len(b) > 1 or b[0] != 0:
-        _, r = _divmod(a, b)
-        a, b = b, r
-    return [c / a[0] for c in a]  # monic
+def _subtract(a: List[int], b: List[int]) -> List[int]:
+    width = max(len(a), len(b))
+    a = [0] * (width - len(a)) + a
+    b = [0] * (width - len(b)) + b
+    return _trim([x - y for x, y in zip(a, b)])
 
 
-def square_free_decomposition(p: Sequence) -> List[Tuple[List[Fraction], int]]:
-    """Yun's algorithm: returns [(factor, multiplicity)] with each factor
-    square-free, product of factor^multiplicity equal to p up to a constant."""
-    p = _trim([Fraction(c) for c in p])
-    if len(p) <= 1:
-        return []
-    p = [c / p[0] for c in p]
+def _yun(p: List[int]) -> List[Tuple[List[int], int]]:
+    """Yun's algorithm on a monic integer polynomial of degree >= 1. By
+    Gauss's lemma every gcd and quotient is a monic integer polynomial."""
     dp = _derivative(p)
     g = _gcd(p, dp)
-    out: List[Tuple[List[Fraction], int]] = []
     if len(g) == 1:
         return [(p, 1)]
-    w, _ = _divmod(p, g)
-    y, _ = _divmod(dp, g)
+    out: List[Tuple[List[int], int]] = []
+    w = _divide(p, g)
+    y = _divide(dp, g)
     i = 1
     # invariant: w holds the product of remaining factors, square-free
-    z = [a - b for a, b in _pad(y, _derivative(w))]
-    z = _trim(z)
+    z = _subtract(y, _derivative(w))
     while len(w) > 1:
         g_i = _gcd(w, z)
         if len(g_i) > 1:
             out.append((g_i, i))
-        w, _ = _divmod(w, g_i)
-        y, _ = _divmod(z, g_i)
-        z = _trim([a - b for a, b in _pad(y, _derivative(w))])
+        w = _divide(w, g_i)
+        y = _divide(z, g_i)
+        z = _subtract(y, _derivative(w))
         i += 1
     return out
 
 
-def _pad(a: List[Fraction], b: List[Fraction]):
-    la, lb = len(a), len(b)
-    width = max(la, lb)
-    a = [Fraction(0)] * (width - la) + a
-    b = [Fraction(0)] * (width - lb) + b
-    return zip(a, b)
+def square_free_decomposition(p: Sequence) -> List[Tuple[List[Fraction], int]]:
+    """Yun's algorithm: returns [(factor, multiplicity)] with each factor
+    square-free and monic, product of factor^multiplicity equal to p up to a
+    constant.
+
+    p is made monic, then scaled to x = t / L with L the lcm of its
+    denominators, which makes it a monic integer polynomial in t; Yun runs
+    there, and each factor is mapped back to x.
+    """
+    p = _trim([Fraction(c) for c in p])
+    if len(p) <= 1:
+        return []
+    if p[0] != 1:
+        p = [c / p[0] for c in p]
+    scale = math.lcm(*(c.denominator for c in p))
+    # L^n p(t / L): the coefficient of t^(n - i) is p_i L^i
+    ints = [c.numerator * (scale ** i // c.denominator) for i, c in enumerate(p)]
+    return [
+        ([Fraction(c, scale ** i) for i, c in enumerate(f)], m) for f, m in _yun(ints)
+    ]
 
 
 def eigen_multiplicities_exact(a: Sequence[Sequence[int]]) -> List[Tuple[float, int]]:

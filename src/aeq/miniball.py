@@ -8,9 +8,12 @@ boundary and shrinks the ball. A point that reaches the boundary first joins
 T (ties: lowest index). If c reaches the circumcenter, c lies in aff(T); if
 every affine coefficient of c is nonnegative, c lies in conv(T) and the ball
 is the smallest, otherwise the lowest-indexed point with a negative
-coefficient leaves T. The same loop runs over a float ndarray and over an
-object array of Fractions: the modes differ only in the linear solve and in
-the slack of the comparisons, which is 0 in exact mode.
+coefficient leaves T. Float mode walks the float64 coordinates. Exact mode
+takes the same steps, with no slack, on the integer form X of the set (the
+walk does not depend on the scale): the center is integers over one
+denominator, reduced after each step, the room and rate of every point are
+integers, and only the step ratios of the points hit are compared as
+Fractions; the Gram solve is fraction-free, integers over its determinant.
 
 Why the walk ends (in exact arithmetic). The radius never grows, and it
 shrinks at every step of positive length. A drop happens at c = cc(T), so a
@@ -42,30 +45,16 @@ from .geometry import EXACT_MODE, PointSet
 _REL_SLACK = 1e-12
 
 
-def _solve_fraction(g, b):
-    """Gauss-Jordan over Fractions; g is a Gram matrix of an affinely
-    independent support, positive definite, so every pivot is positive."""
-    k = len(b)
-    m = [list(row) + [rhs] for row, rhs in zip(g, b)]
-    for col in range(k):
-        m[col] = [x / m[col][col] for x in m[col]]
-        for r in range(k):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return np.array([row[k] for row in m], dtype=object)
-
-
-def _walk(x, solve, slack):
-    """Center and support of the smallest ball enclosing the rows of x."""
+def _walk(x):
+    """Center and support of the smallest ball enclosing the rows of a float x."""
     c = x[0]
     d2 = ((x - c) ** 2).sum(axis=1)
     support = [int(np.argmax(d2))]
-    floor = slack * d2.max()
+    floor = _REL_SLACK * d2.max()
     while True:
         p0 = x[support[0]]
         u = x[support[1:]] - p0
-        a = solve(2 * (u @ u.T), (u * u).sum(axis=1))
+        a = np.linalg.solve(2 * (u @ u.T), (u * u).sum(axis=1))
         cc = p0 + a @ u
         room = ((c - p0) ** 2).sum() - ((x - c) ** 2).sum(axis=1)
         rate = 2 * ((p0 - x) @ (cc - c))  # room lost per unit of the step
@@ -79,21 +68,78 @@ def _walk(x, solve, slack):
                 continue
         c = cc
         coefs = [1 - a.sum(), *a]
-        out = [p for p, lam in zip(support, coefs) if lam < -slack]
+        out = [p for p, lam in zip(support, coefs) if lam < -_REL_SLACK]
         if not out:
             return c, support
+        support.remove(min(out))
+
+
+def _solve_int(g, b):
+    """(a, det) with g a = b / det for an integer matrix g that is positive
+    definite, by fraction-free Gauss-Jordan elimination (Bareiss): every
+    division is exact, and det = det(g) > 0."""
+    m = [list(row) + [rhs] for row, rhs in zip(g, b)]
+    prev = 1
+    for col in range(len(m)):
+        pivot = m[col][col]  # a leading principal minor of g, positive
+        for r, row in enumerate(m):
+            if r != col:
+                f = row[col]
+                m[r] = [(pivot * v - f * w) // prev for v, w in zip(row, m[col])]
+        prev = pivot
+    return np.array([row[-1] for row in m], dtype=object), prev
+
+
+def _walk_exact(x):
+    """The float walk's steps in exact arithmetic on an integer x: returns
+    (C, den, support) with center C / den, C integers and den > 0.
+
+    With c = C / den and cc = CC / det, the room of each point times den^2
+    is R = |C - den p0|^2 - |den x - C|^2, and its rate times det den is
+    2 (p0 - x).V with V = den CC - det C; both are integers, so only the
+    step ratios R / rate of the points hit are compared as Fractions.
+    """
+    c, den = x[0], 1
+    d2 = ((x - c) ** 2).sum(axis=1)
+    support = [int(np.argmax(d2))]
+    while True:
+        p0 = x[support[0]]
+        u = x[support[1:]] - p0
+        a, det = _solve_int(2 * (u @ u.T), (u * u).sum(axis=1))
+        cc = det * p0 + a @ u
+        v = den * cc - det * c
+        room = ((c - den * p0) ** 2).sum() - ((den * x - c) ** 2).sum(axis=1)
+        rate = 2 * ((p0 - x) @ v)
+        hit = np.flatnonzero(rate > 0)
+        if len(hit):
+            k = min(hit, key=lambda i: Fraction(max(room[i], 0), rate[i]))
+            gain = max(room[k], 0)
+            # the step goes gain det / (den rate[k]) of the way to cc
+            if gain * det < den * rate[k]:
+                c = c * den * rate[k] + gain * v
+                den = den * den * rate[k]
+                g = math.gcd(*c, den)
+                c, den = c // g, den // g
+                support.append(int(k))
+                continue
+        g = math.gcd(*cc, det)
+        c, den = cc // g, det // g
+        coefs = [det - a.sum(), *a]  # the affine coefficients of cc times det
+        out = [p for p, lam in zip(support, coefs) if lam < 0]
+        if not out:
+            return c, den, support
         support.remove(min(out))
 
 
 def min_enclosing_ball(s: PointSet) -> Tuple[tuple, float, Optional[Fraction]]:
     """Returns (center, radius, exact squared radius or None)."""
     if s.mode == EXACT_MODE:
-        x = np.array(s.points, dtype=object)
-        center, support = _walk(x, _solve_fraction, 0)
-        r2 = ((x[support[0]] - center) ** 2).sum()
-        return tuple(center), math.sqrt(float(r2)), r2
+        x, q = s.integer_form  # the walk does not depend on the scale
+        c, den, support = _walk_exact(x)
+        r2 = Fraction(((den * x[support[0]] - c) ** 2).sum(), (den * q) ** 2)
+        return tuple(Fraction(v, den * q) for v in c), math.sqrt(float(r2)), r2
     x = s.array
-    center, _ = _walk(x, np.linalg.solve, _REL_SLACK)
+    center, _ = _walk(x)
     # tighten: report the true farthest distance from the computed center
     r = math.sqrt(float(((x - center) ** 2).sum(axis=1).max()))
     return tuple(float(c) for c in center), r, None

@@ -23,7 +23,6 @@ from itertools import combinations
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .bounds import conjectured_diameter_max
 from .constructions import construct_rosenfeld, construct_two_simplices
@@ -36,6 +35,14 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # _block_size), so a search's memory does not grow with its restart count.
 # A block of one restart is the plain per-restart loop.
 STACK_ELEMENTS = 1 << 20
+
+
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, imported on the first call: the import
+    takes about half a second, and only the polish needs it."""
+    from scipy.optimize import least_squares as solve
+
+    return solve(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -292,6 +299,8 @@ def _polish(x: np.ndarray, val: float, cfg: SearchConfig, tables: _Tables):
                 gtol=3e-16,
                 max_nfev=200,
             )
+        except ImportError:  # no scipy: a broken install, not a failed polish
+            raise
         except Exception:
             break
         cand = sol.x.reshape(n, d)

@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
+from typing import Tuple
 
 import numpy as np
 
@@ -32,6 +33,36 @@ def _fraction(text: str) -> Fraction:
         raise ValueError(f"coordinate {text!r} has a zero denominator") from None
 
 
+def _ratio(text: str) -> Tuple[int, int]:
+    """(p, q) with p / q == Fraction(text) and q > 0, not always in lowest
+    terms. "p" and "p/q" in ASCII digits, p with an optional "-", are read as
+    two ints; any other text goes to Fraction, for its values and errors."""
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if digits.isascii() and digits.isdigit():
+        if not slash:
+            return int(num), 1
+        if den.isascii() and den.isdigit() and int(den) > 0:
+            return int(num), int(den)
+    f = _fraction(text)
+    return f.numerator, f.denominator
+
+
+def _exact_pointset(dim: int, rows: list) -> PointSet:
+    """The exact set of rows of (p, q) pairs, built from its integer form."""
+    if any(len(row) != dim for row in rows):
+        # the constructor reports the fault, with its own precedence
+        return PointSet(dim=dim, points=[[Fraction(*c) for c in row] for row in rows],
+                        mode=EXACT_MODE)
+    q = math.lcm(*{c[1] for row in rows for c in row})
+    x = [[p * (q // d) for p, d in row] for row in rows]
+    g = math.gcd(q, *(v for row in x for v in row))
+    if g > 1:
+        q //= g
+        x = [[v // g for v in row] for row in x]
+    return PointSet._from_integers(np.array(x, dtype=object), q)
+
+
 def pointset_from_dict(obj: dict) -> PointSet:
     if not isinstance(obj, dict):
         raise ValueError("point set JSON must be an object")
@@ -46,7 +77,7 @@ def pointset_from_dict(obj: dict) -> PointSet:
         raise ValueError(f"dim must be an integer, got {dim!r}")
     if not isinstance(rows, list) or not rows:
         raise ValueError("points must be a nonempty list")
-    parsed = []  # "p/q" strings parsed; PointSet converts the numbers
+    parsed = []  # exact: (p, q) pairs; float: numbers, which PointSet converts
     for row in rows:
         if not isinstance(row, list):
             raise ValueError("each point must be a list of coordinates")
@@ -54,17 +85,21 @@ def pointset_from_dict(obj: dict) -> PointSet:
         for c in row:
             if mode == EXACT_MODE:
                 if isinstance(c, str):
-                    c = _fraction(c)
+                    c = _ratio(c)
                 elif isinstance(c, bool) or not isinstance(c, int):
                     raise ValueError(
                         "exact mode coordinates must be integers or 'p/q' strings"
                     )
+                else:
+                    c = (c, 1)
             elif isinstance(c, str):
                 c = float(_fraction(c))
             elif isinstance(c, bool) or not isinstance(c, (int, float)):
                 raise ValueError("coordinates must be numbers")
             coords.append(c)
         parsed.append(coords)
+    if mode == EXACT_MODE:
+        return _exact_pointset(int(dim), parsed)
     return PointSet(dim=int(dim), points=parsed, mode=mode)
 
 

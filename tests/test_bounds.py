@@ -144,6 +144,20 @@ def test_ball_bound_containment_check():
         aeq.ball_bound(2, 0.0, points=rhombus)
 
 
+def test_ball_bound_compares_an_exact_radius_exactly():
+    # r^2 - 1/2 = 3.5e-15: inside the float slack, outside the critical ball
+    probe = [[0, 0], [Fraction(14142135623731, 10 ** 13), 0]]
+    with pytest.raises(ValueError, match="enclosing radius"):
+        aeq.ball_bound(2, 0.0, points=PointSet.exact_rows(probe))
+    assert aeq.ball_bound(2, 0.0, points=PointSet.exact_rows(probe[:1])).satisfied
+    # r^2 == 1/2 exactly sits on the critical sphere
+    rep = aeq.ball_bound(2, 0.0, points=PointSet.exact_rows([[0, 0], [1, 1]]))
+    assert rep.satisfied and rep.detail["mer_radius"] == math.sqrt(0.5)
+    # the float path keeps its slack
+    assert aeq.ball_bound(2, 0.0, points=PointSet.from_array(
+        [[float(c) for c in row] for row in probe])).satisfied
+
+
 def test_f_statistic_two_simplices_rows():
     # every row of the defect matrix sums to -1, in every dimension
     for d in (2, 3, 9):

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aeq
 from aeq.tdgraph import EXACT_RANK_LIMIT
@@ -23,6 +25,84 @@ def charpoly_oracle(a):
         coeffs.append(c)
         m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
     return coeffs
+
+
+def _oracle_trim(p):
+    i = 0
+    while i < len(p) - 1 and p[i] == 0:
+        i += 1
+    return p[i:]
+
+
+def _oracle_derivative(p):
+    n = len(p) - 1
+    if n == 0:
+        return [Fraction(0)]
+    return [c * (n - i) for i, c in enumerate(p[:-1])]
+
+
+def _oracle_divmod(a, b):
+    a = _oracle_trim(a[:])
+    b = _oracle_trim(b)
+    if len(a) < len(b):
+        return [Fraction(0)], a
+    q = []
+    for _ in range(len(a) - len(b) + 1):
+        f = a[0] / b[0]
+        q.append(f)
+        for i in range(len(b)):
+            a[i] -= f * b[i]
+        a.pop(0)
+    return _oracle_trim(q), (_oracle_trim(a) if a else [Fraction(0)])
+
+
+def _oracle_gcd(a, b):
+    a, b = _oracle_trim(a), _oracle_trim(b)
+    while len(b) > 1 or b[0] != 0:
+        _, r = _oracle_divmod(a, b)
+        a, b = b, r
+    return [c / a[0] for c in a]
+
+
+def _oracle_minus(a, b):
+    width = max(len(a), len(b))
+    a = [Fraction(0)] * (width - len(a)) + a
+    b = [Fraction(0)] * (width - len(b)) + b
+    return _oracle_trim([x - y for x, y in zip(a, b)])
+
+
+def square_free_oracle(p):
+    """Yun's algorithm with every polynomial over Fractions: monic gcds by
+    Euclid's algorithm and rational long division."""
+    p = _oracle_trim([Fraction(c) for c in p])
+    if len(p) <= 1:
+        return []
+    p = [c / p[0] for c in p]
+    dp = _oracle_derivative(p)
+    g = _oracle_gcd(p, dp)
+    if len(g) == 1:
+        return [(p, 1)]
+    out = []
+    w, _ = _oracle_divmod(p, g)
+    y, _ = _oracle_divmod(dp, g)
+    z = _oracle_minus(y, _oracle_derivative(w))
+    i = 1
+    while len(w) > 1:
+        g_i = _oracle_gcd(w, z)
+        if len(g_i) > 1:
+            out.append((g_i, i))
+        w, _ = _oracle_divmod(w, g_i)
+        y, _ = _oracle_divmod(z, g_i)
+        z = _oracle_minus(y, _oracle_derivative(w))
+        i += 1
+    return out
+
+
+def assert_square_free_matches_oracle(p):
+    got = aeq.square_free_decomposition(p)
+    assert got == square_free_oracle(p)
+    assert all(type(c) is Fraction for factor, _ in got for c in factor)
+    assert all(factor[0] == 1 for factor, _ in got)
 
 
 def test_charpoly_matches_oracle_on_corpus(corpus):
@@ -89,6 +169,53 @@ def test_square_free_mixed_multiplicities():
 def test_square_free_squarefree_input():
     out = aeq.square_free_decomposition([1, -4, 3])
     assert out == [([Fraction(1), Fraction(-4), Fraction(3)], 1)]
+
+
+def test_square_free_matches_oracle_on_corpus(corpus):
+    polys = [aeq.charpoly_int(g.adjacency().tolist()) for g in corpus]
+    assert len(polys) == 582
+    for p in polys:
+        assert_square_free_matches_oracle(p)
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# (x - k)^m, and irreducible quadratics x^2 + a x + b with a^2 < 4b
+_linear_powers = st.tuples(st.integers(-5, 5), st.integers(1, 4)).map(
+    lambda km: ([1, -km[0]], km[1]))
+_quadratic_powers = st.tuples(st.integers(-4, 4), st.integers(1, 9), st.integers(1, 3)).filter(
+    lambda abm: abm[0] ** 2 < 4 * abm[1]).map(lambda abm: ([1, abm[0], abm[1]], abm[2]))
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(
+    factors=st.lists(st.one_of(_linear_powers, _quadratic_powers), min_size=1, max_size=5),
+    lead=st.sampled_from([1, -1, 3, Fraction(2, 7), Fraction(-5, 3)]),
+)
+def test_square_free_matches_oracle_on_products(factors, lead):
+    p = [1]
+    for f, m in factors:
+        for _ in range(m):
+            p = _times(p, f)
+    assert_square_free_matches_oracle(p)
+    assert_square_free_matches_oracle([lead * c for c in p])
+    # x -> x / 6: rational coefficients whose denominators grow with the degree
+    assert_square_free_matches_oracle([Fraction(c, 6 ** i) for i, c in enumerate(p)])
+
+
+@pytest.mark.parametrize("p", [
+    [2, 0], [4, -4, 1], [Fraction(1, 2), 0, -2], [0], [5], [], [0, 0, 3, 6], [3, 0, 0, 0],
+    [Fraction(3, 7), Fraction(-1, 3), Fraction(5, 11), 2], [Fraction(1, 4), -1, 1],
+    [1.5, -3.0, 1.5], ["1/2", "-1", "1/2"],
+])
+def test_square_free_matches_oracle_on_rational_and_non_monic_input(p):
+    assert_square_free_matches_oracle(p)
 
 
 def test_eigen_multiplicities_k3():

@@ -1,6 +1,10 @@
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -263,6 +267,17 @@ def test_bounds_ball_frozen(capsys):
     assert rep["payload"]["bound"] == 14
     assert rep["payload"]["detail"]["threshold"] == 15
     check_report(rep, "bounds")
+
+
+def test_bounds_ball_rejects_an_exact_set_just_outside(capsys, tmp_path):
+    # r^2 - 1/2 = 3.5e-15; a set outside the stated ball is a failed check
+    probe = tmp_path / "probe.json"
+    probe.write_text('{"dim": 2, "mode": "exact", "points": '
+                     '[["0", "0"], ["14142135623731/10000000000000", "0"]]}')
+    code, rep = run_cli(capsys, "bounds", "--theorem", "ball", "--c0", "0", "--dim", "2",
+                        "--exact", "--input", str(probe))
+    assert (code, rep["outcome"]) == (1, "fail")
+    assert "exceeds the stated ball radius" in rep["payload"]["message"]
 
 
 def test_bounds_general_requires_input(capsys):
@@ -597,3 +612,22 @@ def test_float_audits_never_build_the_tuple_view(capsys, tmp_path, monkeypatch):
             main([*verb, "--input", str(path)])
             assert json.loads(capsys.readouterr().out)["outcome"] in ("pass", "fail")
     assert built == []
+
+
+def test_scipy_optimize_is_imported_only_by_a_search(tmp_path):
+    pts = tmp_path / "triangle.csv"
+    pts.write_text("0.0, 0.0\n1.0, 0.0\n0.5, 0.8660254037844386\n")
+    code = (
+        "import sys, aeq, aeq.cli\n"
+        f"assert aeq.cli.main(['verify', '--input', {str(pts)!r}]) == 0\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "assert aeq.cli.main(['search', '--dim', '2', '--n', '4', '--restarts', '1',"
+        " '--iters', '20']) in (0, 1)\n"
+        "assert 'scipy.optimize' in sys.modules\n"
+    )
+    src = pathlib.Path(aeq.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr

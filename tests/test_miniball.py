@@ -4,11 +4,12 @@ import sys
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aeq
-from aeq import PointSet
+from aeq import PointSet, miniball
 
 
 def cross_rows(d):
@@ -22,6 +23,61 @@ def cross_rows(d):
             row[k], row[k + 1] = a, b
             rows.append(row)
     return rows
+
+
+def solve_fraction(g, b):
+    """Gauss-Jordan over Fractions; g is a Gram matrix of an affinely
+    independent support, positive definite, so every pivot is positive."""
+    k = len(b)
+    m = [[Fraction(v) for v in row] + [Fraction(rhs)] for row, rhs in zip(g, b)]
+    for col in range(k):
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(k):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return np.array([row[k] for row in m], dtype=object)
+
+
+def oracle_walk(x):
+    """The pivoting walk over an object array of Fractions, with no slack."""
+    c = x[0]
+    d2 = ((x - c) ** 2).sum(axis=1)
+    support = [int(np.argmax(d2))]
+    while True:
+        p0 = x[support[0]]
+        u = x[support[1:]] - p0
+        a = solve_fraction(2 * (u @ u.T), (u * u).sum(axis=1))
+        cc = p0 + a @ u
+        room = ((c - p0) ** 2).sum() - ((x - c) ** 2).sum(axis=1)
+        rate = 2 * ((p0 - x) @ (cc - c))
+        hit = np.flatnonzero(rate > 0)
+        if len(hit):
+            steps = np.maximum(room[hit], 0) / rate[hit]
+            k = int(np.argmin(steps))
+            if steps[k] < 1:
+                c = c + steps[k] * (cc - c)
+                support.append(int(hit[k]))
+                continue
+        c = cc
+        coefs = [1 - a.sum(), *a]
+        out = [p for p, lam in zip(support, coefs) if lam < 0]
+        if not out:
+            return c, support
+        support.remove(min(out))
+
+
+def assert_exact_ball_matches_oracle(rows):
+    """The integer walk's center and r^2 against the Fraction walk's."""
+    x = np.array([[Fraction(v) for v in row] for row in rows], dtype=object)
+    center, support = oracle_walk(x)
+    s = PointSet.exact_rows(rows)
+    assert miniball._walk_exact(s.integer_form[0])[2] == support  # the same steps
+    c, r, r2 = aeq.min_enclosing_ball(s)
+    assert c == tuple(center)
+    assert r2 == ((x[support[0]] - center) ** 2).sum()
+    assert all(type(v) is Fraction for v in (*c, r2))
+    assert r == math.sqrt(float(r2))
 
 
 def brute_min_ball(pts):
@@ -149,8 +205,8 @@ def test_exact_grids_with_duplicates_and_collinear_points():
         base, step = rng.integers(-2, 3, size=d), rng.integers(-1, 2, size=d)
         rows += [[Fraction(int(b + k * v), den) for b, v in zip(base, step)] for k in (-1, 0, 2)]
         s = PointSet.exact_rows(rows)
+        assert_exact_ball_matches_oracle(rows)
         c, r, r2 = aeq.min_enclosing_ball(s)
-        assert all(isinstance(v, Fraction) for v in (*c, r2))
         assert all(sum((a - b) ** 2 for a, b in zip(p, c)) <= r2 for p in s.points)
         want_r, _ = brute_min_ball(s.array)
         assert abs(r - want_r) < 1e-9
@@ -183,3 +239,41 @@ def test_exact_ball_follows_translation(rows, data):
     tc, _, tr2 = aeq.min_enclosing_ball(PointSet.exact_rows(moved))
     assert tr2 == r2
     assert tc == tuple(a + b for a, b in zip(c, shift))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(rows=exact_point_lists(), data=st.data())
+def test_exact_ball_matches_fraction_walk(rows, data):
+    copies = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))
+    rows = rows + [rows[i] for i in copies]
+    step = data.draw(st.lists(_small_fraction, min_size=len(rows[0]), max_size=len(rows[0])))
+    rows += [[a + k * b for a, b in zip(rows[0], step)] for k in (-1, 2)]  # collinear
+    assert_exact_ball_matches_oracle(rows)
+
+
+@pytest.mark.parametrize("d", [4, 16, 24, 40])
+def test_exact_ball_of_cross_sets_matches_fraction_walk(d):
+    rng = np.random.default_rng(d)
+    shift = [Fraction(int(v), 7) for v in rng.integers(-6, 7, size=d)]
+    rows = [[a + b for a, b in zip(row, shift)] for row in cross_rows(d)]
+    bent = [row[:] for row in rows]
+    bent[0] = [c + (x - c) * Fraction(6, 7) for x, c in zip(bent[0], shift)]
+    for pts in (rows, bent, [rows[i] for i in rng.permutation(2 * d)]):
+        assert_exact_ball_matches_oracle(pts)
+    if d == 24:
+        rows = cross_rows(24)
+        rows[33] = [x * Fraction(6, 7) for x in rows[33]]
+        assert_exact_ball_matches_oracle(rows)
+
+
+def test_integer_gram_solve_matches_fraction_solve():
+    rng = np.random.default_rng(8)
+    for k in range(9):
+        for _ in range(20):
+            u = rng.integers(-5, 6, size=(k, k + 2)).astype(object)
+            g, b = 2 * (u @ u.T), (u * u).sum(axis=1)
+            if k and np.linalg.matrix_rank(g.astype(float)) < k:
+                continue  # a dependent support; the walk never solves one
+            a, det = miniball._solve_int(g, b)
+            assert det > 0
+            assert [Fraction(v, det) for v in a] == list(solve_fraction(g, b))

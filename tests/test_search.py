@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -343,6 +344,14 @@ def test_search_result_does_not_depend_on_the_stack_size(cfg, monkeypatch):
         assert (got.best_penalty, got.feasible, got.iterations_used, got.restart_index,
                 got.certificate) == (want.best_penalty, want.feasible, want.iterations_used,
                                      want.restart_index, want.certificate)
+
+
+def test_polish_without_scipy_raises(monkeypatch):
+    # scipy is imported on the first polish; its absence must not pass for
+    # a polish that failed and quietly leave the descent's result
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+    with pytest.raises(ImportError):
+        aeq.optimize(SearchConfig(dim=2, target_n=5, restarts=1, max_iters=10))
 
 
 def test_seeded_restart_hits_construction_immediately():

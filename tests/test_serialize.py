@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aeq
 from aeq import PointSet
@@ -195,6 +197,17 @@ def test_report_indent_mode_is_valid_json():
          "ragged CSV: row 3 has 1 columns, expected 2"),
         (aeq.load_pointset_csv, "0,0\n1,2\ninf,0\n", "coordinates must be finite, got (inf, 0.0)"),
         (aeq.load_pointset_csv, ",\n", "dim must be at least 1"),
+        # exact sets: a bad coordinate anywhere before a short row, dim before both
+        (aeq.pointset_from_dict, {"dim": 2, "mode": "exact", "points": [["1/2"], ["x", 1]]},
+         "Invalid literal for Fraction: 'x'"),
+        (aeq.pointset_from_dict, {"dim": 2, "mode": "exact", "points": [[1], [1, "2/0"]]},
+         "coordinate '2/0' has a zero denominator"),
+        (aeq.pointset_from_dict, {"dim": 0, "mode": "exact", "points": [["1/2"], [1, 2]]},
+         "dim must be at least 1"),
+        (aeq.pointset_from_dict, {"dim": 0, "mode": "exact", "points": [[], []]},
+         "dim must be at least 1"),
+        (aeq.pointset_from_dict, {"dim": 2, "mode": "exact", "points": [[1, 2], [1, 2, 3]]},
+         "ragged point set: expected 2 coordinates, got 3"),
     ],
 )
 def test_error_messages_keep_their_text(load, arg, message):
@@ -224,3 +237,61 @@ def test_negative_zero_keeps_its_sign_through_a_report():
 )
 def test_report_floats_keep_their_bytes(x, text):
     assert aeq.dumps_report(x) == text + "\n"
+
+
+def _fraction_or_message(text):
+    """What Fraction(text) gives, with the parser's message for a zero denominator."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        return f"coordinate {text!r} has a zero denominator"
+    except ValueError as e:
+        return str(e)
+
+
+def _padded(texts):
+    pad = st.sampled_from(["", " ", "\t", "\n ", "\u3000"])
+    return st.tuples(pad, texts, pad).map("".join)
+
+
+_coordinate_texts = st.one_of(
+    _padded(st.tuples(st.sampled_from(["", "-", "+"]), st.integers(0, 10 ** 30),
+                      st.sampled_from(["", "/"]), st.integers(0, 10 ** 6)).map(
+        lambda t: f"{t[0]}{t[1]}{t[2]}{t[3] if t[2] else ''}")),
+    # short exponents: Fraction builds 10**exp, so "1e99999999" takes minutes
+    _padded(st.from_regex(r"[-+]?[0-9]*(\.[0-9]*)?([eE][-+]?[0-9]{1,3})?", fullmatch=True)),
+    st.from_regex(r"\s*[-+]?[0-9_]+\s*/\s*[-+]?[0-9_]+\s*", fullmatch=True),
+    st.text(alphabet="0123456789/-+._eEd \u0661\u00b2", max_size=6),
+    st.text(max_size=6),
+    st.sampled_from(["1e-3", "1/0", "-0/0", "00/07", "1.", ".5", "1_000/3", "1.d", "--5",
+                     "+-5", "-+5/3", "+5/3", "5/+3", "5/-3", "5 /3", "5/ 3", "-",
+                     "-" + "7" * 4400, "1/" + "3" * 4400]),
+)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(text=_coordinate_texts)
+def test_exact_coordinate_strings_read_as_fraction_reads_them(text):
+    want = _fraction_or_message(text)
+    try:
+        s = aeq.pointset_from_dict({"dim": 1, "mode": "exact", "points": [[text], ["1/3"]]})
+        got = s.points[0][0]
+    except ValueError as e:
+        got = str(e)
+    assert got == want and type(got) is type(want)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(rows=st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.lists(st.fractions(max_denominator=40), min_size=d, max_size=d), min_size=1, max_size=6)),
+    data=st.data())
+def test_exact_sets_read_into_their_integer_form(rows, data):
+    def encode(c):  # an int, "p/q" in lowest terms, or a padded or unreduced form
+        forms = [str(c), f" {c} ", f"{3 * c.numerator}/{3 * c.denominator}"]
+        return data.draw(st.sampled_from(forms + ([c.numerator] if c.denominator == 1 else [])))
+    obj = {"dim": len(rows[0]), "mode": "exact", "points": [[encode(c) for c in r] for r in rows]}
+    got, want = aeq.pointset_from_dict(obj), PointSet.exact_rows(rows)
+    assert got.points == want.points
+    (gx, gq), (wx, wq) = got.integer_form, want.integer_form
+    assert gq == wq and np.array_equal(gx, wx)
+    assert all(type(v) is int for v in gx.flat)
