@@ -8,6 +8,7 @@ violated preconditions raise.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -275,40 +276,26 @@ def recentred_norm_bounds(
     """
     tol = _resolve_tol(s, tol)
     n = s.n
+    x, q = s.form
+    # an exact set is compared exactly, a float one with dist_tol of slack
     if s.mode == EXACT_MODE:
-        x, q = s.integer_form
-        if any(x.sum(axis=0)):
-            raise ValueError("set must be recentred to its barycenter")
-        fs = f_statistic(s)
-        centered = max(abs(v - 1) for v in fs.per_point_sums)
-        # |norm^2 - 1/2| = |2 |X_i|^2 - q^2| / (2 q^2), over the integers
-        q2 = q * q
-        norms = np.einsum("ij,ij->i", x, x).tolist()
-        max_dev = Fraction(max(abs(2 * v - q2) for v in norms), 2 * q2)
-        budget = Fraction(3, 2) * centered / n
-        return RecentredNormBounds(
-            max_deviation=float(max_dev),
-            f_over_n_bound=float(budget),
-            holds=max_dev <= budget,
-            f_value=float(fs.value),
-            centered_defect=float(centered),
-        )
-    x = s.array
-    center = x.mean(axis=0)
-    if float(np.abs(center).max()) > max(tol.dist_tol, 1e-12):
+        ratio, slack, centre_slack = Fraction, 0, 0
+    else:
+        ratio, slack, centre_slack = operator.truediv, tol.dist_tol, max(tol.dist_tol, 1e-12)
+    if ratio(np.abs(x.sum(axis=0)).max(), n * q) > centre_slack:
         raise ValueError("set must be recentred to its barycenter")
     fs = f_statistic(s)
-    sums = np.array(fs.per_point_sums)
-    centered = float(np.abs(sums - 1.0).max())
-    norms_sq = np.einsum("ij,ij->i", x, x)
-    max_dev = float(np.abs(norms_sq - 0.5).max())
-    budget = 1.5 * centered / n
+    centered = max(abs(v - 1) for v in fs.per_point_sums)
+    # |norm^2 - 1/2| = |2 |X_i|^2 - q^2| / (2 q^2)
+    q2 = q * q
+    max_dev = ratio(np.abs(2 * np.einsum("ij,ij->i", x, x) - q2).max(), 2 * q2)
+    budget = 3 * centered / (2 * n)
     return RecentredNormBounds(
-        max_deviation=max_dev,
-        f_over_n_bound=budget,
-        holds=max_dev <= budget + tol.dist_tol,
+        max_deviation=float(max_dev),
+        f_over_n_bound=float(budget),
+        holds=bool(max_dev <= budget + slack),
         f_value=float(fs.value),
-        centered_defect=centered,
+        centered_defect=float(centered),
     )
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -43,6 +42,8 @@ from .tdgraph import min_rank_scan, read_graph_file
 
 PASS, FAIL, INFEASIBLE, ERROR = "pass", "fail", "infeasible", "error"
 _EXIT = {PASS: 0, FAIL: 1, INFEASIBLE: 1, ERROR: 2}
+# the subcommands with no exact arithmetic, which reject --exact
+_FLOAT_ONLY = ("construct", "search", "weyl", "perron", "gershgorin")
 
 
 class UsageError(ValueError):
@@ -90,23 +91,24 @@ def _load_matrix(path: str):
 
 
 def _float_tolerance(args) -> Tolerance:
-    try:
-        return Tolerance(dist_tol=args.tol, eig_tol=args.eig_tol)
-    except ValueError as e:
-        raise UsageError(str(e)) from e
+    return Tolerance(dist_tol=args.tol, eig_tol=args.eig_tol)
 
 
 def _tolerance(args) -> Tolerance:
-    if getattr(args, "exact", False):
-        return Tolerance.exact()
-    return _float_tolerance(args)
+    return Tolerance.exact() if args.exact else _float_tolerance(args)
 
 
-def _reject_nonfinite(args) -> None:
-    """argparse's float() takes "nan" and "inf"; no flag of aeq means either."""
-    for name, value in vars(args).items():
+def _check_common_flags(args) -> None:
+    """The flags every subcommand shares, checked once for all of them."""
+    for name, value in vars(args).items():  # argparse's float() takes "nan" and "inf"
         if isinstance(value, float) and not math.isfinite(value):
             raise UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
+    if args.exact and args.command in _FLOAT_ONLY:
+        raise UsageError(f"{args.command} runs in float mode only; --exact does not apply")
+    try:
+        _float_tolerance(args)
+    except ValueError as e:
+        raise UsageError(str(e)) from e
 
 
 def _bound_payload(report) -> dict:
@@ -152,7 +154,7 @@ def cmd_construct(args):
             s = lift_to_halfsphere(s, r)
     except ValueError as e:
         raise UsageError(str(e)) from e
-    check = is_almost_equidistant(s, _tolerance(args))
+    check = is_almost_equidistant(s, _float_tolerance(args))
     payload = pointset_to_dict(s)
     payload["verified"] = check.ok
     if args.out:
@@ -190,22 +192,11 @@ def cmd_bounds(args):
 
 
 def _resolve_threads(args) -> int:
-    env = os.environ.get("AEQ_THREADS")
-    if env is not None:  # the env var wins over the flag
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"AEQ_THREADS must be an integer, got {env!r}") from None
-    if args.threads is not None:
-        return max(1, args.threads)
-    return os.cpu_count() or 1
+    """The search's thread count: it runs on one thread."""
+    return 1
 
 
 def cmd_search(args):
-    if args.exact:
-        raise UsageError("search runs in float mode only; --exact does not apply")
-    _float_tolerance(args)  # --tol and --eig-tol must still be valid tolerances
-    _resolve_threads(args)  # still validates AEQ_THREADS; the search runs on one thread
     try:
         cfg = SearchConfig(
             dim=args.dim,
@@ -340,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--eig-tol", type=float, default=1e-8, dest="eig_tol")
     common.add_argument("--exact", action="store_true", help="exact rational mode")
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--threads", type=int, default=None, help="worker threads (or AEQ_THREADS)")
 
     p = argparse.ArgumentParser(prog="aeq", description=__doc__)
     p.add_argument("--version", action="version", version=f"aeq {__version__}")
@@ -413,7 +403,7 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _reject_nonfinite(args)
+        _check_common_flags(args)
         outcome, payload, table = args.handler(args)
     except UsageError as e:
         print(f"aeq: {e}", file=sys.stderr)

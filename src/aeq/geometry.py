@@ -51,14 +51,16 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def _exact_coordinate(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
+def _exact_pair(c) -> Tuple[int, int]:
+    if isinstance(c, (int, Fraction)):
+        return c.numerator, c.denominator
     raise ValueError(
         "exact mode requires int or Fraction coordinates, got %r" % type(c).__name__
     )
+
+
+def _exact_pairs(rows) -> list:
+    return [[_exact_pair(c) for c in row] for row in rows]
 
 
 def _float_rows(rows):
@@ -78,16 +80,43 @@ def _float_rows(rows):
     return out
 
 
+def _checked_rows(dim: int, rows, convert):
+    """convert(rows), with the faults of a set raised in one order: dim, then
+    what convert raises (a bad coordinate), then no rows, then a ragged row."""
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    rows = convert(rows)
+    if not len(rows):
+        raise ValueError("point set must contain at least one point")
+    for row in rows:
+        if len(row) != dim:
+            raise ValueError(f"ragged point set: expected {dim} coordinates, got {len(row)}")
+    return rows
+
+
+def _integer_form(rows) -> Tuple[np.ndarray, int]:
+    """(X, q) in lowest terms for rows of (numerator, denominator) pairs with
+    positive denominators: X an object array of Python ints."""
+    q = math.lcm(*{d for row in rows for _, d in row})
+    x = [[p * (q // d) for p, d in row] for row in rows]
+    g = math.gcd(q, *(v for row in x for v in row))
+    if g > 1:
+        q //= g
+        x = [[v // g for v in row] for row in x]
+    return np.array(x, dtype=object), q
+
+
 class PointSet:
     """A finite list of points in R^dim, all rows of equal length.
 
-    A set keeps one numeric form: a float set its read-only float64
-    ``array``, an exact set its integer form (X, q), with points == X / q
-    and q the lcm of the coordinate denominators. The rest is derived on
-    first use and shared by every check: ``points`` (tuples of floats, or
-    of Fractions; an exact set keeps the Fraction rows it was given), the
-    float ``array`` of an exact set, the read-only squared distances, and
-    per tolerance the triple verdict and the spectral certificate.
+    A set holds one numeric form, ``form`` = (X, q) with points == X / q:
+    a float set its read-only float64 array and q = 1, an exact set a
+    read-only object array of Python ints and q the lcm of the coordinate
+    denominators, in lowest terms. Every check reads that form. The rest is
+    derived on first use and shared: ``points`` (tuples of floats, or of
+    Fractions), the float ``array`` of an exact set, the read-only squared
+    distances ``scaled_sqdist``, and per tolerance the triple verdict and
+    the spectral certificate.
     """
 
     def __init__(self, dim: int, points, mode: str = FLOAT_MODE) -> None:
@@ -100,27 +129,15 @@ class PointSet:
         given = state.pop("_given", None)
         if self.mode not in (FLOAT_MODE, EXACT_MODE):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.dim < 1:
-            raise ValueError("dim must be at least 1")
         state.update(_triple_checks={}, _certificates={})
-        if "integer_form" in state:  # built by _from_integers
-            state["n"] = len(self.integer_form[0])
-            return
-        if self.mode == EXACT_MODE:
-            given = state["points"] = tuple(tuple(map(_exact_coordinate, r)) for r in given)
-        else:
-            given = _float_rows(given)
-        if not len(given):
-            raise ValueError("point set must contain at least one point")
-        for row in given:
-            if len(row) != self.dim:
-                raise ValueError(
-                    f"ragged point set: expected {self.dim} coordinates, got {len(row)}"
-                )
-        state["n"] = len(given)
-        if self.mode == FLOAT_MODE:
-            given.flags.writeable = False
-            state["array"] = given
+        if "form" not in state:  # not built by _from_integers
+            if self.mode == EXACT_MODE:
+                state["form"] = _integer_form(_checked_rows(self.dim, given, _exact_pairs))
+            else:
+                state["form"] = (_checked_rows(self.dim, given, _float_rows), 1)
+        x = self.form[0]
+        x.flags.writeable = False
+        state["n"] = len(x)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PointSet is read-only, cannot set {name!r}")
@@ -128,37 +145,32 @@ class PointSet:
     @cached_property
     def points(self) -> Tuple[tuple, ...]:
         if self.mode == EXACT_MODE:
-            x, q = self.integer_form
+            x, q = self.form
             return tuple(tuple(Fraction(v, q) for v in row) for row in x.tolist())
         return tuple(map(tuple, self.array.tolist()))
 
     @cached_property
     def array(self) -> np.ndarray:
-        """Exact mode: the coordinates as correctly rounded floats, read-only."""
-        a = _exact_floats(*self.integer_form)
+        """The coordinates as floats, read-only; in exact mode each is correctly rounded."""
+        x, q = self.form
+        if self.mode == FLOAT_MODE:
+            return x
+        a = _exact_floats(x, q)
         a.flags.writeable = False
         return a
 
-    @cached_property
+    @property
     def integer_form(self) -> Tuple[np.ndarray, int]:
-        """Exact mode: (X, q) with points == X / q, X a read-only object
-        array of Python ints and q the lcm of the coordinate denominators."""
+        """Exact mode: the form (X, q), X an object array of Python ints."""
         if self.mode != EXACT_MODE:
             raise ValueError("only an exact point set has an integer form")
-        q = math.lcm(*(c.denominator for row in self.points for c in row))
-        x = np.array(
-            [[c.numerator * (q // c.denominator) for c in row] for row in self.points],
-            dtype=object,
-        )
-        x.flags.writeable = False
-        return x, q
+        return self.form
 
     @cached_property
-    def integer_sqdist(self) -> Tuple[np.ndarray, int]:
-        """Exact mode: (D, q^2) with D / q^2 the squared distances, D a
-        read-only object array of Python ints; a pair is at unit distance
-        iff its entry is q^2."""
-        x, q = self.integer_form
+    def scaled_sqdist(self) -> Tuple[np.ndarray, int]:
+        """(D, q^2) with D / q^2 the squared distances, D read-only: floats
+        with q = 1, or Python ints; a pair is at unit distance iff D is q^2."""
+        x, q = self.form
         d2 = pairwise_squared_distances(x)
         d2.flags.writeable = False
         return d2, q * q
@@ -166,17 +178,10 @@ class PointSet:
     @cached_property
     def sqdist(self):
         """n x n squared distances: ndarray in float mode, Fraction rows in exact."""
+        d2, q2 = self.scaled_sqdist
         if self.mode == EXACT_MODE:
-            d2, q2 = self.integer_sqdist
             return tuple(tuple(Fraction(v, q2) for v in row) for row in d2.tolist())
-        d2 = pairwise_squared_distances(self.array)
-        d2.flags.writeable = False
         return d2
-
-    @property
-    def scaled_sqdist(self) -> tuple:
-        """(D, scale), D / scale the squared distances; scale 1, or q^2 if exact."""
-        return self.integer_sqdist if self.mode == EXACT_MODE else (self.sqdist, 1)
 
     @classmethod
     def from_array(cls, arr) -> "PointSet":
@@ -192,8 +197,7 @@ class PointSet:
     def _from_integers(cls, x: np.ndarray, q: int) -> "PointSet":
         """The exact set X / q, for X and q with no common factor."""
         s = cls.__new__(cls)
-        x.flags.writeable = False
-        vars(s).update(dim=x.shape[1], mode=EXACT_MODE, integer_form=(x, q))
+        vars(s).update(dim=x.shape[1], mode=EXACT_MODE, form=(x, q))
         s.__post_init__()
         return s
 
@@ -237,9 +241,8 @@ def squared_distance_matrix(s: PointSet):
 
 def _float_sqdist(s: PointSet) -> np.ndarray:
     """The squared distances as floats; in exact mode each is correctly rounded."""
-    if s.mode == EXACT_MODE:
-        return _exact_floats(*s.integer_sqdist)
-    return s.sqdist
+    d2, q2 = s.scaled_sqdist
+    return _exact_floats(d2, q2) if s.mode == EXACT_MODE else d2
 
 
 @dataclass(frozen=True)
@@ -341,25 +344,22 @@ def barycenter_identity_check(x: PointSet, y: PointSet):
                               + n^2 |xbar - ybar|^2
 
     Returns |lhs - rhs|, a Fraction (exactly 0) when both sets are exact.
+    Both sets are brought over one denominator Q (1 for floats), so that
+    A = Q x and B = Q y are integers when both sets are exact.
     """
     if x.n != y.n:
         raise ValueError("the identity needs two sets of the same size")
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
-    if x.mode == EXACT_MODE and y.mode == EXACT_MODE:
-        lhs = sum(
-            squared_distance(p, q) for p in x.points for q in y.points
-        )
-        ax = sum(map(sum, x.sqdist)) / 2
-        ay = sum(map(sum, y.sqdist)) / 2
-        cross = squared_distance(barycenter(x), barycenter(y))
-        rhs = ax + ay + x.n * x.n * cross
-        return abs(lhs - rhs)
-    xa, ya = x.array, y.array
-    diff = xa[:, None, :] - ya[None, :, :]
-    lhs = float(np.einsum("ijk,ijk->", diff, diff))
-    ax = 0.5 * float(pairwise_squared_distances(xa).sum())
-    ay = 0.5 * float(pairwise_squared_distances(ya).sum())
-    cb = xa.mean(axis=0) - ya.mean(axis=0)
-    rhs = ax + ay + x.n * x.n * float(cb @ cb)
-    return abs(lhs - rhs)
+    (a, qa), (b, qb) = x.form, y.form
+    q = math.lcm(qa, qb)
+    a, b = a * (q // qa), b * (q // qb)
+    diff = a[:, None, :] - b[None, :, :]
+    lhs = np.einsum("ijk,ijk->", diff, diff)
+    within = pairwise_squared_distances(a).sum() + pairwise_squared_distances(b).sum()
+    cross = a.sum(axis=0) - b.sum(axis=0)  # n Q (xbar - ybar)
+    # 2 Q^2 |lhs - rhs|: within counts each pair twice
+    resid = abs(2 * lhs - within - 2 * (cross @ cross))
+    if x.mode == y.mode == EXACT_MODE:
+        return Fraction(resid, 2 * q * q)
+    return float(resid) / (2 * q * q)

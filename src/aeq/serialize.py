@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from typing import Tuple
 
 import numpy as np
 
-from .geometry import EXACT_MODE, FLOAT_MODE, PointSet
+from .geometry import EXACT_MODE, FLOAT_MODE, PointSet, _checked_rows, _integer_form
 
 
 def pointset_to_dict(s: PointSet) -> dict:
@@ -26,11 +27,30 @@ def pointset_to_dict(s: PointSet) -> dict:
     return {"dim": s.dim, "mode": s.mode, "points": points}
 
 
+# Fraction(text) builds 10**exponent; past Python's own limit of 4300
+# digits on int strings that takes seconds, then minutes
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def _fraction(text: str) -> Fraction:
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+        raise ValueError(f"coordinate {text!r} has an exponent beyond {MAX_EXPONENT}")
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"coordinate {text!r} has a zero denominator") from None
+
+
+def _float(text: str) -> float:
+    """The float nearest Fraction(text); past the float range an infinity,
+    which the point set rejects as non-finite."""
+    f = _fraction(text)
+    try:
+        return float(f)
+    except OverflowError:
+        return math.inf if f > 0 else -math.inf
 
 
 def _ratio(text: str) -> Tuple[int, int]:
@@ -46,21 +66,6 @@ def _ratio(text: str) -> Tuple[int, int]:
             return int(num), int(den)
     f = _fraction(text)
     return f.numerator, f.denominator
-
-
-def _exact_pointset(dim: int, rows: list) -> PointSet:
-    """The exact set of rows of (p, q) pairs, built from its integer form."""
-    if any(len(row) != dim for row in rows):
-        # the constructor reports the fault, with its own precedence
-        return PointSet(dim=dim, points=[[Fraction(*c) for c in row] for row in rows],
-                        mode=EXACT_MODE)
-    q = math.lcm(*{c[1] for row in rows for c in row})
-    x = [[p * (q // d) for p, d in row] for row in rows]
-    g = math.gcd(q, *(v for row in x for v in row))
-    if g > 1:
-        q //= g
-        x = [[v // g for v in row] for row in x]
-    return PointSet._from_integers(np.array(x, dtype=object), q)
 
 
 def pointset_from_dict(obj: dict) -> PointSet:
@@ -93,13 +98,14 @@ def pointset_from_dict(obj: dict) -> PointSet:
                 else:
                     c = (c, 1)
             elif isinstance(c, str):
-                c = float(_fraction(c))
+                c = _float(c)
             elif isinstance(c, bool) or not isinstance(c, (int, float)):
                 raise ValueError("coordinates must be numbers")
             coords.append(c)
         parsed.append(coords)
     if mode == EXACT_MODE:
-        return _exact_pointset(int(dim), parsed)
+        # each coordinate is checked above; the row check adds dim and width
+        return PointSet._from_integers(*_integer_form(_checked_rows(int(dim), parsed, list)))
     return PointSet(dim=int(dim), points=parsed, mode=mode)
 
 

@@ -64,7 +64,7 @@ class DefectMatrix:
 
 def defect_matrix(s: PointSet) -> DefectMatrix:
     # s.scaled_sqdist, with float distances read through the layer aeqbench counts
-    d2, scale = s.integer_sqdist if s.mode == EXACT_MODE else (squared_distance_matrix(s), 1)
+    d2, scale = s.scaled_sqdist if s.mode == EXACT_MODE else (squared_distance_matrix(s), 1)
     u = d2 - scale
     np.fill_diagonal(u, 0)
     u.flags.writeable = False

@@ -5,12 +5,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
 
 import aeq
-from aeq.cli import _resolve_threads, build_parser, main
+from aeq.cli import build_parser, main
 from aeq.serialize import dumps_report
 from aeq.schemas import load_schema, schema_names
 
@@ -140,6 +141,24 @@ def test_non_integral_dim_is_usage_error(capsys, tmp_path):
         code, rep = run_cli(capsys, "verify", "--input", str(p))
         assert code == 2 and rep["outcome"] == "error"
         assert "dim must be an integer" in rep["payload"]["message"]
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+@pytest.mark.parametrize("text", ["1e400", "-1e400", "1e999999999", "1e-999999999"])
+def test_coordinate_strings_past_the_float_range_or_the_exponent_cap(capsys, tmp_path, mode,
+                                                                     text):
+    # float(Fraction("1e400")) overflows; Fraction("1e999999999") would build 10**999999999
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": 1, "mode": mode, "points": [["0"], [text]]}))
+    start = time.perf_counter()
+    code, rep = run_cli(capsys, "verify", "--input", str(path))
+    assert time.perf_counter() - start < 1.0
+    if mode == "exact" and text.endswith("e400"):
+        assert code == 0  # an exact coordinate has no range to leave
+        return
+    assert code == 2 and rep["outcome"] == "error"
+    message = rep["payload"]["message"]
+    assert ("must be finite" if text.endswith("e400") else "exponent beyond 4300") in message
 
 
 def test_exact_flag_rejects_float_input(capsys, triangle_csv):
@@ -301,7 +320,7 @@ def test_search_feasible(capsys, tmp_path):
     out = tmp_path / "best.json"
     code, rep = run_cli(
         capsys, "search", "--dim", "2", "--n", "6", "--restarts", "2",
-        "--iters", "50", "--seed", "0", "--threads", "1", "--out", str(out),
+        "--iters", "50", "--seed", "0", "--out", str(out),
     )
     assert code == 0
     assert rep["payload"]["feasible"] is True
@@ -315,7 +334,7 @@ def test_search_feasible(capsys, tmp_path):
 def test_search_infeasible_exit_code(capsys):
     code, rep = run_cli(
         capsys, "search", "--dim", "2", "--n", "10", "--restarts", "1",
-        "--iters", "30", "--seed", "0", "--threads", "1",
+        "--iters", "30", "--seed", "0",
     )
     assert code == 1
     assert rep["outcome"] == "infeasible"
@@ -323,24 +342,11 @@ def test_search_infeasible_exit_code(capsys):
     check_report(rep, "search")
 
 
-def test_search_threads_flag_and_env_are_no_ops(capsys, monkeypatch):
-    # the search is single-threaded; --threads and AEQ_THREADS are accepted
-    # and change nothing but the echo of the flag in "inputs"
-    argv = ["search", "--dim", "2", "--n", "5", "--restarts", "4", "--iters", "200", "--seed", "3"]
-    monkeypatch.delenv("AEQ_THREADS", raising=False)
-    assert main(argv) == 0
-    plain = capsys.readouterr().out
-    monkeypatch.setenv("AEQ_THREADS", "3")
-    assert main(argv) == 0
-    assert capsys.readouterr().out == plain
-    monkeypatch.delenv("AEQ_THREADS")
-    assert main(argv + ["--threads", "4"]) == 0
-    flagged = json.loads(capsys.readouterr().out)
-    assert flagged["inputs"].pop("threads") == 4
-    assert dumps_report(flagged, indent=1) == plain
-    monkeypatch.setenv("AEQ_THREADS", "zero")
-    code, rep = run_cli(capsys, *argv)
-    assert code == 2 and rep["outcome"] == "error" and "AEQ_THREADS" in rep["payload"]["message"]
+def test_threads_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--dim", "2", "--n", "4", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -420,6 +426,31 @@ def test_negative_tolerance_is_usage_error(capsys, tmp_path, triangle_csv, corpu
     argv = [a.format(triangle=triangle_csv, graphs=corpus_path, matrix=matrix) for a in argv]
     code, rep = run_cli(capsys, *argv)
     assert code == 2 and rep["outcome"] == "error"
+    check_report(rep, argv[0])
+
+
+@pytest.mark.parametrize("flag", ["--exact", "--tol=-1", "--eig-tol=-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--kind", "simplex", "--dim", "2"],
+        ["search", "--dim", "2", "--n", "4", "--restarts", "1", "--iters", "5"],
+        ["weyl", "--a", "{matrix}", "--b", "{matrix}"],
+        ["perron", "--input", "{matrix}"],
+        ["gershgorin", "--input", "{matrix}"],
+    ],
+)
+def test_float_only_subcommands_reject_exact_and_bad_tolerances(capsys, tmp_path, argv, flag):
+    # without the flag each subcommand runs its float math and exits 0
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("0,1\n1,0\n")
+    argv = [a.format(matrix=matrix) for a in argv]
+    assert main(argv) == 0
+    capsys.readouterr()
+    code, rep = run_cli(capsys, *argv, flag)
+    assert code == 2 and rep["outcome"] == "error"
+    if flag == "--exact":
+        assert rep["payload"]["message"] == f"{argv[0]} runs in float mode only; --exact does not apply"
     check_report(rep, argv[0])
 
 
@@ -538,21 +569,6 @@ def test_reports_are_byte_stable(capsys, triangle_csv):
     main(["verify", "--input", triangle_csv])
     second = capsys.readouterr().out
     assert first == second
-
-
-def test_resolve_threads_env_overrides_flag(monkeypatch):
-    import argparse
-
-    monkeypatch.setenv("AEQ_THREADS", "4")
-    assert _resolve_threads(argparse.Namespace(threads=1)) == 4
-    monkeypatch.setenv("AEQ_THREADS", "zero")
-    from aeq.cli import UsageError
-
-    with pytest.raises(UsageError, match="AEQ_THREADS"):
-        _resolve_threads(argparse.Namespace(threads=1))
-    monkeypatch.delenv("AEQ_THREADS")
-    assert _resolve_threads(argparse.Namespace(threads=3)) == 3
-    assert _resolve_threads(argparse.Namespace(threads=None)) >= 1
 
 
 def test_version_flag(capsys):

@@ -3,10 +3,13 @@
 An exact point set computes over integers with one common denominator.
 The oracles below are the earlier Fraction implementations, kept here
 verbatim in substance: per-pair squared distances, the Fraction defect
-matrix, the triple-loop cube-trace and the Fraction row statistics. Every
-comparison is exact equality.
+matrix, the triple-loop cube-trace and the Fraction row statistics; and,
+at the end, the two-branch (exact and float) norm band and the Fraction
+cross-sum identity that the one form (X, q) replaced. Every comparison is
+exact equality, floats bit for bit.
 """
 import math
+from dataclasses import astuple
 from fractions import Fraction
 from itertools import product
 
@@ -241,8 +244,8 @@ def test_integer_form_is_read_only_and_exact(rhombus):
     assert all(type(v) is int for v in x.flat)
     assert all(Fraction(v, q) == c for row, p in zip(x.tolist(), rhombus.points)
                for v, c in zip(row, p))
-    d2, q2 = rhombus.integer_sqdist
-    assert q2 == 25 and d2 is rhombus.integer_sqdist[0]  # computed once
+    d2, q2 = rhombus.scaled_sqdist
+    assert q2 == 25 and d2 is rhombus.scaled_sqdist[0]  # computed once
     for arr in (x, d2, aeq.defect_matrix(rhombus).values):
         try:
             arr[0, 0] = 1
@@ -345,3 +348,97 @@ def test_recentred_integer_form_is_the_lcm_form_of_its_fractions(rows):
     assert q == want_q and x.tolist() == want_x
     assert all(type(v) is int for v in x.flat) and not x.flags.writeable
     assert centred.points == oracle_recenter(PointSet.exact_rows(rows).points)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(rows=rational_sets(), data=st.data())
+def test_both_exact_builders_give_the_lcm_form(rows, data):
+    # the constructor (Fraction rows) and the parser ("p/q" strings, some
+    # not in lowest terms) share one builder; both must give the lcm form
+    def encode(c):
+        k = data.draw(st.integers(1, 4))
+        return data.draw(st.sampled_from([str(c), f"{k * c.numerator}/{k * c.denominator}"]))
+    want_x, want_q = _lcm_form(rows)
+    obj = {"dim": len(rows[0]), "mode": "exact", "points": [[encode(c) for c in r] for r in rows]}
+    for s in (PointSet.exact_rows(rows), aeq.pointset_from_dict(obj)):
+        x, q = s.integer_form
+        assert q == want_q and x.tolist() == want_x
+        assert all(type(v) is int for v in x.flat) and not x.flags.writeable
+
+
+# -- the two-branch code that one form (X, q) replaced, as oracles -------------
+
+def two_branch_norm_bounds(s, tol=None):
+    tol = s.default_tol() if tol is None else tol
+    n = s.n
+    if s.mode == "exact":
+        x, q = s.integer_form
+        if any(x.sum(axis=0)):
+            raise ValueError("set must be recentred to its barycenter")
+        fs = aeq.f_statistic(s)
+        centered = max(abs(v - 1) for v in fs.per_point_sums)
+        q2 = q * q
+        norms = np.einsum("ij,ij->i", x, x).tolist()
+        max_dev = Fraction(max(abs(2 * v - q2) for v in norms), 2 * q2)
+        budget = Fraction(3, 2) * centered / n
+        return RecentredNormBounds(float(max_dev), float(budget), max_dev <= budget,
+                                   float(fs.value), float(centered))
+    x = s.array
+    if float(np.abs(x.mean(axis=0)).max()) > max(tol.dist_tol, 1e-12):
+        raise ValueError("set must be recentred to its barycenter")
+    fs = aeq.f_statistic(s)
+    centered = float(np.abs(np.array(fs.per_point_sums) - 1.0).max())
+    max_dev = float(np.abs(np.einsum("ij,ij->i", x, x) - 0.5).max())
+    budget = 1.5 * centered / n
+    return RecentredNormBounds(max_dev, budget, max_dev <= budget + tol.dist_tol,
+                               float(fs.value), centered)
+
+
+def fraction_barycenter_identity(x, y):
+    lhs = sum(aeq.squared_distance(p, q) for p in x.points for q in y.points)
+    ax = sum(map(sum, x.sqdist)) / 2
+    ay = sum(map(sum, y.sqdist)) / 2
+    cross = aeq.squared_distance(aeq.barycenter(x), aeq.barycenter(y))
+    return abs(lhs - (ax + ay + x.n * x.n * cross))
+
+
+def _norm_bounds_or_message(fn, s, tol):
+    try:
+        return [v.hex() if isinstance(v, float) else v for v in astuple(fn(s, tol))]
+    except ValueError as e:
+        return str(e)
+
+
+def _assert_norm_bounds_match(s):
+    for t in (s, aeq.recenter_to_barycenter(s)):
+        for tol in (None, Tolerance(1e-7, 1e-6)):
+            want = _norm_bounds_or_message(two_branch_norm_bounds, t, tol)
+            assert _norm_bounds_or_message(aeq.recentred_norm_bounds, t, tol) == want
+
+
+def test_norm_bounds_match_the_two_branch_oracle(rhombus, zigzag):
+    fleet = [aeq.construct_two_simplices(d) for d in (2, 3, 5)]
+    fleet += [aeq.construct_rosenfeld(3), aeq.construct_simplex(4, 3), rhombus, zigzag]
+    fleet += [PointSet.exact_rows(cross_rows(d)) for d in (2, 4)]
+    rng = np.random.default_rng(12)
+    fleet += [PointSet.from_array(rng.normal(size=(n, 3))) for n in (1, 4, 9)]
+    for s in fleet:
+        _assert_norm_bounds_match(s)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(rows=rational_sets())
+def test_norm_bounds_match_the_two_branch_oracle_on_random_sets(rows):
+    _assert_norm_bounds_match(PointSet.exact_rows(rows))
+    _assert_norm_bounds_match(PointSet.from_array([[float(c) for c in r] for r in rows]))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(rows=rational_sets(), data=st.data())
+def test_barycenter_identity_matches_the_fraction_oracle(rows, data):
+    coord = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30))
+    other = data.draw(st.lists(st.lists(coord, min_size=len(rows[0]), max_size=len(rows[0])),
+                               min_size=len(rows), max_size=len(rows)))
+    x, y = PointSet.exact_rows(rows), PointSet.exact_rows(other)
+    got = aeq.barycenter_identity_check(x, y)
+    assert got == fraction_barycenter_identity(x, y) == 0 and isinstance(got, Fraction)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -240,7 +241,11 @@ def test_report_floats_keep_their_bytes(x, text):
 
 
 def _fraction_or_message(text):
-    """What Fraction(text) gives, with the parser's message for a zero denominator."""
+    """What Fraction(text) gives, with the parser's messages for a zero
+    denominator and for a closing exponent beyond 4300 in magnitude."""
+    exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", text)
+    if exponent and abs(int(exponent[1])) > 4300:
+        return f"coordinate {text!r} has an exponent beyond 4300"
     try:
         return Fraction(text)
     except ZeroDivisionError:
