@@ -8,7 +8,6 @@ violated preconditions raise.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -19,11 +18,12 @@ from .geometry import (
     EXACT_MODE,
     PointSet,
     Tolerance,
-    _float_sqdist,
     _resolve_tol,
+    band_deviation,
     diameter,
-    is_almost_equidistant,
+    nonunit_mask,
     recenter_to_barycenter,
+    sphere_defect,
 )
 from .miniball import min_enclosing_ball
 from .spectral import (
@@ -75,16 +75,9 @@ def sphere_bound(
     if points is not None:
         if points.dim != d:
             raise ValueError("dimension mismatch between points and d")
-        x = points.array
-        norms_sq = np.einsum("ij,ij->i", x, x)
-        worst = float(np.abs(norms_sq - r * r).max())
-        if worst > slack:
-            raise ValueError(
-                f"points do not lie on the stated sphere: |norm^2 - r^2| up to {worst:.3e}"
-            )
+        detail["max_sphere_defect"] = sphere_defect(points, r, tol)
         n_obs = points.n
         satisfied = n_obs <= bound
-        detail["max_sphere_defect"] = worst
     return BoundReport(
         theorem="sphere",
         dim=d,
@@ -115,11 +108,12 @@ def diameter_bound(
     if points is not None:
         tol = _resolve_tol(points, tol)
         diam = diameter(points)
-        if diam > 1.0 + tol.dist_tol:
+        d2, scale = points.scaled_sqdist
+        # an exact set caps D at q^2 exactly; a float one caps the diameter
+        if (d2.max() > scale) if points.mode == EXACT_MODE else (diam > 1.0 + tol.dist_tol):
             raise ValueError(f"diameter {diam:.12g} exceeds 1 + dist_tol")
         cert = _certify(points, tol)
-        eig_tol = tol.eig_tol if tol.eig_tol > 0 else 1e-8
-        d2, scale = points.scaled_sqdist
+        eig_tol = tol.solver_eig_tol
         u_max = float((d2.max() - scale) / scale)  # the largest entry of U
         if u_max > eig_tol:
             raise ValueError("matrix has a negative entry")
@@ -276,24 +270,20 @@ def recentred_norm_bounds(
     """
     tol = _resolve_tol(s, tol)
     n = s.n
-    x, q = s.form
-    # an exact set is compared exactly, a float one with dist_tol of slack
-    if s.mode == EXACT_MODE:
-        ratio, slack, centre_slack = Fraction, 0, 0
-    else:
-        ratio, slack, centre_slack = operator.truediv, tol.dist_tol, max(tol.dist_tol, 1e-12)
-    if ratio(np.abs(x.sum(axis=0)).max(), n * q) > centre_slack:
+    x, _ = s.form
+    centre = np.abs(x.sum(axis=0)).max()  # n q max |barycenter coordinate|
+    if (centre > 0) if s.mode == EXACT_MODE else (centre / n > max(tol.dist_tol, 1e-12)):
         raise ValueError("set must be recentred to its barycenter")
     fs = f_statistic(s)
     centered = max(abs(v - 1) for v in fs.per_point_sums)
-    # |norm^2 - 1/2| = |2 |X_i|^2 - q^2| / (2 q^2)
-    q2 = q * q
-    max_dev = ratio(np.abs(2 * np.einsum("ij,ij->i", x, x) - q2).max(), 2 * q2)
     budget = 3 * centered / (2 * n)
+    norms = np.einsum("ij,ij->i", x, x)
+    dev, limit, scale = band_deviation(s, norms, Fraction(1, 2), tol.dist_tol, budget)
+    max_dev = np.abs(dev).max()
     return RecentredNormBounds(
-        max_deviation=float(max_dev),
+        max_deviation=float(max_dev / scale),
         f_over_n_bound=float(budget),
-        holds=bool(max_dev <= budget + slack),
+        holds=bool(max_dev <= limit),
         f_value=float(fs.value),
         centered_defect=float(centered),
     )
@@ -316,44 +306,37 @@ def anchor_defect_ratio(
 ) -> AnchorDefectReport:
     """Defect sum of one anchor point against a unit-simplex remainder.
 
-    Preconditions: the set is almost equidistant, every squared norm is
-    within x of 1/2, and after discarding points at unit distance from the
-    anchor the remaining points are pairwise at unit distance (all at the
-    caller's dist_tol). The statement's constant is unquantified, so only
-    the ratio lhs / (sqrt(d) + d sqrt(x) + d x) is reported.
+    Preconditions: the set is almost equidistant and every squared norm is
+    within x of 1/2. The points kept, those off unit distance from the
+    anchor, are then pairwise at unit distance: the unit pairs are the
+    triple check's, so a non-unit pair among them would be a witness. The
+    statement's constant is unquantified, so only the ratio
+    lhs / (sqrt(d) + d sqrt(x) + d x) is reported.
     """
     tol = _resolve_tol(s, tol)
     if not 0 <= anchor_index < s.n:
         raise ValueError("anchor index out of range")
-    check = is_almost_equidistant(s, tol)
-    if not check.ok:
-        raise ValueError(f"set is not almost-equidistant, witness triple {check.witness}")
+    nonunit = nonunit_mask(s, tol)
     if x < 0:
         raise ValueError("norm band x must be nonnegative")
-    xarr = s.array
-    norms_sq = np.einsum("ij,ij->i", xarr, xarr)
-    worst = float(np.abs(norms_sq - 0.5).max())
-    if worst > x + max(tol.dist_tol, 1e-15):
-        raise ValueError(f"norm band violated: |norm^2 - 1/2| up to {worst:.3e} > x={x:.3e}")
-    d2 = _float_sqdist(s)
+    xs, _ = s.form
     slack = max(tol.dist_tol, 1e-15)
-    others = [i for i in range(s.n) if i != anchor_index]
-    kept = [i for i in others if abs(d2[anchor_index, i] - 1.0) > slack]
-    for a in range(len(kept)):
-        for b in range(a + 1, len(kept)):
-            if abs(d2[kept[a], kept[b]] - 1.0) > slack:
-                raise ValueError(
-                    "points away from the anchor are not pairwise at unit distance "
-                    f"(pair {kept[a]}, {kept[b]})"
-                )
-    lhs = abs(math.fsum(d2[anchor_index, i] - 1.0 for i in kept))
+    dev, limit, scale = band_deviation(s, np.einsum("ij,ij->i", xs, xs), Fraction(1, 2), slack, x)
+    worst = np.abs(dev).max()
+    if worst > limit:
+        raise ValueError(
+            f"norm band violated: |norm^2 - 1/2| up to {worst / scale:.3e} > x={x:.3e}"
+        )
+    kept = np.flatnonzero(nonunit[anchor_index])
+    dev, _, scale = band_deviation(s, s.scaled_sqdist[0][anchor_index, kept], 1, slack)
+    lhs = abs(sum(dev)) / scale if s.mode == EXACT_MODE else abs(math.fsum(dev))
     rhs = math.sqrt(s.dim) + s.dim * math.sqrt(x) + s.dim * x
     return AnchorDefectReport(
         lhs=lhs,
         rhs_scale=rhs,
         ratio=lhs / rhs,
         kept=len(kept),
-        discarded=len(others) - len(kept),
+        discarded=s.n - 1 - len(kept),
     )
 
 
@@ -368,10 +351,8 @@ def general_bound_pipeline(
     """
     tol = _resolve_tol(s, tol)
     stages = []
-    check = is_almost_equidistant(s, tol)
-    stages.append({"name": "verify", "ok": check.ok, "witness": check.witness})
-    if not check.ok:
-        raise ValueError(f"set is not almost-equidistant, witness triple {check.witness}")
+    nonunit_mask(s, tol)  # raises unless the set is almost equidistant
+    stages.append({"name": "verify", "ok": True, "witness": None})
     centered = recenter_to_barycenter(s)
     stages.append({"name": "recenter", "ok": True})
     nb = recentred_norm_bounds(centered, tol)
@@ -396,15 +377,20 @@ def general_bound_pipeline(
         "radius_actual": radius_actual,
         "radius_from_band": radius_band,
     }
-    if excess <= max(tol.dist_tol, 1e-12):
+    # the branch reads an exact set's exact max |X|^2, a float set's reported radius
+    xs, _ = centered.form
+    top = np.einsum("ij,ij->i", xs, xs).max() if s.mode == EXACT_MODE else radius_actual ** 2
+    dev, limit, _ = band_deviation(centered, [top], Fraction(1, 2), max(tol.dist_tol, 1e-12))
+    if dev[0] <= limit:
         branch = "critical_ball"
         bound = 2 * d + 4
     else:
+        # a float report value: it may read <= 0 when the exact excess is positive
         c0_implied = excess * (d + 1) ** (2.0 / 3.0)
         detail["c0_implied"] = c0_implied
         if c0_implied < 0.5:
             branch = "small_ball"
-            threshold = ball_bound_threshold(d, c0_implied)
+            threshold = ball_bound_threshold(d, max(c0_implied, 0.0))
             detail["threshold"] = threshold
             bound = max(threshold - 1, 2 * d + 4) if threshold is not None else None
         else:

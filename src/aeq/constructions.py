@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import PointSet, Tolerance, _resolve_tol
+from .geometry import PointSet, Tolerance, _resolve_tol, sphere_defect
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -116,16 +116,9 @@ def lift_to_halfsphere(
     lands on the radius-1/sqrt(2) sphere in R^(d+1).
     """
     tol = _resolve_tol(s, tol)
-    slack = max(tol.dist_tol, 1e-15)
-    if r < 0 or r * r > 0.5 + slack:
+    if r < 0 or r * r > 0.5 + max(tol.dist_tol, 1e-15):
         raise ValueError("radius must satisfy 0 <= r <= 1/sqrt(2)")
-    x = s.array
-    norms_sq = np.einsum("ij,ij->i", x, x)
-    worst = float(np.abs(norms_sq - r * r).max())
-    if worst > slack:
-        raise ValueError(
-            f"points do not lie on the stated sphere: |norm^2 - r^2| up to {worst:.3e}"
-        )
+    sphere_defect(s, r, tol)
     h = math.sqrt(max(0.5 - r * r, 0.0))
-    lifted = np.hstack([x, np.full((s.n, 1), h)])
+    lifted = np.hstack([s.array, np.full((s.n, 1), h)])
     return PointSet.from_array(lifted)

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,6 +47,11 @@ class Tolerance:
     @property
     def is_exact(self) -> bool:
         return self.dist_tol == 0.0 and self.eig_tol == 0.0
+
+    @property
+    def solver_eig_tol(self) -> float:
+        """eig_tol for a float eigensolver: an exact tolerance's 0 falls back to 1e-8."""
+        return self.eig_tol if self.eig_tol > 0 else DEFAULT_TOL.eig_tol
 
 
 DEFAULT_TOL = Tolerance()
@@ -239,56 +245,89 @@ def squared_distance_matrix(s: PointSet):
     return s.sqdist
 
 
-def _float_sqdist(s: PointSet) -> np.ndarray:
-    """The squared distances as floats; in exact mode each is correctly rounded."""
-    d2, q2 = s.scaled_sqdist
-    return _exact_floats(d2, q2) if s.mode == EXACT_MODE else d2
-
-
 @dataclass(frozen=True)
 class TripleCheck:
     ok: bool
     witness: Optional[Tuple[int, int, int]]  # indices of a triple with no unit pair
 
 
+def first_triangle(masks: Sequence[int], edges) -> TripleCheck:
+    """The first edge (i, j) of ``edges`` (i < j, lexicographic order) whose
+    ends have a common neighbour, and the lowest such k, as a sorted triple;
+    bit k of masks[v] is set iff v ~ k."""
+    for i, j in edges:
+        common = masks[i] & masks[j]
+        if common:
+            k = (common & -common).bit_length() - 1
+            return TripleCheck(False, tuple(sorted((i, j, k))))
+    return TripleCheck(True, None)
+
+
 def is_almost_equidistant(s: PointSet, tol: Optional[Tolerance] = None) -> TripleCheck:
     """Every triple must contain a pair at unit distance.
 
-    Equivalent formulation: the graph of non-unit pairs must be triangle
-    free. Detection walks non-unit pairs and intersects adjacency bitsets,
-    returning the first offending triple in index order. The verdict is
-    kept on the set, so each (set, dist_tol) is checked once.
+    Equivalent formulation: the graph of non-unit pairs (|D - q^2| > 0
+    exact, > dist_tol float) must be triangle free; the first offending
+    triple in index order is the witness. The verdict and the non-unit mask
+    are kept on the set, so each (set, dist_tol) is checked once.
     """
     tol = _resolve_tol(s, tol)
-    check = s._triple_checks.get(tol.dist_tol)
-    if check is None:
-        check = s._triple_checks[tol.dist_tol] = _triple_check(s, tol.dist_tol)
-    return check
+    if tol.dist_tol not in s._triple_checks:
+        d2, q2 = s.scaled_sqdist
+        nonunit = (d2 != q2) if s.mode == EXACT_MODE else (np.abs(d2 - q2) > tol.dist_tol)
+        np.fill_diagonal(nonunit, False)
+        nonunit.flags.writeable = False
+        masks = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+                 for row in nonunit]
+        # the pairs (i, j), i < j, in row order, made 64 rows at a time
+        upper = np.triu(nonunit, 1)
+        blocks = (np.nonzero(upper[b:b + 64]) + np.array([[b], [0]]) for b in range(0, s.n, 64))
+        edges = chain.from_iterable(zip(*block.tolist()) for block in blocks)
+        s._triple_checks[tol.dist_tol] = first_triangle(masks, edges), nonunit
+    return s._triple_checks[tol.dist_tol][0]
 
 
-def _triple_check(s: PointSet, dist_tol: float) -> TripleCheck:
-    n = s.n
-    if n < 3:
-        return TripleCheck(True, None)
-    d2, scale = s.scaled_sqdist
-    nonunit = np.abs(d2 - scale) > (0 if s.mode == EXACT_MODE else dist_tol)
-    np.fill_diagonal(nonunit, False)
-    # bit k of masks[i] set iff pair (i, k) is not unit
-    masks = [
-        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-        for row in nonunit
-    ]
-    for i in range(n):
-        mi = masks[i]
-        for j in range(i + 1, n):
-            if not (mi >> j) & 1:
-                continue
-            common = mi & masks[j]
-            if common:
-                k = (common & -common).bit_length() - 1
-                tri = tuple(sorted((i, j, k)))
-                return TripleCheck(False, tri)
-    return TripleCheck(True, None)
+def nonunit_mask(s: PointSet, tol: Tolerance) -> np.ndarray:
+    """The triple check's read-only mask of pairs off unit distance; raises
+    unless the set is almost equidistant."""
+    check = is_almost_equidistant(s, tol)
+    if not check.ok:
+        raise ValueError(f"set is not almost-equidistant, witness triple {check.witness}")
+    return s._triple_checks[tol.dist_tol][1]
+
+
+def flag_square(f: float):
+    """f * f for a float flag f: a Fraction when exact, else the float it rounds to."""
+    sq = f * f
+    return Fraction(sq) if Fraction(sq) == Fraction(f) ** 2 else sq
+
+
+def band_deviation(s: PointSet, v, target, float_slack: float, band=0):
+    """The one band rule, scaled: (dev, limit, scale) with dev / scale =
+    v / q^2 - target and limit / scale = band + slack, for the set's squared
+    norms |X|^2 or squared distances D as v. An exact set computes over
+    integers (limit a Fraction); its only slack is 4 ulps of a float target
+    (flag_square). A float set computes in floats, scale 1, with the
+    caller's float_slack: dist_tol over a floor of 1e-15 or 1e-12."""
+    if s.mode == EXACT_MODE:
+        t, q2 = Fraction(target), s.form[1] ** 2
+        rounding = 4 * Fraction(math.ulp(target)) if isinstance(target, float) else 0
+        dev = np.asarray(v, dtype=object) * t.denominator - t.numerator * q2
+        return dev, (Fraction(band) + rounding) * q2 * t.denominator, q2 * t.denominator
+    return np.asarray(v) - float(target), float(band) + float_slack, 1
+
+
+def sphere_defect(s: PointSet, r: float, tol: Tolerance) -> float:
+    """max | |x|^2 - r^2 |; raises when a point is off the sphere of radius r."""
+    x, _ = s.form
+    slack = max(tol.dist_tol, 1e-15)
+    dev, limit, scale = band_deviation(s, np.einsum("ij,ij->i", x, x), flag_square(r), slack)
+    worst = np.abs(dev).max()
+    if worst > limit:
+        raise ValueError(
+            f"points do not lie on the stated sphere: |norm^2 - r^2| up to {worst / scale:.3e}"
+        )
+    return float(worst / scale)
 
 
 def barycenter(s: PointSet) -> tuple:

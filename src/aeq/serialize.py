@@ -45,8 +45,11 @@ def _fraction(text: str) -> Fraction:
 
 def _float(text: str) -> float:
     """The float nearest Fraction(text); past the float range an infinity,
-    which the point set rejects as non-finite."""
+    which the point set rejects as non-finite. Fraction has no negative
+    zero, so a zero written with a "-" reads as -0.0."""
     f = _fraction(text)
+    if not f and text.lstrip().startswith("-"):
+        return -0.0
     try:
         return float(f)
     except OverflowError:

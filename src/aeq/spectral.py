@@ -25,7 +25,7 @@ from .geometry import (
     Tolerance,
     _exact_floats,
     _resolve_tol,
-    is_almost_equidistant,
+    nonunit_mask,
     squared_distance_matrix,
 )
 
@@ -62,6 +62,11 @@ class DefectMatrix:
         return self.values
 
 
+def _matrix(m) -> np.ndarray:
+    """A DefectMatrix's float array, or any matrix-like input as floats."""
+    return m.array if isinstance(m, DefectMatrix) else np.asarray(m, dtype=float)
+
+
 def defect_matrix(s: PointSet) -> DefectMatrix:
     # s.scaled_sqdist, with float distances read through the layer aeqbench counts
     d2, scale = s.scaled_sqdist if s.mode == EXACT_MODE else (squared_distance_matrix(s), 1)
@@ -96,9 +101,7 @@ def trace_identities(
     vanish (exactly in rational mode, within n^3 * eig_tol in float).
     """
     tol = _resolve_tol(s, tol)
-    check = is_almost_equidistant(s, tol)
-    if not check.ok:
-        raise ValueError(f"set is not almost-equidistant, witness triple {check.witness}")
+    nonunit_mask(s, tol)  # raises unless the set is almost equidistant
     n = u.n
     if u.mode == EXACT_MODE:
         rows = u.values.tolist()
@@ -132,7 +135,7 @@ class Spectrum:
 
 def eigenvalues(m, eig_tol: float = DEFAULT_TOL.eig_tol) -> Spectrum:
     """Symmetric eigenvalues, nonincreasing. Raises on asymmetric input."""
-    a = m.array if isinstance(m, DefectMatrix) else np.asarray(m, dtype=float)
+    a = _matrix(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     scale = max(1.0, float(np.abs(a).max()))
@@ -183,7 +186,7 @@ def _certify(s: PointSet, tol: Optional[Tolerance]) -> SpectralCertificate:
         return cert
     u = defect_matrix(s)
     ident = trace_identities(u, s, tol)  # also enforces the triple condition
-    eig_tol = tol.eig_tol if tol.eig_tol > 0 else DEFAULT_TOL.eig_tol
+    eig_tol = tol.solver_eig_tol
     spec = eigenvalues(u, eig_tol)
     vals = np.array(spec.values)
     count_eq_one = int(np.sum(np.abs(vals - 1.0) <= eig_tol))
@@ -304,12 +307,11 @@ def cubic_inequality(
         raise ValueError("l must be nonnegative")
     if min(xs) < -2.0 - tol.eig_tol:
         raise ValueError("every value must be at least -2")
-    total = math.fsum(xs)
-    if abs(total - (m + l)) > m * max(tol.eig_tol, 1e-12):
+    slack = m * max(tol.eig_tol, 1e-12)
+    if abs(math.fsum(xs) - (m + l)) > slack:
         raise ValueError("values must sum to m + l")
     lhs = math.fsum(x ** 3 for x in xs)
     rhs = (m + l) ** 3 / m ** 2
-    slack = m * max(tol.eig_tol, 1e-12)
     return CubicInequalityResult(
         lhs=lhs,
         rhs=rhs,
@@ -329,8 +331,7 @@ class WeylResult:
 
 def weyl_check(a, b, eig_tol: float = DEFAULT_TOL.eig_tol) -> WeylResult:
     """Largest eigenvalue of a sum is at most the sum of largest eigenvalues."""
-    am = a.array if isinstance(a, DefectMatrix) else np.asarray(a, dtype=float)
-    bm = b.array if isinstance(b, DefectMatrix) else np.asarray(b, dtype=float)
+    am, bm = _matrix(a), _matrix(b)
     if am.shape != bm.shape:
         raise ValueError("matrices must have equal shape")
     alpha = eigenvalues(am, eig_tol).values[0]
@@ -346,7 +347,7 @@ class PerronResult:
 
 
 def perron_frobenius_check(m, eig_tol: float = DEFAULT_TOL.eig_tol) -> PerronResult:
-    a = m.array if isinstance(m, DefectMatrix) else np.asarray(m, dtype=float)
+    a = _matrix(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if float(a.min()) < -eig_tol:
@@ -367,5 +368,4 @@ def perron_frobenius_check(m, eig_tol: float = DEFAULT_TOL.eig_tol) -> PerronRes
 def gershgorin_bound(m) -> float:
     """Max absolute row sum; every eigenvalue lies in [-bound, bound] when
     the diagonal vanishes (true for defect matrices)."""
-    a = m.array if isinstance(m, DefectMatrix) else np.asarray(m, dtype=float)
-    return float(np.abs(a).sum(axis=1).max())
+    return float(np.abs(_matrix(m)).sum(axis=1).max())

@@ -17,9 +17,12 @@ from .charpoly import eigen_multiplicities_exact
 from .geometry import (
     PointSet,
     Tolerance,
-    _float_sqdist,
+    TripleCheck,
     _resolve_tol,
-    is_almost_equidistant,
+    band_deviation,
+    first_triangle,
+    flag_square,
+    nonunit_mask,
 )
 
 EXACT_RANK_LIMIT = 12
@@ -52,57 +55,36 @@ class Graph:
         return a
 
 
-@dataclass(frozen=True)
-class TriangleCheck:
-    ok: bool
-    witness: Optional[Tuple[int, int, int]]
-
-
-def is_triangle_free(g: Graph) -> TriangleCheck:
+def is_triangle_free(g: Graph) -> TripleCheck:
     masks = [0] * g.n
     for u, v in g.edges:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    for u, v in sorted(g.edges):
-        common = masks[u] & masks[v]
-        if common:
-            w = (common & -common).bit_length() - 1
-            return TriangleCheck(False, tuple(sorted((u, v, w))))
-    return TriangleCheck(True, None)
+    return first_triangle(masks, sorted(g.edges))
 
 
 def two_distance_to_graph(s: PointSet, a: float, tol: Optional[Tolerance] = None) -> Graph:
     """Graph of far pairs of a two-distance almost-equidistant set.
 
     Distances must all be 1 or a (a > 1) at tolerance; far pairs become
-    edges. Triangle freeness is asserted, never assumed.
+    edges. The unit pairs are those of the triple check, so the far-pair
+    graph is its non-unit graph, already proved triangle free.
     """
     tol = _resolve_tol(s, tol)
     if not a > 1:
         raise ValueError("second distance must exceed 1")
-    check = is_almost_equidistant(s, tol)
-    if not check.ok:
-        raise ValueError(f"set is not almost-equidistant, witness triple {check.witness}")
-    d2 = _float_sqdist(s)
-    slack = max(tol.dist_tol, 1e-15)
-    far_sq = a * a
-    edges = []
-    for i in range(s.n):
-        for j in range(i + 1, s.n):
-            v = d2[i, j]
-            if abs(v - 1.0) <= slack:
-                continue
-            if abs(v - far_sq) <= slack * max(1.0, far_sq):
-                edges.append((i, j))
-            else:
-                raise ValueError(
-                    f"pair ({i}, {j}) has squared distance {v:.12g}, neither 1 nor a^2"
-                )
-    g = Graph.from_edges(s.n, edges)
-    tri = is_triangle_free(g)
-    if not tri.ok:
-        raise ValueError(f"far-pair graph contains triangle {tri.witness}")
-    return g
+    i, j = np.nonzero(np.triu(nonunit_mask(s, tol)))
+    d2, q2 = s.scaled_sqdist
+    v = d2[i, j]
+    slack = max(tol.dist_tol, 1e-15) * max(1.0, a * a)
+    dev, limit, _ = band_deviation(s, v, flag_square(a), slack)
+    off = np.flatnonzero(np.abs(dev) > limit)
+    if len(off):
+        k = off[0]
+        raise ValueError(
+            f"pair ({i[k]}, {j[k]}) has squared distance {v[k] / q2:.12g}, neither 1 nor a^2"
+        )
+    return Graph.from_edges(s.n, zip(i.tolist(), j.tolist()))
 
 
 @dataclass(frozen=True)
@@ -125,7 +107,7 @@ def lambda2_rank(g: Graph, tol: Optional[Tolerance] = None, exact: bool = False)
     tol = tol or Tolerance()
     if g.n < 2:
         raise ValueError("need at least 2 vertices for a second eigenvalue")
-    eig_tol = tol.eig_tol if tol.eig_tol > 0 else 1e-8
+    eig_tol = tol.solver_eig_tol
     vals = np.linalg.eigvalsh(g.adjacency())[::-1]
     lam2 = float(vals[1])
     mult = int(np.sum(np.abs(vals - lam2) <= eig_tol))
@@ -133,11 +115,7 @@ def lambda2_rank(g: Graph, tol: Optional[Tolerance] = None, exact: bool = False)
         if g.n > EXACT_RANK_LIMIT:
             raise ValueError(f"exact mode supports at most {EXACT_RANK_LIMIT} vertices")
         roots = eigen_multiplicities_exact(g.adjacency().tolist())
-        expanded: List[Tuple[float, int]] = []
-        for val, m in roots:
-            expanded.extend([(val, m)] * m)
-        lam2_exact, mult = expanded[1]
-        lam2 = float(lam2_exact)
+        lam2, mult = [(float(v), m) for v, m in roots for _ in range(m)][1]  # with multiplicity
     return GraphRankRecord(
         graph=g,
         lambda2=lam2,

@@ -300,3 +300,11 @@ def test_exact_sets_read_into_their_integer_form(rows, data):
     (gx, gq), (wx, wq) = got.integer_form, want.integer_form
     assert gq == wq and np.array_equal(gx, wx)
     assert all(type(v) is int for v in gx.flat)
+
+
+@pytest.mark.parametrize("text", ["-0.0", "-0", "-0e5", " -0.0", "-0/7"])
+def test_negative_zero_strings_keep_their_sign_in_float_mode(text):
+    s = aeq.pointset_from_dict({"dim": 1, "points": [[text], ["0.0"], [-0.0]]})
+    signs = [math.copysign(1.0, v) for v in s.array[:, 0].tolist()]
+    assert s.array[:, 0].tolist() == [0.0, 0.0, 0.0]
+    assert signs == [-1.0, 1.0, -1.0]
