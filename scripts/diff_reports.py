@@ -2,20 +2,23 @@
 """Compare the CLI reports of two checkouts, job by job.
 
     python3 scripts/diff_reports.py --base ../parent --workload exact --seed 3
+    python3 scripts/diff_reports.py --base ../parent --workload certify-large exact --seed 3 7 29
 
 Every job of one benchmark workload (``aeqbench.workloads.build_workload``)
 runs through ``aeq.cli.main`` in each checkout: a fresh interpreter per
 checkout, importing aeq and aeqbench from that checkout, with the inputs
 written into its own work directory. The script lists each job whose stdout,
 stderr or exit code differ, after the checkout path and the work directory
-are replaced by placeholders, and exits 1 if any job differs. ``--head``
-defaults to the checkout that holds this script.
+are replaced by placeholders. Each (workload, seed) pair given is one run,
+with one summary line; the script exits 1 if any job of any run differs.
+``--head`` defaults to the checkout that holds this script.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import signal
@@ -67,40 +70,24 @@ def run_jobs(root: Path, workload: str, seed: int, scale: str, work: Path,
     return results
 
 
-def reports(root: Path, args) -> dict:
+def reports(root: Path, workload: str, seed: int, args) -> dict:
     """The jobs' results in one checkout, from a fresh interpreter."""
     with tempfile.TemporaryDirectory(prefix="diff-reports-") as tmp:
         result = Path(tmp) / "result.json"
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
         subprocess.run(
-            [sys.executable, __file__, "--worker", str(root), "--workload", args.workload,
-             "--seed", str(args.seed), "--scale", args.scale, "--limit", str(args.limit),
+            [sys.executable, __file__, "--worker", str(root), "--workload", workload,
+             "--seed", str(seed), "--scale", args.scale, "--limit", str(args.limit),
              "--result", str(result)],
             env=env, cwd=tmp, check=True,
         )
         return {r["id"]: r for r in json.loads(result.read_text())}
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--base", type=Path, help="the checkout to compare against")
-    p.add_argument("--head", type=Path, default=HEAD)
-    p.add_argument("--workload", choices=WORKLOADS, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--scale", choices=("full", "small"), default="full")
-    p.add_argument("--limit", type=float, default=60.0, help="seconds per job")
-    p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
-    p.add_argument("--result", type=Path, help=argparse.SUPPRESS)
-    args = p.parse_args(argv)
-    if args.worker:
-        root = args.worker.resolve()
-        work = Path(tempfile.mkdtemp(prefix="work-", dir=args.result.parent))
-        results = run_jobs(root, args.workload, args.seed, args.scale, work, args.limit)
-        args.result.write_text(json.dumps(results))
-        return 0
-    if args.base is None:
-        p.error("--base is required")
-    base, head = reports(args.base.resolve(), args), reports(args.head.resolve(), args)
+def count_differences(args, workload: str, seed: int) -> int:
+    """Prints each job of one run that differs, then the run's summary line."""
+    base = reports(args.base.resolve(), workload, seed, args)
+    head = reports(args.head.resolve(), workload, seed, args)
     differ = 0
     for job in sorted(base.keys() | head.keys()):
         a, b = base.get(job), head.get(job)
@@ -110,8 +97,33 @@ def main(argv=None) -> int:
             streams = [k for k in ("rc", "out", "err") if a[k] != b[k]]
         if streams:
             differ += 1
-            print(f"differs {job}: {', '.join(streams)}")
-    print(f"{args.workload} seed {args.seed}: {len(head)} jobs, {differ} differ")
+            print(f"differs {workload} seed {seed} {job}: {', '.join(streams)}")
+    print(f"{workload} seed {seed}: {len(head)} jobs, {differ} differ", flush=True)
+    return differ
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--base", type=Path, help="the checkout to compare against")
+    p.add_argument("--head", type=Path, default=HEAD)
+    p.add_argument("--workload", choices=WORKLOADS, nargs="+", required=True)
+    p.add_argument("--seed", type=int, nargs="+", required=True)
+    p.add_argument("--scale", choices=("full", "small"), default="full")
+    p.add_argument("--limit", type=float, default=60.0, help="seconds per job")
+    p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
+    p.add_argument("--result", type=Path, help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.worker:
+        root = args.worker.resolve()
+        work = Path(tempfile.mkdtemp(prefix="work-", dir=args.result.parent))
+        (workload,), (seed,) = args.workload, args.seed
+        results = run_jobs(root, workload, seed, args.scale, work, args.limit)
+        args.result.write_text(json.dumps(results))
+        return 0
+    if args.base is None:
+        p.error("--base is required")
+    differ = sum(count_differences(args, workload, seed)
+                 for workload, seed in itertools.product(args.workload, args.seed))
     return 1 if differ else 0
 
 

@@ -110,7 +110,10 @@ def diameter_bound(
         diam = diameter(points)
         d2, scale = points.scaled_sqdist
         # an exact set caps D at q^2 exactly; a float one caps the diameter
-        if (d2.max() > scale) if points.mode == EXACT_MODE else (diam > 1.0 + tol.dist_tol):
+        if points.mode == EXACT_MODE:
+            if d2.max() > scale:
+                raise ValueError(f"squared diameter {Fraction(d2.max(), scale)} exceeds 1")
+        elif diam > 1.0 + tol.dist_tol:
             raise ValueError(f"diameter {diam:.12g} exceeds 1 + dist_tol")
         cert = _certify(points, tol)
         eig_tol = tol.solver_eig_tol

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import Tuple
 
@@ -87,6 +87,11 @@ def pointset_from_dict(obj: dict) -> PointSet:
         raise ValueError("points must be a nonempty list")
     parsed = []  # exact: (p, q) pairs; float: numbers, which PointSet converts
     for row in rows:
+        # a float row of plain JSON numbers needs no per-coordinate walk; a
+        # bool, str or any other type in it sends the row down the walk
+        if mode != EXACT_MODE and isinstance(row, list) and set(map(type, row)) <= {int, float}:
+            parsed.append(row)
+            continue
         if not isinstance(row, list):
             raise ValueError("each point must be a list of coordinates")
         coords = []
@@ -175,7 +180,7 @@ def dumps_report(obj, indent: int = 0) -> str:
 
 def _plain(obj):
     if is_dataclass(obj) and not isinstance(obj, type):
-        return _plain(asdict(obj))
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -184,14 +184,23 @@ def exact_set(*rows):
 
 
 DIAMETER_PROBE = ("0", "100000000000000001/100000000000000000")  # 1 + 1e-17
+# the error names the exact D / q^2, (1 + 1e-17)^2
+EXACT_CAP_MESSAGE = f"squared diameter {Fraction(DIAMETER_PROBE[1]) ** 2} exceeds 1"
 
 
 def test_exact_diameter_just_past_one_fails_the_cap():
     s = exact_set([0], [Fraction(DIAMETER_PROBE[1])])
     assert aeq.diameter(s) == 1.0  # the float reading cannot see it
-    with pytest.raises(ValueError, match="exceeds 1"):
+    with pytest.raises(ValueError) as err:
         aeq.diameter_bound(1, s)
+    assert str(err.value) == EXACT_CAP_MESSAGE
     assert aeq.diameter_bound(1, exact_set([0], [1])).satisfied
+
+
+def test_float_diameter_cap_message_keeps_its_text():
+    with pytest.raises(ValueError) as err:
+        aeq.diameter_bound(1, PointSet.from_array([[0.0], [1.1]]))
+    assert str(err.value) == "diameter 1.1 exceeds 1 + dist_tol"
 
 
 @pytest.mark.parametrize("argv", [
@@ -202,7 +211,9 @@ def test_exact_diameter_probe_exits_1_on_the_cli(capsys, tmp_path, argv):
     path = tmp_path / "probe.json"
     path.write_text('{"dim": 1, "mode": "exact", "points": [["%s"], ["%s"]]}' % DIAMETER_PROBE)
     assert main([*argv, "--input", str(path)]) == 1
-    assert '"outcome": "fail"' in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert '"outcome": "fail"' in out
+    assert EXACT_CAP_MESSAGE in out
 
 
 def test_exact_sphere_probe_is_off_the_sphere():

@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aeq
-from aeq import PointSet
+from aeq import PointSet, cli, serialize
 
 
 def test_float_roundtrip():
@@ -209,6 +209,13 @@ def test_report_indent_mode_is_valid_json():
          "dim must be at least 1"),
         (aeq.pointset_from_dict, {"dim": 2, "mode": "exact", "points": [[1, 2], [1, 2, 3]]},
          "ragged point set: expected 2 coordinates, got 3"),
+        # float rows of plain numbers skip the per-coordinate walk; the rows after them do not
+        (aeq.pointset_from_dict, {"dim": 1, "points": [[0.5], [True]]},
+         "coordinates must be numbers"),
+        (aeq.pointset_from_dict, {"dim": 1, "points": [[0.5], ["x"]]},
+         "Invalid literal for Fraction: 'x'"),
+        (aeq.pointset_from_dict, {"dim": 2, "points": [[0, 1], [1]]},
+         "ragged point set: expected 2 coordinates, got 1"),
     ],
 )
 def test_error_messages_keep_their_text(load, arg, message):
@@ -308,3 +315,131 @@ def test_negative_zero_strings_keep_their_sign_in_float_mode(text):
     signs = [math.copysign(1.0, v) for v in s.array[:, 0].tolist()]
     assert s.array[:, 0].tolist() == [0.0, 0.0, 0.0]
     assert signs == [-1.0, 1.0, -1.0]
+
+
+# -------------------------------------- float rows: the per-row type check
+
+
+def walk_float_rows(obj):
+    """pointset_from_dict on a float set as it read every row before the
+    per-row type check: each coordinate walked and checked on its own."""
+    parsed = []
+    for row in obj["points"]:
+        if not isinstance(row, list):
+            raise ValueError("each point must be a list of coordinates")
+        coords = []
+        for c in row:
+            if isinstance(c, str):
+                c = serialize._float(c)
+            elif isinstance(c, bool) or not isinstance(c, (int, float)):
+                raise ValueError("coordinates must be numbers")
+            coords.append(c)
+        parsed.append(coords)
+    return PointSet(dim=obj["dim"], points=parsed)
+
+
+def _read(load, obj):
+    try:
+        s = load(obj)
+    except Exception as e:  # the type too: a huge int raises OverflowError on both paths
+        return type(e).__name__, str(e)
+    return "ok", s.array.shape, s.array.tobytes()
+
+
+_coordinates = st.one_of(
+    st.integers(-3, 3),
+    st.integers(),
+    st.just(10 ** 400),
+    st.floats(),
+    st.just(-0.0),
+    st.booleans(),
+    st.sampled_from(["-0.0", "1/3", "1e400", "-1e400", "0.5", "x", "1/0", " 2 "]),
+    st.none(),
+    st.lists(st.floats(-2, 2), max_size=2),
+    st.floats(-2, 2).map(np.float64),
+)
+_rows = st.one_of(
+    st.lists(st.one_of(st.integers(-3, 3), st.floats(-2, 2)), min_size=2, max_size=2),
+    st.lists(_coordinates, max_size=3),
+    st.one_of(st.none(), st.integers(), st.text(max_size=2), st.tuples(st.floats(-2, 2))),
+)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(dim=st.integers(0, 3), rows=st.lists(_rows, min_size=1, max_size=5))
+def test_float_rows_read_as_the_per_coordinate_walk_reads_them(dim, rows):
+    obj = {"dim": dim, "points": rows}
+    assert _read(aeq.pointset_from_dict, obj) == _read(walk_float_rows, obj)
+
+
+# -------------------------------------- reports: dataclasses walked in place
+
+
+def _asdict_report(obj, indent):
+    """dumps_report as it was: a dataclass deep-copied by asdict, then walked."""
+    plain = serialize._plain(asdict(obj) if is_dataclass(obj) else obj)
+    return serialize._dumps(plain, indent, 0) + "\n"
+
+
+def test_report_dataclasses_render_as_asdict_renders_them():
+    @dataclass
+    class Inner:
+        q: Fraction
+        arr: np.ndarray
+
+    @dataclass
+    class Outer:
+        inner: Inner
+        rows: tuple
+        by_key: dict
+        x: np.float64
+
+    obj = Outer(Inner(Fraction(1, 3), np.array([[0.5, -0.0]])),
+                (Inner(Fraction(2), np.arange(2)), [np.int64(3)]),
+                {1: Inner(Fraction(-1, 2), np.zeros(0)), "k": (0.1, None)}, np.float64(2.5))
+    for indent in (0, 1, 2):
+        assert aeq.dumps_report(obj, indent) == _asdict_report(obj, indent)
+
+
+@pytest.fixture
+def report_inputs(tmp_path, rhombus, corpus_path):
+    paths = {"graphs": str(corpus_path)}
+    sets = {"float": aeq.construct_two_simplices(3), "exact": rhombus,
+            "far": PointSet.from_array([[0.0], [1.5]])}
+    for name, s in sets.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(aeq.dumps_report(aeq.pointset_to_dict(s)))
+    return paths
+
+
+_CLI_RUNS = [
+    "verify --input {float}", "certify --input {float}", "verify --input {exact} --exact",
+    "certify --input {exact} --exact", "certify --input {far}",
+    "pipeline --input {float}", "pipeline --diameter --input {float}",
+    "pipeline --diameter --input {far}", "pipeline --input {exact} --exact",
+    "pipeline --diameter --input {exact} --exact",
+    "bounds --theorem diameter --dim 3 --input {float}",
+    "bounds --theorem diameter --dim 2 --input {exact} --exact",
+    "bounds --theorem ball --dim 3 --c0 0 --input {float}",
+    "bounds --theorem ball --dim 2 --c0 0 --input {exact} --exact",
+    "bounds --theorem sphere --dim 3 --radius 0.5", "bounds --theorem sphere --dim 3 --radius 0.9",
+    "search --dim 2 --n 4 --restarts 1 --iters 20",
+    "tdrank --n 5 --graphs {graphs}", "tdrank --n 5 --graphs {graphs} --exact",
+]
+
+
+def test_cli_reports_render_as_asdict_renders_them(monkeypatch, capsys, report_inputs):
+    seen = []
+
+    def checked(obj, indent=0):
+        text = serialize.dumps_report(obj, indent)
+        assert text == _asdict_report(obj, indent)
+        seen.append(obj)
+        return text
+
+    monkeypatch.setattr(cli, "dumps_report", checked)
+    for run in _CLI_RUNS:
+        cli.main(run.format(**report_inputs).split())
+    capsys.readouterr()
+    assert len(seen) == len(_CLI_RUNS)
+    assert all(is_dataclass(obj) for obj in seen)
