@@ -69,6 +69,17 @@ def _exact_pairs(rows) -> list:
     return [[_exact_pair(c) for c in row] for row in rows]
 
 
+def _float(v) -> float:
+    """float(v), with an int beyond the float range read as an infinity, which
+    the point set rejects as non-finite, as it does the string "1e400"."""
+    try:
+        return float(v)
+    except OverflowError:
+        if isinstance(v, int):
+            return math.inf if v > 0 else -math.inf
+        raise
+
+
 def _float_rows(rows):
     """The rows as one finite float64 array. On a fault the rows are walked in
     order, so the first bad row raises; unequal rows go on to the width check."""
@@ -80,7 +91,7 @@ def _float_rows(rows):
         pass
     out = []
     for row in rows:
-        out.append(tuple(map(float, row)))
+        out.append(tuple(map(_float, row)))
         if not all(map(math.isfinite, out[-1])):
             raise ValueError("coordinates must be finite, got %r" % (out[-1],))
     return out

@@ -12,14 +12,16 @@ computes the squared distances of its iterates once; the penalties, the
 active pairs and the next gradients all read them. The polish then runs
 restart by restart, and the runs are reduced by (penalty, restart index),
 so results are deterministic for a fixed seed and do not depend on the
-block size; the generator is numpy PCG64, one per restart.
+block size; the generator is numpy PCG64, one per restart. The polish
+evaluates the perturbed points of each finite-difference Jacobian as
+stacks too.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, islice
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -267,6 +269,20 @@ def _descent(x: np.ndarray, cfg: SearchConfig, tables: _Tables):
     return best_x, best_val, steps
 
 
+def _residuals(xs: np.ndarray, active, cfg: SearchConfig, upper) -> np.ndarray:
+    """The polish's residuals of stacked configurations xs, (k, n, d), one row
+    each from one _distances call: the shifted squared distances of the
+    active pairs, then each capped pair's excess over 1, then each point's
+    |x|^2 - r^2 on a sphere."""
+    q = _distances(xs).reshape(len(xs), -1)
+    out = [q[:, active]]
+    if cfg.diameter_cap:
+        out.append(np.maximum(q[:, upper], 0.0))
+    if cfg.sphere_radius is not None:
+        out.append(np.einsum("rij,rij->ri", xs, xs) - cfg.sphere_radius ** 2)
+    return np.concatenate(out, axis=1)
+
+
 def _polish(x: np.ndarray, val: float, cfg: SearchConfig, tables: _Tables):
     """Gauss-Newton on the active pairs from x, whose penalty is val; the
     best point found and its penalty."""
@@ -279,29 +295,39 @@ def _polish(x: np.ndarray, val: float, cfg: SearchConfig, tables: _Tables):
         if key == prev_active:
             break
         prev_active = key
+        # configurations per stack: its arrays hold at most n^2 distances,
+        # n d coordinates or a row of residuals for each, so they stay within
+        # STACK_ELEMENTS unless one configuration alone needs more
+        chunk = max(1, STACK_ELEMENTS // max(n * n, n * d, len(active) + len(tables.upper) + n))
 
-        def residuals(flat):
-            pts = flat.reshape(n, d)
-            q = _distances(pts[None]).ravel()
-            out = [q[active]]
-            if cfg.diameter_cap:
-                out.append(np.maximum(q[tables.upper], 0.0))
-            if cfg.sphere_radius is not None:
-                out.append(np.einsum("ij,ij->i", pts, pts) - cfg.sphere_radius ** 2)
-            return np.concatenate(out)
+        def rows(flats):
+            return _residuals(flats.reshape(len(flats), n, d), active, cfg, tables.upper)
+
+        def jacobian_rows(fun, points):
+            # scipy's finite-difference Jacobian maps fun over the perturbed
+            # points of its columns, one call each; evaluate them in stacks
+            # instead. fun wraps the one-row residual below and computes the
+            # same rows, so it is not called: scipy still forms every step,
+            # difference quotient and trust-region step from these rows, and
+            # trf counts its evaluations itself.
+            points, out = iter(points), []
+            while block := list(islice(points, chunk)):
+                out.extend(rows(np.array(block)))
+            return out
 
         try:
             sol = least_squares(
-                residuals,
+                lambda flat: rows(flat[None])[0],
                 best_x.ravel(),
                 xtol=3e-16,
                 ftol=3e-16,
                 gtol=3e-16,
                 max_nfev=200,
+                workers=jacobian_rows,
             )
-        except ImportError:  # no scipy: a broken install, not a failed polish
-            raise
-        except Exception:
+        except (ValueError, ArithmeticError):
+            # a bad start (LinAlgError is a ValueError); any other fault, such
+            # as no scipy or one too old for workers=, is not a failed polish
             break
         cand = sol.x.reshape(n, d)
         val = total_penalty(cand, cfg, tables)

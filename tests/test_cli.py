@@ -161,6 +161,31 @@ def test_coordinate_strings_past_the_float_range_or_the_exponent_cap(capsys, tmp
     assert ("must be finite" if text.endswith("e400") else "exponent beyond 4300") in message
 
 
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_integer_coordinates_past_the_float_range(capsys, tmp_path, sign):
+    # float(10**400) raises OverflowError; read as an infinity, the integer is
+    # bad input like the string "1e400", in JSON and in CSV alike
+    big = sign + "1" + "0" * 400
+    files = {
+        "big.json": '{"dim": 1, "points": [[%s], [0]]}' % big,
+        "big.csv": big + "\n0\n",
+    }
+    messages = []
+    for name, text in files.items():
+        path = tmp_path / name
+        path.write_text(text)
+        code, rep = run_cli(capsys, "verify", "--input", str(path),
+                            "--format", name.rpartition(".")[2])
+        assert code == 2 and rep["outcome"] == "error"
+        messages.append(rep["payload"]["message"])
+    assert messages == [f"coordinates must be finite, got ({sign}inf,)"] * 2
+    # an exact coordinate has no range to leave
+    path = tmp_path / "big.json"
+    path.write_text('{"dim": 1, "mode": "exact", "points": [[%s], [0]]}' % big)
+    assert run_cli(capsys, "verify", "--input", str(path))[0] == 0
+    assert aeq.load_pointset(path.read_text()).integer_form[0][0, 0] == int(big)
+
+
 def test_exact_flag_rejects_float_input(capsys, triangle_csv):
     code, rep = run_cli(capsys, "verify", "--input", triangle_csv, "--exact")
     assert code == 2

@@ -354,6 +354,113 @@ def test_polish_without_scipy_raises(monkeypatch):
         aeq.optimize(SearchConfig(dim=2, target_n=5, restarts=1, max_iters=10))
 
 
+def test_polish_lets_a_type_error_through(monkeypatch):
+    # a scipy older than 1.16 rejects workers= with a TypeError; only the
+    # faults of a bad start may end the polish quietly
+    def raising(error):
+        def solve(*args, **kwargs):
+            raise error
+        return solve
+
+    cfg = SearchConfig(dim=2, target_n=5, restarts=1, max_iters=10)
+    monkeypatch.setattr(search, "least_squares", raising(TypeError("workers")))
+    with pytest.raises(TypeError):
+        aeq.optimize(cfg)
+    descent_only = aeq.optimize(replace(cfg, polish_rounds=0))
+    for error in (ValueError("x0 is infeasible"), np.linalg.LinAlgError("SVD"),
+                  FloatingPointError("overflow")):
+        monkeypatch.setattr(search, "least_squares", raising(error))
+        res = aeq.optimize(cfg)
+        assert np.array_equal(res.best_points.array, descent_only.best_points.array)
+        assert res.best_penalty == descent_only.best_penalty
+
+
+POLISH_CONFIGS = [
+    SearchConfig(dim=2, target_n=7, restarts=24, max_iters=1500, seed=7),  # the frozen search
+    SearchConfig(dim=3, target_n=6, restarts=6, max_iters=200, seed=0, diameter_cap=True),
+    SearchConfig(dim=3, target_n=6, restarts=4, max_iters=600, seed=5,
+                 sphere_radius=1 / math.sqrt(2)),
+]
+POLISH_IDS = ["plain", "cap", "sphere"]
+
+
+@pytest.mark.parametrize("cfg", POLISH_CONFIGS, ids=POLISH_IDS)
+def test_polish_jacobian_stack_matches_its_columns(cfg, monkeypatch):
+    # _distances is claimed bit-identical per slice; check the claim on every
+    # Jacobian: fun is scipy's wrapper of the one-row residual, the function
+    # scipy's own map would call once per column
+    solve = search.least_squares
+    stacks = []
+
+    def checked(fun, x0, workers, **kwargs):
+        def stacked(f, points):
+            points = list(points)
+            rows = workers(f, iter(points))
+            assert np.array_equal(rows, [f(x) for x in points])
+            stacks.append(len(points))
+            return rows
+
+        return solve(fun, x0, workers=stacked, **kwargs)
+
+    monkeypatch.setattr(search, "least_squares", checked)
+    aeq.optimize(cfg)
+    assert stacks and set(stacks) == {cfg.target_n * cfg.dim}
+
+
+def polish_run(cfg, monkeypatch, solve, drop_workers=False):
+    """optimize(cfg) with search.least_squares replaced by a call of solve,
+    and what each call returned. Dropping workers= leaves scipy's own map,
+    one residual call per Jacobian column."""
+    sols = []
+
+    def recorded(fun, x0, workers, **kwargs):
+        sol = solve(fun, x0, **kwargs) if drop_workers else solve(fun, x0, workers=workers,
+                                                                   **kwargs)
+        sols.append((sol.x.tobytes(), sol.cost, sol.nfev, sol.njev, sol.status))
+        return sol
+
+    monkeypatch.setattr(search, "least_squares", recorded)
+    return aeq.optimize(cfg), sols
+
+
+@pytest.mark.parametrize("cfg", POLISH_CONFIGS, ids=POLISH_IDS)
+def test_optimize_matches_the_per_column_polish(cfg, monkeypatch):
+    solve = search.least_squares
+    got, got_sols = polish_run(cfg, monkeypatch, solve)
+    want, want_sols = polish_run(cfg, monkeypatch, solve, drop_workers=True)
+    # the stacked map never calls scipy's fun. That is sound because both
+    # compute the same rows (checked on every Jacobian above) and trf counts
+    # its evaluations itself: every iterate, cost, nfev, njev and status
+    # equals the column-by-column run
+    assert got_sols == want_sols
+    assert np.array_equal(got.best_points.array, want.best_points.array)
+    assert (got.best_penalty, got.iterations_used, got.restart_index) == (
+        want.best_penalty, want.iterations_used, want.restart_index)
+
+
+def test_chunked_jacobians_give_the_same_search(monkeypatch):
+    cfg = POLISH_CONFIGS[1]
+    solve = search.least_squares
+    want, want_sols = polish_run(cfg, monkeypatch, solve)
+    # three configurations per stack: each Jacobian's 18 columns in six chunks
+    n, d = cfg.target_n, cfg.dim
+    per_row = max(n * n, n * d, math.comb(n, 3) + math.comb(n, 2) + n)
+    monkeypatch.setattr(search, "STACK_ELEMENTS", 3 * per_row)
+    residuals, stacks = search._residuals, []
+
+    def spy(xs, *args):
+        stacks.append(len(xs))
+        return residuals(xs, *args)
+
+    monkeypatch.setattr(search, "_residuals", spy)
+    got, got_sols = polish_run(cfg, monkeypatch, solve)
+    assert set(stacks) == {1, 3}  # one-row calls from scipy, chunks from the map
+    assert got_sols == want_sols
+    assert np.array_equal(got.best_points.array, want.best_points.array)
+    assert (got.best_penalty, got.iterations_used, got.restart_index) == (
+        want.best_penalty, want.iterations_used, want.restart_index)
+
+
 def test_seeded_restart_hits_construction_immediately():
     # restart 1 reuses the two-simplices layout verbatim, so with descent and
     # polish effectively disabled it is the only restart that can reach zero
