@@ -1,12 +1,20 @@
-"""Exact characteristic polynomials and square-free eigenvalue multiplicities.
+"""Exact characteristic polynomials, root counts and square-free
+eigenvalue multiplicities.
 
-Faddeev-LeVerrier over Python ints (all intermediates are integral for an
-integer matrix; the divisions are exact), then Yun's square-free
-decomposition over the integers: a characteristic polynomial is monic, so
-by Gauss's lemma every gcd and quotient in Yun's algorithm is a monic
-integer polynomial. The gcds come from primitive pseudo-remainder
-sequences, the quotients from exact division by a monic divisor, and
-Fractions are built only for the factors returned. Intended for small
+Faddeev-LeVerrier (all intermediates are integral for an integer matrix;
+the divisions are exact): per matrix over Python ints, or over a stack of
+matrices in int64 behind a bound check. The characteristic polynomial of a
+symmetric matrix is real-rooted, so Descartes' rule of signs counts its
+roots above a dyadic point exactly; the second largest root and its
+multiplicity come from two such counts around a float hint.
+
+Yun's square-free decomposition runs over the integers: a characteristic
+polynomial is monic, so by Gauss's lemma every gcd and quotient in Yun's
+algorithm is a monic integer polynomial. The gcds come from primitive
+pseudo-remainder sequences, the quotients from exact division by a monic
+divisor, and Fractions are built only for the factors returned. Yun's
+algorithm with ``np.roots`` (``eigen_multiplicities_exact``) is the
+reference the root counts are tested against. Intended for small
 matrices, n <= 12.
 """
 from __future__ import annotations
@@ -41,6 +49,143 @@ def charpoly_int(a: Sequence[Sequence[int]]) -> List[int]:
         m = am
         m[np.diag_indices(n)] += c
     return coeffs
+
+
+# Every int64 intermediate stays below 2**62: the factor 2 to the int64
+# limit absorbs the rounding of the bound, which is computed in floats.
+_INT64_BUDGET = 2.0 ** 62
+
+
+def charpoly_stack(stack) -> List[List[int]]:
+    """``charpoly_int`` of each matrix of an integer stack (G, n, n), by one
+    int64 Faddeev-LeVerrier over the whole stack.
+
+    Before each step the step's entries are bounded per matrix: with r the
+    largest absolute row sum of A and m the largest |M|, every partial sum
+    of A @ M is at most r m in magnitude, its trace at most n r m and the
+    updated diagonal at most (n + 1) r m. A matrix whose bound passes the
+    budget leaves the int64 stack and gets ``charpoly_int``.
+    """
+    a = np.asarray(stack)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError("stack must have shape (G, n, n)")
+    if not np.can_cast(a.dtype, np.int64):
+        raise ValueError(f"stack must hold integers, got dtype {a.dtype}")
+    a = whole = a.astype(np.int64)
+    count, n, _ = a.shape
+    coeffs = np.zeros((count, n + 1), dtype=np.int64)
+    coeffs[:, 0] = 1
+    live = np.arange(count)
+    fallback: List[int] = []
+    rows = np.abs(a.astype(float)).sum(axis=2).max(axis=1, initial=0.0)
+    diag = np.diag_indices(n)
+    m = np.broadcast_to(np.identity(n, dtype=np.int64), a.shape)
+    for k in range(1, n + 1):
+        bound = (n + 1) * rows * np.abs(m).max(axis=(1, 2), initial=0).astype(float)
+        fits = bound <= _INT64_BUDGET
+        if not fits.all():
+            fallback += live[~fits].tolist()
+            live, a, m, rows = live[fits], a[fits], m[fits], rows[fits]
+        am = a @ m
+        tr = np.trace(am, axis1=1, axis2=2)
+        if np.any(tr % k):
+            raise ArithmeticError("trace division is not exact; matrix not integral?")
+        c = -tr // k
+        coeffs[live, k] = c
+        am[:, diag[0], diag[1]] += c[:, None]
+        m = am
+    out = coeffs.tolist()
+    for i in fallback:
+        out[i] = charpoly_int(whole[i].tolist())
+    return out
+
+
+def _sign_changes(c: List[int]) -> int:
+    """Sign changes between the nonzero entries of c; c[0] is nonzero."""
+    count, positive = 0, c[0] > 0
+    for x in c:
+        if x and (x > 0) is not positive:
+            count += 1
+            positive = not positive
+    return count
+
+
+def roots_above(p: Sequence[int], a: int, s: int = 0) -> int:
+    """The number of roots of p above a / 2**s, counted with multiplicity.
+
+    p is a real-rooted integer polynomial, highest degree first, with a
+    nonzero leading coefficient. Its roots above a / 2**s are 2**-s times
+    the positive roots of P(y + a), where P(y) = 2**(s n) p(y / 2**s) has
+    the integer coefficients p_i 2**(s i). For a real-rooted polynomial
+    Descartes' rule of signs is exact, so the count is the number of sign
+    changes of the Taylor shift P(y + a); a root at a / 2**s itself is
+    not counted.
+    """
+    c = [int(ci) << (s * i) for i, ci in enumerate(p)]
+    n = len(c) - 1
+    if a:
+        for i in range(n, 0, -1):  # Horner pass i leaves the coefficient of y^(n - i)
+            acc = c[0]
+            for j in range(1, i + 1):
+                acc = c[j] = c[j] + a * acc
+    return _sign_changes(c)
+
+
+# Dyadic precisions s tried in turn for the interval (k - 1, k + 1] / 2**s,
+# k = floor(hint 2**s), around the hint: 2**-19 (about 2e-6) wide first,
+# wider for a poor hint.
+_HINT_STEPS = (20, 10, 0)
+# Bisection gives up on an interval 2**-_MAX_BITS wide that still holds two
+# distinct roots.
+_MAX_BITS = 128
+
+
+def _not_isolated(hint: float) -> ArithmeticError:
+    return ArithmeticError(f"cannot isolate the second largest root near {float(hint)!r}")
+
+
+def lambda2_counts(p: Sequence[int], hint: float) -> Tuple[bool, int]:
+    """For the characteristic polynomial p (monic, integer, real-rooted,
+    degree >= 2) of a symmetric matrix: whether its second largest root
+    lambda2, counted with multiplicity, is positive, and the multiplicity
+    of lambda2.
+
+    Both come from exact root counts N(> x). lambda2 > 0 exactly when
+    N(> 0) >= 2. The float ``hint`` only places a dyadic interval (a, b]:
+    when N(> b) <= 1 < N(> a), lambda2 lies in (a, b]; when, in addition,
+    the square-free part p / gcd(p, p') has exactly one root there, every
+    root of p in (a, b] is lambda2 and its multiplicity is N(> a) - N(> b).
+    A single root in (a, b] is simple, so the square-free part is built
+    only when the count is two or more; while it has two roots there, the
+    interval is halved. Raises ArithmeticError when no interval around the
+    hint holds lambda2, or none narrower than 2**-_MAX_BITS isolates it.
+    """
+    p = list(p)
+    positive = roots_above(p, 0) >= 2
+    for s in _HINT_STEPS:
+        k = math.floor(hint * 2.0 ** s)
+        a, b = k - 1, k + 1
+        above_a, above_b = roots_above(p, a, s), roots_above(p, b, s)
+        if above_b <= 1 < above_a:
+            break
+    else:
+        raise _not_isolated(hint)
+    square_free = None
+    while above_a - above_b > 1:
+        square_free = square_free or _square_free_part(p)
+        if roots_above(square_free, a, s) - roots_above(square_free, b, s) == 1:
+            break
+        if s >= _MAX_BITS:
+            raise _not_isolated(hint)
+        # lambda2 lies above the midpoint exactly when two roots do
+        a, b, s = 2 * a, 2 * b, s + 1
+        mid = a + 2
+        above_mid = roots_above(p, mid, s)
+        if above_mid >= 2:
+            a, above_a = mid, above_mid
+        else:
+            b, above_b = mid, above_mid
+    return positive, above_a - above_b
 
 
 def _trim(p: List[int]) -> List[int]:
@@ -101,6 +246,12 @@ def _subtract(a: List[int], b: List[int]) -> List[int]:
     a = [0] * (width - len(a)) + a
     b = [0] * (width - len(b)) + b
     return _trim([x - y for x, y in zip(a, b)])
+
+
+def _square_free_part(p: List[int]) -> List[int]:
+    """p / gcd(p, p') for a monic integer polynomial p of degree >= 1: the
+    monic integer polynomial with the distinct roots of p, each simple."""
+    return _divide(p, _gcd(p, _derivative(p)))
 
 
 def _yun(p: List[int]) -> List[Tuple[List[int], int]]:

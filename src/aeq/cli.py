@@ -38,7 +38,7 @@ from .serialize import (
     pointset_to_dict,
 )
 from .spectral import certify, gershgorin_bound, perron_frobenius_check, weyl_check
-from .tdgraph import min_rank_scan, read_graph_file
+from .tdgraph import check_rank_size, min_rank_scan, read_graph_file
 
 PASS, FAIL, INFEASIBLE, ERROR = "pass", "fail", "infeasible", "error"
 _EXIT = {PASS: 0, FAIL: 1, INFEASIBLE: 1, ERROR: 2}
@@ -226,16 +226,17 @@ def cmd_search(args):
 
 
 def cmd_tdrank(args):
+    exact = args.exact_rank or args.exact
     try:
+        check_rank_size(args.n, exact)
         graphs = read_graph_file(args.graphs)
     except (OSError, ValueError) as e:
         raise UsageError(str(e)) from e
     graphs = [g for g in graphs if g.n == args.n]
     if not graphs:
         raise UsageError(f"no graphs on {args.n} vertices in {args.graphs}")
-    # clustering always needs float slack; --exact upgrades to exact counts
-    tol = _float_tolerance(args)
-    scan = min_rank_scan(args.n, graphs, tol, exact=args.exact_rank or args.exact)
+    # eig_tol clusters the float rows; exact rows count roots and do not read it
+    scan = min_rank_scan(args.n, graphs, _float_tolerance(args), exact=exact)
     header = ["index", "lambda2", "multiplicity", "rank", "lambda2_positive"]
     rows = [[idx, rec.lambda2, rec.multiplicity, rec.rank, rec.lambda2_positive]
             for idx, rec in enumerate(scan.records)]

@@ -13,7 +13,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .charpoly import eigen_multiplicities_exact
+from .charpoly import charpoly_stack, lambda2_counts
 from .geometry import (
     PointSet,
     Tolerance,
@@ -96,40 +96,62 @@ class GraphRankRecord:
     lambda2_positive: bool
 
 
+def check_rank_size(n: int, exact: bool) -> None:
+    """Rejects a vertex count with no second eigenvalue, or beyond the
+    exact path's limit."""
+    if n < 2:
+        raise ValueError("need at least 2 vertices for a second eigenvalue")
+    if exact and n > EXACT_RANK_LIMIT:
+        raise ValueError(f"exact mode supports at most {EXACT_RANK_LIMIT} vertices")
+
+
+def _rank_records(n: int, graphs: Sequence[Graph], tol: Optional[Tolerance],
+                  exact: bool) -> List[GraphRankRecord]:
+    """The records of graphs on n vertices, from one pass over the stack of
+    their adjacency matrices: one ``eigvalsh`` for lambda2, then either
+    float clustering within eig_tol or exact root counts on the stacked
+    characteristic polynomials (``charpoly.lambda2_counts``, once per
+    distinct polynomial)."""
+    eig_tol = (tol or Tolerance()).solver_eig_tol
+    stack = np.array([g.adjacency() for g in graphs]).reshape(len(graphs), n, n)
+    vals = np.linalg.eigvalsh(stack)
+    lam2 = vals[:, -2]
+    if exact:
+        seen: dict = {}  # cospectral graphs share one count
+        counts = []
+        for p, hint in zip(charpoly_stack(stack), lam2):
+            key = tuple(p)
+            if key not in seen:
+                seen[key] = lambda2_counts(p, hint)
+            counts.append(seen[key])
+    else:
+        mult = np.sum(np.abs(vals - lam2[:, None]) <= eig_tol, axis=1).tolist()
+        counts = list(zip((lam2 > eig_tol).tolist(), mult))
+    return [
+        GraphRankRecord(graph=g, lambda2=l2, multiplicity=m, rank=n - m, lambda2_positive=pos)
+        for g, l2, (pos, m) in zip(graphs, lam2.tolist(), counts)
+    ]
+
+
 def lambda2_rank(g: Graph, tol: Optional[Tolerance] = None, exact: bool = False) -> GraphRankRecord:
     """Second largest adjacency eigenvalue, its multiplicity, and the rank
-    of A - lambda2 I.
+    of A - lambda2 I: the one-graph case of ``min_rank_scan``, without its
+    triangle check.
 
     The float path clusters eigenvalues within eig_tol; with exact=True
-    (n <= 12) the multiplicity is recomputed from the square-free
-    decomposition of the exact characteristic polynomial.
+    (n <= 12) the multiplicity and the sign of lambda2 are exact root counts
+    on the characteristic polynomial, and eig_tol is not read. lambda2 is
+    the ``eigvalsh`` value in both modes.
     """
-    tol = tol or Tolerance()
-    if g.n < 2:
-        raise ValueError("need at least 2 vertices for a second eigenvalue")
-    eig_tol = tol.solver_eig_tol
-    vals = np.linalg.eigvalsh(g.adjacency())[::-1]
-    lam2 = float(vals[1])
-    mult = int(np.sum(np.abs(vals - lam2) <= eig_tol))
-    if exact:
-        if g.n > EXACT_RANK_LIMIT:
-            raise ValueError(f"exact mode supports at most {EXACT_RANK_LIMIT} vertices")
-        roots = eigen_multiplicities_exact(g.adjacency().tolist())
-        lam2, mult = [(float(v), m) for v, m in roots for _ in range(m)][1]  # with multiplicity
-    return GraphRankRecord(
-        graph=g,
-        lambda2=lam2,
-        multiplicity=mult,
-        rank=g.n - mult,
-        lambda2_positive=lam2 > eig_tol,
-    )
+    check_rank_size(g.n, exact)
+    return _rank_records(g.n, [g], tol, exact)[0]
 
 
 @dataclass(frozen=True)
 class ScanResult:
     min_rank: Optional[int]
     argmin: Tuple[int, ...]  # indices into the input stream
-    records: Tuple[Optional[GraphRankRecord], ...]  # None where lambda2 <= 0
+    records: Tuple[GraphRankRecord, ...]  # one per graph, in stream order
 
 
 def min_rank_scan(
@@ -139,19 +161,20 @@ def min_rank_scan(
     exact: bool = False,
 ) -> ScanResult:
     """Minimum rank over triangle-free graphs on n vertices with a positive
-    second eigenvalue. Rejects wrong sizes and non-triangle-free inputs by
-    stream index; graphs with lambda2 <= 0 are recorded but not ranked."""
-    best: Optional[int] = None
-    argmin: List[int] = []
-    records: List[Optional[GraphRankRecord]] = []
+    second eigenvalue. Rejects an n out of range first, then wrong sizes and
+    non-triangle-free inputs by stream index; graphs with lambda2 <= 0 are
+    recorded but not ranked."""
+    check_rank_size(n, exact)
     for idx, g in enumerate(graphs):
         if g.n != n:
             raise ValueError(f"graph {idx} has {g.n} vertices, expected {n}")
         tri = is_triangle_free(g)
         if not tri.ok:
             raise ValueError(f"graph {idx} contains triangle {tri.witness}")
-        rec = lambda2_rank(g, tol, exact=exact)
-        records.append(rec)
+    records = _rank_records(n, graphs, tol, exact)
+    best: Optional[int] = None
+    argmin: List[int] = []
+    for idx, rec in enumerate(records):
         if not rec.lambda2_positive:
             continue
         if best is None or rec.rank < best:

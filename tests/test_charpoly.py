@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aeq
+from aeq import charpoly
+from aeq.charpoly import charpoly_stack, lambda2_counts, roots_above
 from aeq.tdgraph import EXACT_RANK_LIMIT
 
 
@@ -251,3 +253,97 @@ def test_eigen_multiplicities_match_eigvalsh_fuzz():
         )
         vals = sorted(np.linalg.eigvalsh(np.array(a, dtype=float)), reverse=True)
         assert np.abs(np.array(expanded) - np.array(vals)).max() < 1e-6
+
+
+def test_charpoly_stack_matches_charpoly_int_on_corpus(corpus):
+    for n in sorted({g.n for g in corpus}):
+        stack = np.array([g.adjacency() for g in corpus if g.n == n])
+        assert charpoly_stack(stack) == [aeq.charpoly_int(a.tolist()) for a in stack], n
+
+
+def _count_charpoly_int(monkeypatch):
+    calls = []
+    exact = charpoly.charpoly_int
+
+    def counted(a):
+        calls.append(len(a))
+        return exact(a)
+
+    monkeypatch.setattr(charpoly, "charpoly_int", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, span, count", [(5, 2 ** 40, 3), (12, 10 ** 4, 2)])
+def test_charpoly_stack_falls_back_where_int64_bound_fails(monkeypatch, n, span, count):
+    # int64 would wrap: A @ A has entries near n 2**80, and a 12 x 12 matrix
+    # with entries near 1e4 has a determinant near 1e48
+    rng = np.random.default_rng(n)
+    big = rng.integers(span - 9, span + 1, size=(count, n, n))
+    big = big + big.transpose(0, 2, 1)
+    small = np.array([np.eye(n, k=1, dtype=np.int64) + np.eye(n, k=-1, dtype=np.int64)])
+    stack = np.concatenate([small, big, small])
+    want = [charpoly_oracle(a.tolist()) for a in stack]
+    calls = _count_charpoly_int(monkeypatch)
+    assert charpoly_stack(stack) == want
+    assert calls == [n] * count  # only the big matrices left the int64 stack
+
+
+def test_charpoly_stack_edge_shapes_and_dtypes():
+    assert charpoly_stack(np.zeros((0, 3, 3), dtype=np.int64)) == []
+    assert charpoly_stack(np.zeros((2, 0, 0), dtype=np.int64)) == [[1], [1]]
+    assert charpoly_stack(np.ones((1, 2, 2), dtype=bool)) == [[1, -2, 0]]
+    with pytest.raises(ValueError, match="integers"):
+        charpoly_stack(np.zeros((1, 2, 2)))
+    with pytest.raises(ValueError, match="shape"):
+        charpoly_stack(np.zeros((2, 3), dtype=np.int64))
+
+
+_dyadic = st.builds(lambda u, t: Fraction(u, 2 ** t), st.integers(-40, 40), st.integers(0, 4))
+_non_dyadic = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([3, 5, 7, 12]))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    roots=st.lists(st.tuples(st.one_of(_dyadic, _non_dyadic), st.integers(1, 3)),
+                   min_size=1, max_size=6),
+    lead=st.sampled_from([1, -1, 6]),
+    s=st.integers(0, 6),
+    data=st.data(),
+)
+def test_roots_above_matches_brute_force(roots, lead, s, data):
+    p = [lead]
+    for r, m in roots:
+        for _ in range(m):
+            p = _times(p, [r.denominator, -r.numerator])
+    # a grid point, or one that sits exactly on a root (not counted: the
+    # count is of roots strictly above)
+    on_root = [int(r * 2 ** s) for r, _ in roots if (r * 2 ** s).denominator == 1]
+    a = data.draw(st.one_of(st.integers(-50 * 2 ** s, 50 * 2 ** s),
+                            *([st.sampled_from(on_root)] if on_root else [])))
+    assert roots_above(p, a, s) == sum(m for r, m in roots if r > Fraction(a, 2 ** s))
+
+
+def _wilkinson(n):
+    m = n // 2
+    return (np.diag(np.abs(np.arange(n) - m)) + np.eye(n, k=1, dtype=np.int64)
+            + np.eye(n, k=-1, dtype=np.int64))
+
+
+def test_lambda2_counts_narrows_widens_and_gives_up():
+    # Wilkinson's W15: lambda1 - lambda2 is about 4e-8, inside the first
+    # 2e-6 interval (np.roots, in eigen_multiplicities_exact, splits this
+    # pair into complex roots). A tridiagonal matrix with a nonzero
+    # off-diagonal has simple eigenvalues; two copies make each double.
+    w = _wilkinson(15)
+    for a, mult in ((w, 1), (np.kron(np.eye(2, dtype=np.int64), w), 2)):
+        p = aeq.charpoly_int(a.tolist())
+        hint = np.linalg.eigvalsh(a)[-2]
+        assert lambda2_counts(p, hint) == (True, mult)
+        assert lambda2_counts(p, hint + 1e-4) == (True, mult)  # a poor hint: wider
+        with pytest.raises(ArithmeticError, match="cannot isolate"):
+            lambda2_counts(p, hint + 3.0)
+    # (x - 3)(x - 2)^2(x + 5) with a hint 0.6 off: the widest interval (1, 3]
+    # holds 3 and the double root 2, and one halving keeps (1, 2]
+    p = _times(_times([1, -3], [1, -4, 4]), [1, 5])
+    assert lambda2_counts(p, 2.6) == (True, 2)
+    assert lambda2_counts(_times([1, -1], [1, 2, 1]), -1.0) == (False, 2)

@@ -672,3 +672,45 @@ def test_scipy_optimize_is_imported_only_by_a_search(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "1"], "need at least 2 vertices for a second eigenvalue"),
+    (["--n", "0", "--exact-rank"], "need at least 2 vertices for a second eigenvalue"),
+    (["--n", "13", "--exact-rank"], "exact mode supports at most 12 vertices"),
+    (["--n", "13", "--exact"], "exact mode supports at most 12 vertices"),
+])
+def test_tdrank_vertex_count_out_of_range_is_usage_error(capsys, tmp_path, argv, message):
+    # checked before the graph file is read: this one does not exist
+    code, rep = run_cli(capsys, "tdrank", *argv, "--graphs", str(tmp_path / "absent.txt"))
+    assert code == 2 and rep["outcome"] == "error"
+    assert rep["payload"]["message"] == message
+    check_report(rep, "tdrank")
+
+
+def test_tdrank_triangle_is_a_failed_check(capsys, tmp_path):
+    graphs = tmp_path / "k3.txt"
+    graphs.write_text("3 2 0 1 1 2\n3 3 0 1 1 2 0 2\n")
+    for flag in ([], ["--exact-rank"]):
+        code, rep = run_cli(capsys, "tdrank", "--n", "3", "--graphs", str(graphs), *flag)
+        assert code == 1 and rep["outcome"] == "fail"
+        assert rep["payload"]["message"] == "graph 1 contains triangle (0, 1, 2)"
+
+
+@pytest.mark.parametrize("n", ["4", "7"])
+def test_tdrank_exact_rows_do_not_read_eig_tol(capsys, corpus_path, n):
+    def payload(*flags):
+        code, rep = run_cli(capsys, "tdrank", "--n", n, "--graphs", str(corpus_path), *flags)
+        assert code == 0
+        return rep["payload"]
+
+    exact = [payload("--exact-rank", *tol) for tol in ([], ["--eig-tol", "1e-12"],
+                                                       ["--eig-tol", "1"])]
+    assert exact[0] == exact[1] == exact[2]
+    assert any(row["lambda2_positive"] for row in exact[0]["rows"])
+    assert any(0 < row["lambda2"] < 1 for row in exact[0]["rows"])  # float rows flip at 1
+    plain = payload()
+    assert [row["lambda2"] for row in plain["rows"]] == [row["lambda2"] for row in exact[0]["rows"]]
+    for key in ("multiplicity", "rank", "lambda2_positive"):
+        assert [row[key] for row in plain["rows"]] == [row[key] for row in exact[0]["rows"]]
+    assert (plain["min_rank"], plain["argmin"]) == (exact[0]["min_rank"], exact[0]["argmin"])

@@ -1,12 +1,17 @@
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aeq
 from aeq import Graph, PointSet, Tolerance
+from aeq.charpoly import charpoly_stack
+from aeq.tdgraph import EXACT_RANK_LIMIT
 
 
 def cycle(n):
@@ -193,3 +198,62 @@ def test_read_graph_file_skips_comments(tmp_path):
     gs = aeq.read_graph_file(p)
     assert [g.n for g in gs] == [3, 2]
     assert gs[0].edges == frozenset({(0, 1)})
+
+
+def _oracle_row(g):
+    """(multiplicity, rank, positive) from Yun's factors and np.roots, the
+    exact path this scan replaced."""
+    roots = aeq.eigen_multiplicities_exact(g.adjacency().tolist())
+    lam2, mult = [(v, m) for v, m in roots for _ in range(m)][1]
+    return mult, g.n - mult, lam2 > Tolerance().eig_tol
+
+
+def _assert_scan_matches_oracles(n, graphs):
+    exact = aeq.min_rank_scan(n, graphs, exact=True)
+    plain = aeq.min_rank_scan(n, graphs)
+    stack = np.array([g.adjacency() for g in graphs])
+    assert charpoly_stack(stack) == [aeq.charpoly_int(a.tolist()) for a in stack]
+    assert np.array_equal(np.linalg.eigvalsh(stack),
+                          [np.linalg.eigvalsh(g.adjacency()) for g in graphs])
+    for g, rec, flt in zip(graphs, exact.records, plain.records):
+        assert (rec.multiplicity, rec.rank, rec.lambda2_positive) == _oracle_row(g), g
+        assert rec.lambda2 == flt.lambda2  # the eigvalsh value in both modes
+    assert exact.records[-1] == aeq.lambda2_rank(graphs[-1], exact=True)
+
+
+def test_scan_matches_oracles_on_corpus_at_every_n(corpus):
+    for n in sorted({g.n for g in corpus} - {1}):
+        _assert_scan_matches_oracles(n, [g for g in corpus if g.n == n])
+
+
+@st.composite
+def triangle_free_graphs(draw, n):
+    """A random edge list, keeping each edge that closes no triangle."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    nbrs = [set() for _ in range(n)]
+    for u, v in pairs:
+        if u != v and not nbrs[u] & nbrs[v]:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in nbrs[u] if u < v])
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data(), n=st.integers(2, EXACT_RANK_LIMIT))
+def test_scan_matches_oracles_on_random_triangle_free_graphs(data, n):
+    graphs = data.draw(st.lists(triangle_free_graphs(n), min_size=1, max_size=6))
+    _assert_scan_matches_oracles(n, graphs)
+
+
+def test_scan_reports_n_first_then_graphs_in_stream_order():
+    k3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    cases = [
+        ((1, [cycle(4)]), {}, "need at least 2 vertices for a second eigenvalue"),
+        ((13, [k3]), {"exact": True}, "exact mode supports at most 12 vertices"),
+        ((5, [cycle(5), cycle(4), k3]), {}, "graph 1 has 4 vertices, expected 5"),
+        ((3, [path(3), k3, cycle(4)]), {"exact": True}, "graph 1 contains triangle (0, 1, 2)"),
+    ]
+    for args, kwargs, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            aeq.min_rank_scan(*args, **kwargs)
