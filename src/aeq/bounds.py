@@ -16,6 +16,7 @@ import numpy as np
 
 from .geometry import (
     EXACT_MODE,
+    FLAG_ULPS,
     PointSet,
     Tolerance,
     _resolve_tol,
@@ -26,11 +27,7 @@ from .geometry import (
     sphere_defect,
 )
 from .miniball import min_enclosing_ball
-from .spectral import (
-    _certify,
-    certify,
-    defect_matrix,
-)
+from .spectral import certify, defect_matrix
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -62,8 +59,8 @@ def sphere_bound(
     2d + 2 points below the critical radius; exactly at 1/sqrt(2) the
     sharper 2d applies.
     """
-    tol = tol or (points.default_tol() if points is not None else Tolerance())
-    slack = max(tol.dist_tol, 1e-15)
+    tol = _resolve_tol(points, tol)
+    slack = tol.slack("sphere")
     if r <= 0:
         raise ValueError("radius must be positive")
     if r > INV_SQRT2 + slack:
@@ -113,10 +110,10 @@ def diameter_bound(
         if points.mode == EXACT_MODE:
             if d2.max() > scale:
                 raise ValueError(f"squared diameter {Fraction(d2.max(), scale)} exceeds 1")
-        elif diam > 1.0 + tol.dist_tol:
+        elif diam > 1.0 + tol.slack("unit"):
             raise ValueError(f"diameter {diam:.12g} exceeds 1 + dist_tol")
-        cert = _certify(points, tol)
-        eig_tol = tol.solver_eig_tol
+        cert = certify(points, tol)
+        eig_tol = tol.slack("solver")
         u_max = float((d2.max() - scale) / scale)  # the largest entry of U
         if u_max > eig_tol:
             raise ValueError("matrix has a negative entry")
@@ -208,9 +205,9 @@ def ball_bound(
         if mer_radius_sq is not None:
             # exact: the only slack is the rounding of the float radius
             limit = radius * radius
-            too_wide = mer_radius_sq > limit + 4 * math.ulp(limit)
+            too_wide = mer_radius_sq > limit + FLAG_ULPS * math.ulp(limit)
         else:
-            too_wide = mer_radius > radius + max(_resolve_tol(points, tol).dist_tol, 1e-12)
+            too_wide = mer_radius > radius + _resolve_tol(points, tol).slack("ball")
         if too_wide:
             raise ValueError(
                 f"enclosing radius {mer_radius:.12g} exceeds the stated ball radius {radius:.12g}"
@@ -275,13 +272,13 @@ def recentred_norm_bounds(
     n = s.n
     x, _ = s.form
     centre = np.abs(x.sum(axis=0)).max()  # n q max |barycenter coordinate|
-    if (centre > 0) if s.mode == EXACT_MODE else (centre / n > max(tol.dist_tol, 1e-12)):
+    if (centre > 0) if s.mode == EXACT_MODE else (centre / n > tol.slack("ball")):
         raise ValueError("set must be recentred to its barycenter")
     fs = f_statistic(s)
     centered = max(abs(v - 1) for v in fs.per_point_sums)
     budget = 3 * centered / (2 * n)
     norms = np.einsum("ij,ij->i", x, x)
-    dev, limit, scale = band_deviation(s, norms, Fraction(1, 2), tol.dist_tol, budget)
+    dev, limit, scale = band_deviation(s, norms, Fraction(1, 2), tol, "unit", budget)
     max_dev = np.abs(dev).max()
     return RecentredNormBounds(
         max_deviation=float(max_dev / scale),
@@ -323,15 +320,15 @@ def anchor_defect_ratio(
     if x < 0:
         raise ValueError("norm band x must be nonnegative")
     xs, _ = s.form
-    slack = max(tol.dist_tol, 1e-15)
-    dev, limit, scale = band_deviation(s, np.einsum("ij,ij->i", xs, xs), Fraction(1, 2), slack, x)
+    norms = np.einsum("ij,ij->i", xs, xs)
+    dev, limit, scale = band_deviation(s, norms, Fraction(1, 2), tol, "sphere", x)
     worst = np.abs(dev).max()
     if worst > limit:
         raise ValueError(
             f"norm band violated: |norm^2 - 1/2| up to {worst / scale:.3e} > x={x:.3e}"
         )
     kept = np.flatnonzero(nonunit[anchor_index])
-    dev, _, scale = band_deviation(s, s.scaled_sqdist[0][anchor_index, kept], 1, slack)
+    dev, _, scale = band_deviation(s, s.scaled_sqdist[0][anchor_index, kept], 1, tol, "sphere")
     lhs = abs(sum(dev)) / scale if s.mode == EXACT_MODE else abs(math.fsum(dev))
     rhs = math.sqrt(s.dim) + s.dim * math.sqrt(x) + s.dim * x
     return AnchorDefectReport(
@@ -383,7 +380,7 @@ def general_bound_pipeline(
     # the branch reads an exact set's exact max |X|^2, a float set's reported radius
     xs, _ = centered.form
     top = np.einsum("ij,ij->i", xs, xs).max() if s.mode == EXACT_MODE else radius_actual ** 2
-    dev, limit, _ = band_deviation(centered, [top], Fraction(1, 2), max(tol.dist_tol, 1e-12))
+    dev, limit, _ = band_deviation(centered, [top], Fraction(1, 2), tol, "ball")
     if dev[0] <= limit:
         branch = "critical_ball"
         bound = 2 * d + 4

@@ -303,17 +303,13 @@ def square_free_decomposition(p: Sequence) -> List[Tuple[List[Fraction], int]]:
 def eigen_multiplicities_exact(a: Sequence[Sequence[int]]) -> List[Tuple[float, int]]:
     """Distinct eigenvalues of an integer symmetric matrix with exact
     algebraic multiplicities, as (float approximation, multiplicity),
-    sorted by value descending."""
+    sorted by value descending (real parts: np.roots may split close roots)."""
     coeffs = charpoly_int(a)
+    if any(a[i][j] != a[j][i] for i in range(len(a)) for j in range(i)):
+        raise ValueError("matrix must be symmetric")
     roots: List[Tuple[float, int]] = []
     for factor, mult in square_free_decomposition(coeffs):
-        fc = np.array([float(c) for c in factor])
-        if len(fc) == 1:
-            continue
-        rts = np.roots(fc)
-        for r in rts:
-            if abs(r.imag) > 1e-7:
-                raise ArithmeticError("complex root for a symmetric matrix")
-            roots.append((float(r.real), mult))
+        if len(factor) > 1:
+            roots += [(float(r.real), mult) for r in np.roots([float(c) for c in factor])]
     roots.sort(key=lambda t: -t[0])
     return roots

@@ -48,13 +48,23 @@ class Tolerance:
     def is_exact(self) -> bool:
         return self.dist_tol == 0.0 and self.eig_tol == 0.0
 
-    @property
-    def solver_eig_tol(self) -> float:
-        """eig_tol for a float eigensolver: an exact tolerance's 0 falls back to 1e-8."""
-        return self.eig_tol if self.eig_tol > 0 else DEFAULT_TOL.eig_tol
+    def slack(self, name: str) -> float:
+        """The float slack of the comparisons named ``name``: the one slack
+        table. A site multiplies it only by its own factor (n^3, max(1, a^2),
+        max(1, rho), ...); an exact set reads none, and compares exactly."""
+        d, e = self.dist_tol, self.eig_tol
+        return {
+            "unit": d,  # unit pairs, diameter cap, recentred norm band
+            "sphere": max(d, 1e-15),  # sphere, anchor band, lift, far pairs
+            "ball": max(d, 1e-12),  # ball radius, recentring, pipeline branch
+            "eig": e,  # trace cap, symmetry, cubic bounds (Weyl, Perron: bare)
+            "solver": e if e > 0 else 1e-8,  # a float eigensolver's clusters
+            "eig_sum": max(e, 1e-12),  # eigenvalue sum drift, cubic sum
+        }[name]
 
 
 DEFAULT_TOL = Tolerance()
+FLAG_ULPS = 4  # an exact set's only slack: the rounding of a float flag, in its ulps
 
 
 def _exact_pair(c) -> Tuple[int, int]:
@@ -218,12 +228,12 @@ class PointSet:
         s.__post_init__()
         return s
 
-    def default_tol(self) -> Tolerance:
-        return Tolerance.exact() if self.mode == EXACT_MODE else DEFAULT_TOL
 
-
-def _resolve_tol(s: PointSet, tol: Optional[Tolerance]) -> Tolerance:
-    return s.default_tol() if tol is None else tol
+def _resolve_tol(s: Optional[PointSet], tol: Optional[Tolerance]) -> Tolerance:
+    """tol, or the default: exact for an exact set, else DEFAULT_TOL (a float set or none)."""
+    if tol is not None:
+        return tol
+    return Tolerance.exact() if s is not None and s.mode == EXACT_MODE else DEFAULT_TOL
 
 
 def squared_distance(p: Sequence, q: Sequence):
@@ -277,15 +287,15 @@ def first_triangle(masks: Sequence[int], edges) -> TripleCheck:
 def is_almost_equidistant(s: PointSet, tol: Optional[Tolerance] = None) -> TripleCheck:
     """Every triple must contain a pair at unit distance.
 
-    Equivalent formulation: the graph of non-unit pairs (|D - q^2| > 0
-    exact, > dist_tol float) must be triangle free; the first offending
+    Equivalent formulation: the graph of non-unit pairs (off unit distance
+    by the band rule with slack "unit") must be triangle free; the first offending
     triple in index order is the witness. The verdict and the non-unit mask
     are kept on the set, so each (set, dist_tol) is checked once.
     """
     tol = _resolve_tol(s, tol)
     if tol.dist_tol not in s._triple_checks:
-        d2, q2 = s.scaled_sqdist
-        nonunit = (d2 != q2) if s.mode == EXACT_MODE else (np.abs(d2 - q2) > tol.dist_tol)
+        dev, limit, _ = band_deviation(s, s.scaled_sqdist[0], 1, tol, "unit")
+        nonunit = np.abs(dev) > limit
         np.fill_diagonal(nonunit, False)
         nonunit.flags.writeable = False
         masks = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
@@ -313,26 +323,29 @@ def flag_square(f: float):
     return Fraction(sq) if Fraction(sq) == Fraction(f) ** 2 else sq
 
 
-def band_deviation(s: PointSet, v, target, float_slack: float, band=0):
+def band_deviation(s: PointSet, v, target, tol: Tolerance, slack: str, band=0,
+                   factor: float = 1.0):
     """The one band rule, scaled: (dev, limit, scale) with dev / scale =
     v / q^2 - target and limit / scale = band + slack, for the set's squared
     norms |X|^2 or squared distances D as v. An exact set computes over
-    integers (limit a Fraction); its only slack is 4 ulps of a float target
-    (flag_square). A float set computes in floats, scale 1, with the
-    caller's float_slack: dist_tol over a floor of 1e-15 or 1e-12."""
+    integers (limit an int when integral, else a Fraction); its only slack
+    is FLAG_ULPS ulps of a float target (flag_square). A float set computes
+    in floats, scale 1, with the float slack ``tol.slack(slack)`` times the
+    site's own factor."""
     if s.mode == EXACT_MODE:
         t, q2 = Fraction(target), s.form[1] ** 2
-        rounding = 4 * Fraction(math.ulp(target)) if isinstance(target, float) else 0
+        rounding = FLAG_ULPS * Fraction(math.ulp(target)) if isinstance(target, float) else 0
         dev = np.asarray(v, dtype=object) * t.denominator - t.numerator * q2
-        return dev, (Fraction(band) + rounding) * q2 * t.denominator, q2 * t.denominator
-    return np.asarray(v) - float(target), float(band) + float_slack, 1
+        limit = (Fraction(band) + rounding) * q2 * t.denominator
+        return dev, limit.numerator if limit.denominator == 1 else limit, q2 * t.denominator
+    return np.asarray(v) - float(target), float(band) + tol.slack(slack) * factor, 1
 
 
 def sphere_defect(s: PointSet, r: float, tol: Tolerance) -> float:
     """max | |x|^2 - r^2 |; raises when a point is off the sphere of radius r."""
     x, _ = s.form
-    slack = max(tol.dist_tol, 1e-15)
-    dev, limit, scale = band_deviation(s, np.einsum("ij,ij->i", x, x), flag_square(r), slack)
+    dev, limit, scale = band_deviation(s, np.einsum("ij,ij->i", x, x), flag_square(r), tol,
+                                       "sphere")
     worst = np.abs(dev).max()
     if worst > limit:
         raise ValueError(

@@ -117,7 +117,7 @@ def trace_identities(
     m = u.array
     tr = float(np.trace(m))
     tr3 = float(((m @ m) * m.T).sum())
-    cap = (n ** 3) * tol.eig_tol
+    cap = (n ** 3) * tol.slack("eig")
     return TraceIdentities(tr, tr3, tr == 0.0 and abs(tr3) <= cap)
 
 
@@ -138,17 +138,16 @@ def eigenvalues(m, eig_tol: float = DEFAULT_TOL.eig_tol) -> Spectrum:
     a = _matrix(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
+    tol = Tolerance(eig_tol=eig_tol)
     scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > eig_tol * scale:
+    if float(np.abs(a - a.T).max()) > tol.slack("eig") * scale:
         raise ValueError("matrix is not symmetric")
     try:
         vals = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as e:  # pragma: no cover - solver failure
         raise RuntimeError(f"eigenvalue iteration failed: {e}")
     vals = vals[::-1]
-    if abs(float(vals.sum()) - float(np.trace(a))) > max(1.0, scale) * len(vals) * max(
-        eig_tol, 1e-12
-    ):
+    if abs(float(vals.sum()) - float(np.trace(a))) > scale * len(vals) * tol.slack("eig_sum"):
         raise RuntimeError("eigenvalue sum drifted from the trace")
     return Spectrum(values=tuple(float(v) for v in vals), eig_tol=eig_tol)
 
@@ -175,18 +174,13 @@ def certify(s: PointSet, tol: Optional[Tolerance] = None) -> SpectralCertificate
     The certificate is kept on the set, so each (set, tolerance) is
     certified once.
     """
-    return _certify(s, tol)
-
-
-def _certify(s: PointSet, tol: Optional[Tolerance]) -> SpectralCertificate:
-    """The body of certify, for the bound calculators."""
     tol = _resolve_tol(s, tol)
     cert = s._certificates.get(tol)
     if cert is not None:
         return cert
     u = defect_matrix(s)
     ident = trace_identities(u, s, tol)  # also enforces the triple condition
-    eig_tol = tol.solver_eig_tol
+    eig_tol = tol.slack("solver")
     spec = eigenvalues(u, eig_tol)
     vals = np.array(spec.values)
     count_eq_one = int(np.sum(np.abs(vals - 1.0) <= eig_tol))
@@ -299,15 +293,15 @@ def cubic_inequality(
     Equality exactly at the constant vector x_i = 1 + l/m. The right side
     also dominates m + 3l, which is what the size bounds actually consume.
     """
-    tol = tol or DEFAULT_TOL
+    tol = _resolve_tol(None, tol)
     m = len(xs)
     if m < 1:
         raise ValueError("need at least one value")
-    if l < -tol.eig_tol:
+    if l < -tol.slack("eig"):
         raise ValueError("l must be nonnegative")
-    if min(xs) < -2.0 - tol.eig_tol:
+    if min(xs) < -2.0 - tol.slack("eig"):
         raise ValueError("every value must be at least -2")
-    slack = m * max(tol.eig_tol, 1e-12)
+    slack = m * tol.slack("eig_sum")
     if abs(math.fsum(xs) - (m + l)) > slack:
         raise ValueError("values must sum to m + l")
     lhs = math.fsum(x ** 3 for x in xs)

@@ -76,8 +76,7 @@ def two_distance_to_graph(s: PointSet, a: float, tol: Optional[Tolerance] = None
     i, j = np.nonzero(np.triu(nonunit_mask(s, tol)))
     d2, q2 = s.scaled_sqdist
     v = d2[i, j]
-    slack = max(tol.dist_tol, 1e-15) * max(1.0, a * a)
-    dev, limit, _ = band_deviation(s, v, flag_square(a), slack)
+    dev, limit, _ = band_deviation(s, v, flag_square(a), tol, "sphere", 0, max(1.0, a * a))
     off = np.flatnonzero(np.abs(dev) > limit)
     if len(off):
         k = off[0]
@@ -112,7 +111,7 @@ def _rank_records(n: int, graphs: Sequence[Graph], tol: Optional[Tolerance],
     float clustering within eig_tol or exact root counts on the stacked
     characteristic polynomials (``charpoly.lambda2_counts``, once per
     distinct polynomial)."""
-    eig_tol = (tol or Tolerance()).solver_eig_tol
+    eig_tol = _resolve_tol(None, tol).slack("solver")
     stack = np.array([g.adjacency() for g in graphs]).reshape(len(graphs), n, n)
     vals = np.linalg.eigvalsh(stack)
     lam2 = vals[:, -2]

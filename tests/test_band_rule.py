@@ -263,12 +263,13 @@ def test_flag_square_is_exact_only_when_the_float_product_is():
     assert flag_square(math.sqrt(2.0)) == 2.0000000000000004
     def limit(*args):  # an exact set's limit: band + 4 ulps of a float target
         _, scaled, scale = band_deviation(exact_set([0, 0]), [0], *args)
-        return scaled / scale
+        return Fraction(scaled, scale)
 
-    assert limit(flag_square(0.5), 1.0) == 0
-    assert limit(Fraction(1, 2), 1.0, 0.25) == Fraction(1, 4)
+    tol = Tolerance(1.0, 1.0)  # an exact set reads no float slack
+    assert limit(flag_square(0.5), tol, "unit") == 0
+    assert limit(Fraction(1, 2), tol, "unit", 0.25) == Fraction(1, 4)
     rounded = 2.0000000000000004
-    assert limit(rounded, 1.0) == 4 * Fraction(math.ulp(rounded))
+    assert limit(rounded, tol, "sphere") == 4 * Fraction(math.ulp(rounded))
 
 
 def unit_square():

@@ -326,7 +326,7 @@ def _diameter_fleet(star):
 def test_diameter_perron_from_spectrum_matches_nonsymmetric_oracle(triangle_with_center):
     for s in _diameter_fleet(triangle_with_center):
         rep = aeq.diameter_bound(s.dim, points=s)
-        tol = s.default_tol()
+        tol = Tolerance.exact() if s.mode == "exact" else Tolerance()
         eig_tol = tol.eig_tol if tol.eig_tol > 0 else 1e-8
         oracle = aeq.perron_frobenius_check(-aeq.defect_matrix(s).array, eig_tol)
         assert rep.detail["perron_attained"] is oracle.attained is True
@@ -346,7 +346,7 @@ def test_diameter_bound_stretched_simplex_is_satisfied():
     # but within the slack that U's positive entries allow
     s = PointSet.from_array(aeq.construct_simplex(14, 13).array * math.sqrt(1 + 0.9e-9))
     rep = aeq.diameter_bound(13, points=s)
-    assert rep.detail["lambda_sum"] > s.default_tol().eig_tol
+    assert rep.detail["lambda_sum"] > Tolerance().eig_tol
     assert rep.detail["lambda_sum_ok"] and rep.satisfied
 
 
@@ -361,7 +361,7 @@ def test_diameter_bound_fails_a_lambda_sum_beyond_the_slack(points, monkeypatch,
     }[points]
     d2, scale = s.scaled_sqdist
     u_max = max(0.0, float((d2.max() - scale) / scale))
-    certify = aeq.bounds._certify
+    certify = aeq.bounds.certify
     for excess, ok in ((0.5, True), (2.0, False)):
         def shifted(points, tol):
             # lambda_max raised so that the sum sits at a multiple of the slack
@@ -371,7 +371,7 @@ def test_diameter_bound_fails_a_lambda_sum_beyond_the_slack(points, monkeypatch,
             lam_max = excess * slack - cert.lambda_min
             return replace(cert, lambda_max=lam_max)
 
-        monkeypatch.setattr(aeq.bounds, "_certify", shifted)
+        monkeypatch.setattr(aeq.bounds, "certify", shifted)
         rep = aeq.diameter_bound(s.dim, points=s)
         assert rep.detail["lambda_sum_ok"] is ok and rep.satisfied is ok
 

@@ -329,6 +329,24 @@ def _wilkinson(n):
             + np.eye(n, k=-1, dtype=np.int64))
 
 
+@pytest.mark.parametrize("copies", [1, 2])
+def test_eigen_multiplicities_exact_on_wilkinson_w15(copies):
+    # np.roots returns the close top pair of W15 with imaginary parts up to
+    # about 3e-4; their real parts are the eigenvalues
+    a = np.kron(np.eye(copies, dtype=np.int64), _wilkinson(15))
+    roots = aeq.eigen_multiplicities_exact(a.tolist())
+    assert len(roots) == 15 and {m for _, m in roots} == {copies}
+    expanded = [v for v, m in roots for _ in range(m)]
+    assert np.allclose(expanded, np.linalg.eigvalsh(a)[::-1], rtol=0, atol=1e-3)
+
+
+def test_eigen_multiplicities_exact_rejects_an_asymmetric_matrix():
+    with pytest.raises(ValueError, match="symmetric"):
+        aeq.eigen_multiplicities_exact([[0, 1], [2, 0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        aeq.eigen_multiplicities_exact([[1, 0, 0], [0, 1, 0], [0, 1, 1]])
+
+
 def test_lambda2_counts_narrows_widens_and_gives_up():
     # Wilkinson's W15: lambda1 - lambda2 is about 4e-8, inside the first
     # 2e-6 interval (np.roots, in eigen_multiplicities_exact, splits this

@@ -369,7 +369,8 @@ def test_both_exact_builders_give_the_lcm_form(rows, data):
 # -- the two-branch code that one form (X, q) replaced, as oracles -------------
 
 def two_branch_norm_bounds(s, tol=None):
-    tol = s.default_tol() if tol is None else tol
+    if tol is None:
+        tol = Tolerance.exact() if s.mode == "exact" else Tolerance()
     n = s.n
     if s.mode == "exact":
         x, q = s.integer_form
