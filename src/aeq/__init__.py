@@ -16,7 +16,6 @@ from .bounds import (
     sphere_bound,
 )
 from .constructions import (
-    ConstructionSpec,
     construct,
     construct_rosenfeld,
     construct_simplex,

@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from .constructions import INV_SQRT2
 from .geometry import (
     EXACT_MODE,
     FLAG_ULPS,
@@ -28,8 +29,6 @@ from .geometry import (
 )
 from .miniball import min_enclosing_ball
 from .spectral import certify, defect_matrix
-
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -146,14 +145,17 @@ def diameter_bound(
     )
 
 
-def ball_bound_threshold(d: int, c0: float, cap_factor: int = 100) -> Optional[int]:
+CAP_FACTOR = 100  # the threshold scan's window ends at CAP_FACTOR * (d + 1)
+
+
+def ball_bound_threshold(d: int, c0: float) -> Optional[int]:
     """Smallest n >= 2d+2 from which the eigenvalue chain is contradictory.
 
     For a set in a ball of radius sqrt(1/2 + r), r = c0/(d+1)^(2/3), whose
     defect matrix has an eigenvalue lambda > 1, the chain
     (2nr + 1)^3 >= lambda^3 > (n-d-1)^3/(d+1)^2 - (n-d-2) fails as soon as
     the outer sides cross, i.e. when the cubic side reaches the Weyl side.
-    Returns the smallest n in [2d+2, cap_factor*(d+1)] past which the gap
+    Returns the smallest n in [2d+2, CAP_FACTOR*(d+1)] past which the gap
     stays nonnegative for the rest of the window, or None if it never does.
     """
     if d < 1:
@@ -161,7 +163,7 @@ def ball_bound_threshold(d: int, c0: float, cap_factor: int = 100) -> Optional[i
     if c0 < 0:
         raise ValueError("c0 must be nonnegative")
     r = c0 / (d + 1) ** (2.0 / 3.0)
-    lo, hi = 2 * d + 2, cap_factor * (d + 1)
+    lo, hi = 2 * d + 2, CAP_FACTOR * (d + 1)
     ns = np.arange(lo, hi + 1, dtype=float)
     cubic = (ns - d - 1) ** 3 / (d + 1) ** 2 - (ns - d - 2)
     weyl = (2.0 * ns * r + 1.0) ** 3
@@ -180,7 +182,6 @@ def ball_bound(
     c0: float,
     points: Optional[PointSet] = None,
     tol: Optional[Tolerance] = None,
-    cap_factor: int = 100,
 ) -> BoundReport:
     """Overall size bound in a ball of radius sqrt(1/2 + c0/(d+1)^(2/3)).
 
@@ -188,7 +189,7 @@ def ball_bound(
     the contradiction threshold; sets without one are capped at 2d + 4, so
     the overall bound is the max of the two branches.
     """
-    threshold = ball_bound_threshold(d, c0, cap_factor)
+    threshold = ball_bound_threshold(d, c0)
     no_spike_bound = 2 * d + 4
     bound = max(threshold - 1, no_spike_bound) if threshold is not None else None
     r = c0 / (d + 1) ** (2.0 / 3.0)
@@ -267,6 +268,12 @@ def recentred_norm_bounds(
     The shift by one accounts for the missing diagonal term of the row sum;
     without it the budget would be violated already by a unit simplex. Both
     statistics are reported.
+
+    The bound holds by an identity: with c_i = row_sum_i - 1 and
+    e_i = |x_i|^2 - 1/2, a recentred set has c_i = n e_i + sum(e), so
+    |e_i| <= (|c_i| + |sum(c)| / (2n)) / n < 3 max|c| / (2n) whenever
+    max|c| > 0. The check is kept as a margin report: ``holds`` can be false
+    only through float rounding.
     """
     tol = _resolve_tol(s, tol)
     n = s.n
@@ -328,8 +335,9 @@ def anchor_defect_ratio(
             f"norm band violated: |norm^2 - 1/2| up to {worst / scale:.3e} > x={x:.3e}"
         )
     kept = np.flatnonzero(nonunit[anchor_index])
-    dev, _, scale = band_deviation(s, s.scaled_sqdist[0][anchor_index, kept], 1, tol, "sphere")
-    lhs = abs(sum(dev)) / scale if s.mode == EXACT_MODE else abs(math.fsum(dev))
+    d2, q2 = s.scaled_sqdist
+    dev = d2[anchor_index, kept] - q2  # q^2 times the defects D / q^2 - 1
+    lhs = abs(sum(dev)) / q2 if s.mode == EXACT_MODE else abs(math.fsum(dev))
     rhs = math.sqrt(s.dim) + s.dim * math.sqrt(x) + s.dim * x
     return AnchorDefectReport(
         lhs=lhs,

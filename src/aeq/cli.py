@@ -21,13 +21,7 @@ from .bounds import (
     general_bound_pipeline,
     sphere_bound,
 )
-from .constructions import (
-    INV_SQRT2,
-    ConstructionSpec,
-    construct,
-    lift_to_halfsphere,
-    simplex_circumradius,
-)
+from .constructions import construct
 from .geometry import EXACT_MODE, PointSet, Tolerance, is_almost_equidistant
 from .search import SearchConfig, optimize
 from .serialize import (
@@ -144,14 +138,8 @@ def cmd_certify(args):
 
 
 def cmd_construct(args):
-    kind = args.kind.replace("-", "_")
-    # the two-simplices sphere is the circumsphere of one (dim+1)-simplex
-    k = args.count if kind == "simplex" and args.count is not None else args.dim + 1
     try:
-        s = construct(ConstructionSpec(kind, args.dim, {"k": k}))
-        if args.lift:
-            r = INV_SQRT2 if kind == "rosenfeld" else simplex_circumradius(k)
-            s = lift_to_halfsphere(s, r)
+        s = construct(args.kind.replace("-", "_"), args.dim, args.count, args.lift)
     except ValueError as e:
         raise UsageError(str(e)) from e
     check = is_almost_equidistant(s, _float_tolerance(args))

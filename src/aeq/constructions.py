@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -15,38 +14,32 @@ from .geometry import PointSet, Tolerance, _resolve_tol, sphere_defect
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-KINDS = ("simplex", "two_simplices", "rosenfeld", "lift")
+KINDS = ("simplex", "two_simplices", "rosenfeld")
 
 
-@dataclass(frozen=True)
-class ConstructionSpec:
-    """Dispatch record: which generator to run and with what parameters.
+def construct(kind: str, dim: int, count: Optional[int] = None, lift: bool = False) -> PointSet:
+    """The construction ``kind`` in R^dim, lifted onto the critical sphere
+    (R^(dim+1), radius 1/sqrt(2)) when ``lift`` is set.
 
-    params carries kind-specific keys: simplex takes k (default dim + 1);
-    lift takes base (a PointSet) and r (its sphere radius).
+    Each family lies on its own origin-centred sphere: the simplex of
+    ``count`` points (default dim + 1) on its circumsphere, the two
+    antipodal simplices on that of one (dim+1)-simplex, and rosenfeld's 2 dim
+    points on the critical sphere itself. Kinds other than simplex ignore
+    ``count``.
     """
-
-    kind: str
-    dim: int
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError("dim must be at least 1")
-
-
-def construct(spec: ConstructionSpec) -> PointSet:
-    if spec.kind == "simplex":
-        k = spec.params.get("k", spec.dim + 1)
-        return construct_simplex(k, spec.dim)
-    if spec.kind == "two_simplices":
-        return construct_two_simplices(spec.dim)
-    if spec.kind == "rosenfeld":
-        return construct_rosenfeld(spec.dim)
-    base = spec.params["base"]
-    return lift_to_halfsphere(base, spec.params["r"], spec.params.get("tol"))
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    if kind == "simplex":
+        k = dim + 1 if count is None else count
+        s = construct_simplex(k, dim)
+        r = simplex_circumradius(k)
+    elif kind == "two_simplices":
+        s, r = construct_two_simplices(dim), simplex_circumradius(dim + 1)
+    else:
+        s, r = construct_rosenfeld(dim), INV_SQRT2
+    return lift_to_halfsphere(s, r) if lift else s
 
 
 def simplex_circumradius(k: int) -> float:

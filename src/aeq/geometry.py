@@ -244,15 +244,20 @@ def squared_distance(p: Sequence, q: Sequence):
 
 
 def pairwise_squared_distances(x: np.ndarray) -> np.ndarray:
-    """Squared distances between the rows of an array, clamped at 0.
+    """Squared distances between the rows of an array (n, d), clamped at 0,
+    or of each set in a stack (..., n, d); the package's one distance kernel.
 
     Serves both modes: a float array gives floats, an object array of
-    Python ints gives exact ints.
+    Python ints gives exact ints. Each slice of a stack equals the call on
+    that slice alone, bit for bit.
     """
-    sq = np.einsum("ij,ij->i", x, x)
-    d2 = sq[:, None] + sq[None, :] - 2 * (x @ x.T)
-    np.fill_diagonal(d2, 0)
-    return np.maximum(d2, 0)
+    sq = np.einsum("...ij,...ij->...i", x, x)
+    d2 = sq[..., :, None] + sq[..., None, :]
+    d2 -= 2 * (x @ x.swapaxes(-1, -2))
+    n = x.shape[-2]
+    d2.reshape(-1, n * n)[:, :: n + 1] = 0  # the diagonals
+    np.maximum(d2, 0, out=d2)
+    return d2
 
 
 def _exact_floats(ints: np.ndarray, scale: int) -> np.ndarray:

@@ -27,11 +27,12 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .bounds import conjectured_diameter_max
-from .constructions import construct_rosenfeld, construct_two_simplices
-from .geometry import PointSet, Tolerance, is_almost_equidistant
+from .constructions import INV_SQRT2, construct_rosenfeld, construct_two_simplices
+from .geometry import PointSet, Tolerance, is_almost_equidistant, pairwise_squared_distances
 from .spectral import SpectralCertificate, certify
 
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
+# The descent's geometric step schedule runs from STEP_START down to STEP_END.
+STEP_START, STEP_END = 0.1, 1e-6
 
 # The most elements an array of one stacked descent step may hold (see
 # _block_size), so a search's memory does not grow with its restart count.
@@ -53,8 +54,6 @@ class SearchConfig:
     target_n: int
     restarts: int = 20
     max_iters: int = 1500
-    step_start: float = 0.1
-    step_end: float = 1e-6
     penalty_tol: float = 1e-18
     seed: int = 0
     diameter_cap: bool = False
@@ -102,13 +101,9 @@ def _tables(n: int) -> _Tables:
 
 
 def _distances(x: np.ndarray) -> np.ndarray:
-    """The shifted squared distances D - 1 of stacked point sets x, (R, n, d);
-    slice r is geometry.pairwise_squared_distances(x[r]) - 1 bit for bit."""
-    sq = np.einsum("rij,rij->ri", x, x)
-    d2 = sq[:, :, None] + sq[:, None, :]
-    d2 -= 2 * (x @ x.transpose(0, 2, 1))
-    d2.reshape(len(x), -1)[:, :: x.shape[1] + 1] = 0  # the diagonals
-    np.maximum(d2, 0, out=d2)
+    """The shifted squared distances D - 1 of stacked point sets x, (R, n, d),
+    from geometry's kernel."""
+    d2 = pairwise_squared_distances(x)
     d2 -= 1.0
     return d2
 
@@ -240,8 +235,8 @@ def _descent(x: np.ndarray, cfg: SearchConfig, tables: _Tables):
     best_x, steps = x.copy(), np.full(len(x), cfg.max_iters)
     if cfg.max_iters <= 0:
         return best_x, best_val, steps
-    decay = (cfg.step_end / cfg.step_start) ** (1.0 / max(cfg.max_iters - 1, 1))
-    eta = cfg.step_start
+    decay = (STEP_END / STEP_START) ** (1.0 / max(cfg.max_iters - 1, 1))
+    eta = STEP_START
     live = np.arange(len(x))  # the restarts still descending
     for it in range(cfg.max_iters):
         g = _gradient(x, q, active, cfg, tables.upper)

@@ -125,16 +125,23 @@ def load_pointset(text: str) -> PointSet:
     return pointset_from_dict(obj)
 
 
-def load_pointset_csv(text: str) -> PointSet:
-    rows = []
+def _csv_rows(text: str, cell: str):
+    """(line number, row of floats) for each line of a CSV text that is not
+    blank or a # comment, its cells split on commas and spaces; a cell that
+    float() rejects raises "line N: non-numeric <cell>"."""
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            rows.append(list(map(float, line.replace(",", " ").split())))
+            row = list(map(float, line.replace(",", " ").split()))
         except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric coordinate")
+            raise ValueError(f"line {lineno}: non-numeric {cell}") from None
+        yield lineno, row
+
+
+def load_pointset_csv(text: str) -> PointSet:
+    rows = [row for _, row in _csv_rows(text, "coordinate")]
     if not rows:
         raise ValueError("empty point CSV")
     width = len(rows[0])
@@ -146,14 +153,7 @@ def load_pointset_csv(text: str) -> PointSet:
 
 def load_matrix_csv(text: str) -> np.ndarray:
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            row = [float(tok) for tok in line.replace(",", " ").split()]
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric entry")
+    for lineno, row in _csv_rows(text, "entry"):
         if not all(map(math.isfinite, row)):
             raise ValueError(f"line {lineno}: entries must be finite")
         rows.append(row)

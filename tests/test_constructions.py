@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import aeq
-from aeq import ConstructionSpec, PointSet
 
 
 def pairwise_sq(pts):
@@ -135,18 +134,18 @@ def test_lifted_set_still_certifies():
 
 
 def test_construct_dispatch_all_kinds():
-    assert aeq.construct(ConstructionSpec("simplex", 3)).n == 4
-    assert aeq.construct(ConstructionSpec("simplex", 3, {"k": 2})).n == 2
-    assert aeq.construct(ConstructionSpec("two_simplices", 4)).n == 10
-    assert aeq.construct(ConstructionSpec("rosenfeld", 4)).n == 8
-    base = aeq.construct_two_simplices(2)
-    r = math.sqrt(2.0 / 6.0)
-    lifted = aeq.construct(ConstructionSpec("lift", 2, {"base": base, "r": r}))
+    assert aeq.construct("simplex", 3).n == 4
+    assert aeq.construct("simplex", 3, count=2).n == 2
+    assert aeq.construct("two_simplices", 4).n == 10
+    assert aeq.construct("rosenfeld", 4).n == 8
+    lifted = aeq.construct("two_simplices", 2, lift=True)
+    base = aeq.lift_to_halfsphere(aeq.construct_two_simplices(2), math.sqrt(2.0 / 6.0))
     assert lifted.dim == 3
+    assert np.array_equal(lifted.array, base.array)
 
 
 def test_construct_spec_validation():
     with pytest.raises(ValueError, match="kind"):
-        ConstructionSpec("hypercube", 3)
+        aeq.construct("hypercube", 3)
     with pytest.raises(ValueError, match="dim"):
-        ConstructionSpec("simplex", 0)
+        aeq.construct("simplex", 0)

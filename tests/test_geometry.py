@@ -191,6 +191,32 @@ def test_cached_distances_match_per_pair_oracle(rhombus):
             assert abs(floats[i, j] - aeq.squared_distance(p, q)) <= 1e-12
 
 
+def one_set_kernel(x):
+    """The kernel as it was before it took stacks: one set (n, d) only."""
+    sq = np.einsum("ij,ij->i", x, x)
+    d2 = sq[:, None] + sq[None, :] - 2 * (x @ x.T)
+    np.fill_diagonal(d2, 0)
+    return np.maximum(d2, 0)
+
+
+@pytest.mark.parametrize("ints", [False, True], ids=["float", "int"])
+def test_kernel_stack_slices_equal_the_one_set_call(ints):
+    from aeq.geometry import pairwise_squared_distances as kernel
+
+    rng = np.random.default_rng(11)
+    for n, d, lead in itertools.product((1, 2, 5, 9), (1, 2, 4), ((3,), (2, 2))):
+        x = rng.normal(size=(*lead, n, d)) * 3
+        if ints:
+            x = np.rint(x * 1e6).astype(np.int64).astype(object) * 10 ** 20
+        got = kernel(x)
+        assert got.shape == (*lead, n, n) and got.dtype == x.dtype
+        for idx in np.ndindex(*lead):
+            assert np.array_equal(got[idx], kernel(x[idx])), (n, d, idx)
+            assert np.array_equal(got[idx], one_set_kernel(x[idx])), (n, d, idx)
+        if ints:
+            assert all(type(v) is int for v in got.flat)
+
+
 def test_cached_arrays_are_read_only():
     s = aeq.construct_simplex(4, 3)
     for arr in (s.array, aeq.squared_distance_matrix(s)):

@@ -178,8 +178,8 @@ def oracle_descent(x, cfg):
     steps = cfg.max_iters
     if steps <= 0:
         return x, 0
-    decay = (cfg.step_end / cfg.step_start) ** (1.0 / max(steps - 1, 1))
-    eta = cfg.step_start
+    decay = (search.STEP_END / search.STEP_START) ** (1.0 / max(steps - 1, 1))
+    eta = search.STEP_START
     best_x, best_val = x.copy(), oracle_total_penalty(x, cfg, tri)
     for it in range(steps):
         g = oracle_gradient(x, cfg, tri)

@@ -113,6 +113,15 @@ def test_matrix_csv():
     for text, line in (("nan,1\n1,0\n", 1), ("0 1\n1 inf\n", 2), ("0 1\n-inf 0\n", 2)):
         with pytest.raises(ValueError, match=f"line {line}: entries must be finite"):
             aeq.load_matrix_csv(text)
+    # every message whole, with lines counted past blanks and comments
+    for text, message in (("", "empty matrix CSV"), ("# c\n\n", "empty matrix CSV"),
+                          ("0 1\n1\n", "ragged matrix CSV"),
+                          ("0 1\n# c\n\n1 x\n", "line 4: non-numeric entry"),
+                          ("0 nan\n1 x\n", "line 1: entries must be finite"),
+                          ("0 1\nx nan\n", "line 2: non-numeric entry")):
+        with pytest.raises(ValueError) as err:
+            aeq.load_matrix_csv(text)
+        assert str(err.value) == message, text
 
 
 def test_report_floats_have_17_digits():
