@@ -47,6 +47,14 @@ def conjectured_diameter_max(d: int) -> int:
     return (3 * (d + 1)) // 2
 
 
+def _check_dim(d: int, points: Optional[PointSet]) -> None:
+    """The check every calculator shares: d >= 1, and given points, points in R^d."""
+    if d < 1:
+        raise ValueError("d must be at least 1")
+    if points is not None and points.dim != d:
+        raise ValueError("dimension mismatch between points and d")
+
+
 def sphere_bound(
     d: int,
     r: float,
@@ -58,9 +66,10 @@ def sphere_bound(
     2d + 2 points below the critical radius; exactly at 1/sqrt(2) the
     sharper 2d applies.
     """
+    _check_dim(d, points)
     tol = _resolve_tol(points, tol)
     slack = tol.slack("sphere")
-    if r <= 0:
+    if not r > 0:
         raise ValueError("radius must be positive")
     if r > INV_SQRT2 + slack:
         raise ValueError("radius exceeds 1/sqrt(2); no bound in this regime")
@@ -69,8 +78,6 @@ def sphere_bound(
     detail = {"critical_radius": critical, "radius": r}
     n_obs = satisfied = None
     if points is not None:
-        if points.dim != d:
-            raise ValueError("dimension mismatch between points and d")
         detail["max_sphere_defect"] = sphere_defect(points, r, tol)
         n_obs = points.n
         satisfied = n_obs <= bound
@@ -98,6 +105,7 @@ def diameter_bound(
     eigenvalue, which forces the sum down), up to the slack of the
     eigensolver and of the positive entries that dist_tol lets through.
     """
+    _check_dim(d, points)
     bound = 2 * d + 4
     detail = {"conjectured_tight": conjectured_diameter_max(d)}
     n_obs = satisfied = None
@@ -158,23 +166,19 @@ def ball_bound_threshold(d: int, c0: float) -> Optional[int]:
     Returns the smallest n in [2d+2, CAP_FACTOR*(d+1)] past which the gap
     stays nonnegative for the rest of the window, or None if it never does.
     """
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    if c0 < 0:
+    _check_dim(d, None)
+    if not c0 >= 0:
         raise ValueError("c0 must be nonnegative")
     r = c0 / (d + 1) ** (2.0 / 3.0)
     lo, hi = 2 * d + 2, CAP_FACTOR * (d + 1)
     ns = np.arange(lo, hi + 1, dtype=float)
     cubic = (ns - d - 1) ** 3 / (d + 1) ** 2 - (ns - d - 2)
     weyl = (2.0 * ns * r + 1.0) ** 3
-    gap = cubic - weyl
-    bad = np.flatnonzero(gap < 0)
+    bad = np.flatnonzero(cubic - weyl < 0)
     if len(bad) == 0:
         return lo
     last_bad = int(bad[-1])
-    if last_bad == len(ns) - 1:
-        return None
-    return lo + last_bad + 1
+    return None if last_bad == len(ns) - 1 else lo + last_bad + 1
 
 
 def ball_bound(
@@ -189,14 +193,15 @@ def ball_bound(
     the contradiction threshold; sets without one are capped at 2d + 4, so
     the overall bound is the max of the two branches.
     """
+    _check_dim(d, points)
     threshold = ball_bound_threshold(d, c0)
+    spike_bound = threshold - 1 if threshold is not None else None
     no_spike_bound = 2 * d + 4
-    bound = max(threshold - 1, no_spike_bound) if threshold is not None else None
-    r = c0 / (d + 1) ** (2.0 / 3.0)
-    radius = math.sqrt(0.5 + r)
+    bound = max(spike_bound, no_spike_bound) if spike_bound is not None else None
+    radius = math.sqrt(0.5 + c0 / (d + 1) ** (2.0 / 3.0))
     detail = {
         "threshold": threshold,
-        "spike_branch_bound": threshold - 1 if threshold is not None else None,
+        "spike_branch_bound": spike_bound,
         "no_spike_branch_bound": no_spike_bound,
         "ball_radius": radius,
     }
@@ -398,9 +403,9 @@ def general_bound_pipeline(
         detail["c0_implied"] = c0_implied
         if c0_implied < 0.5:
             branch = "small_ball"
-            threshold = ball_bound_threshold(d, max(c0_implied, 0.0))
-            detail["threshold"] = threshold
-            bound = max(threshold - 1, 2 * d + 4) if threshold is not None else None
+            ball = ball_bound(d, max(c0_implied, 0.0))
+            detail["threshold"] = ball.detail["threshold"]
+            bound = ball.bound
         else:
             branch = "out_of_regime"
             bound = None

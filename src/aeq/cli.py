@@ -11,6 +11,7 @@ import argparse
 import functools
 import math
 import sys
+import warnings
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -139,9 +140,13 @@ def cmd_certify(args):
 
 def cmd_construct(args):
     try:
-        s = construct(args.kind.replace("-", "_"), args.dim, args.count, args.lift)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            s = construct(args.kind.replace("-", "_"), args.dim, args.count, args.lift)
     except ValueError as e:
         raise UsageError(str(e)) from e
+    for w in caught:  # a degenerate family, such as two-simplices in R^1
+        print(f"aeq: {w.message}", file=sys.stderr)
     check = is_almost_equidistant(s, _float_tolerance(args))
     payload = pointset_to_dict(s)
     payload["verified"] = check.ok
@@ -155,21 +160,19 @@ def cmd_construct(args):
 def cmd_bounds(args):
     tol = _tolerance(args)
     points = _load_points(args, args.input) if args.input else None
+    if args.theorem == "sphere" and args.radius is None:
+        raise UsageError("--radius is required for the sphere bound")
+    if args.theorem == "general" and points is None:
+        raise UsageError("--input is required for the general pipeline")
     try:
         if args.theorem == "sphere":
-            if args.radius is None:
-                raise UsageError("--radius is required for the sphere bound")
             report = sphere_bound(args.dim, args.radius, points, tol)
         elif args.theorem == "diameter":
             report = diameter_bound(args.dim, points, tol)
         elif args.theorem == "ball":
             report = ball_bound(args.dim, args.c0, points, tol)
         else:
-            if points is None:
-                raise UsageError("--input is required for the general pipeline")
             report = general_bound_pipeline(points, tol)
-    except UsageError:
-        raise
     except ValueError as e:
         # without a configuration the failure can only be a bad parameter
         if points is None:

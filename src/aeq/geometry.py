@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -277,16 +276,23 @@ class TripleCheck:
     witness: Optional[Tuple[int, int, int]]  # indices of a triple with no unit pair
 
 
-def first_triangle(masks: Sequence[int], edges) -> TripleCheck:
-    """The first edge (i, j) of ``edges`` (i < j, lexicographic order) whose
-    ends have a common neighbour, and the lowest such k, as a sorted triple;
-    bit k of masks[v] is set iff v ~ k."""
-    for i, j in edges:
-        common = masks[i] & masks[j]
-        if common:
-            k = (common & -common).bit_length() - 1
-            return TripleCheck(False, tuple(sorted((i, j, k))))
-    return TripleCheck(True, None)
+def triangle_pairs(adj: np.ndarray) -> np.ndarray:
+    """The package's one triangle test: the set pairs i < j of a boolean (n, n),
+    or of each in a stack (..., n, n), whose rows share a set column. A float32
+    sum of 0/1 products that holds a 1 cannot round to 0, at any n."""
+    a = adj.astype(np.float32)
+    return np.triu(adj & (a @ a.swapaxes(-1, -2) > 0), 1)
+
+
+def first_triangle(adj: np.ndarray) -> TripleCheck:
+    """The first pair (i, j) of triangle_pairs(adj) in row order, and the
+    lowest column k that rows i and j share, as a sorted triple."""
+    pairs = triangle_pairs(adj)
+    if not pairs.any():
+        return TripleCheck(True, None)
+    i, j = divmod(int(pairs.argmax()), len(adj))
+    k = int((adj[i] & adj[j]).argmax())
+    return TripleCheck(False, tuple(sorted((i, j, k))))
 
 
 def is_almost_equidistant(s: PointSet, tol: Optional[Tolerance] = None) -> TripleCheck:
@@ -303,13 +309,7 @@ def is_almost_equidistant(s: PointSet, tol: Optional[Tolerance] = None) -> Tripl
         nonunit = np.abs(dev) > limit
         np.fill_diagonal(nonunit, False)
         nonunit.flags.writeable = False
-        masks = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-                 for row in nonunit]
-        # the pairs (i, j), i < j, in row order, made 64 rows at a time
-        upper = np.triu(nonunit, 1)
-        blocks = (np.nonzero(upper[b:b + 64]) + np.array([[b], [0]]) for b in range(0, s.n, 64))
-        edges = chain.from_iterable(zip(*block.tolist()) for block in blocks)
-        s._triple_checks[tol.dist_tol] = first_triangle(masks, edges), nonunit
+        s._triple_checks[tol.dist_tol] = first_triangle(nonunit), nonunit
     return s._triple_checks[tol.dist_tol][0]
 
 

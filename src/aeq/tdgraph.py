@@ -23,6 +23,7 @@ from .geometry import (
     first_triangle,
     flag_square,
     nonunit_mask,
+    triangle_pairs,
 )
 
 EXACT_RANK_LIMIT = 12
@@ -56,11 +57,7 @@ class Graph:
 
 
 def is_triangle_free(g: Graph) -> TripleCheck:
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return first_triangle(masks, sorted(g.edges))
+    return first_triangle(g.adjacency() > 0)
 
 
 def two_distance_to_graph(s: PointSet, a: float, tol: Optional[Tolerance] = None) -> Graph:
@@ -104,15 +101,13 @@ def check_rank_size(n: int, exact: bool) -> None:
         raise ValueError(f"exact mode supports at most {EXACT_RANK_LIMIT} vertices")
 
 
-def _rank_records(n: int, graphs: Sequence[Graph], tol: Optional[Tolerance],
+def _rank_records(graphs: Sequence[Graph], stack: np.ndarray, tol: Optional[Tolerance],
                   exact: bool) -> List[GraphRankRecord]:
-    """The records of graphs on n vertices, from one pass over the stack of
-    their adjacency matrices: one ``eigvalsh`` for lambda2, then either
-    float clustering within eig_tol or exact root counts on the stacked
-    characteristic polynomials (``charpoly.lambda2_counts``, once per
-    distinct polynomial)."""
+    """The records of graphs from one pass over their adjacency stack
+    (G, n, n): one ``eigvalsh`` for lambda2, then float clustering within
+    eig_tol or exact root counts on the stacked characteristic polynomials
+    (``charpoly.lambda2_counts``, once per distinct polynomial)."""
     eig_tol = _resolve_tol(None, tol).slack("solver")
-    stack = np.array([g.adjacency() for g in graphs]).reshape(len(graphs), n, n)
     vals = np.linalg.eigvalsh(stack)
     lam2 = vals[:, -2]
     if exact:
@@ -127,7 +122,7 @@ def _rank_records(n: int, graphs: Sequence[Graph], tol: Optional[Tolerance],
         mult = np.sum(np.abs(vals - lam2[:, None]) <= eig_tol, axis=1).tolist()
         counts = list(zip((lam2 > eig_tol).tolist(), mult))
     return [
-        GraphRankRecord(graph=g, lambda2=l2, multiplicity=m, rank=n - m, lambda2_positive=pos)
+        GraphRankRecord(graph=g, lambda2=l2, multiplicity=m, rank=g.n - m, lambda2_positive=pos)
         for g, l2, (pos, m) in zip(graphs, lam2.tolist(), counts)
     ]
 
@@ -143,7 +138,7 @@ def lambda2_rank(g: Graph, tol: Optional[Tolerance] = None, exact: bool = False)
     the ``eigvalsh`` value in both modes.
     """
     check_rank_size(g.n, exact)
-    return _rank_records(g.n, [g], tol, exact)[0]
+    return _rank_records([g], g.adjacency()[None], tol, exact)[0]
 
 
 @dataclass(frozen=True)
@@ -162,26 +157,21 @@ def min_rank_scan(
     """Minimum rank over triangle-free graphs on n vertices with a positive
     second eigenvalue. Rejects an n out of range first, then wrong sizes and
     non-triangle-free inputs by stream index; graphs with lambda2 <= 0 are
-    recorded but not ranked."""
+    recorded but not ranked. The triangle test and the ranks share one stack."""
     check_rank_size(n, exact)
-    for idx, g in enumerate(graphs):
-        if g.n != n:
-            raise ValueError(f"graph {idx} has {g.n} vertices, expected {n}")
-        tri = is_triangle_free(g)
-        if not tri.ok:
-            raise ValueError(f"graph {idx} contains triangle {tri.witness}")
-    records = _rank_records(n, graphs, tol, exact)
-    best: Optional[int] = None
-    argmin: List[int] = []
-    for idx, rec in enumerate(records):
-        if not rec.lambda2_positive:
-            continue
-        if best is None or rec.rank < best:
-            best = rec.rank
-            argmin = [idx]
-        elif rec.rank == best:
-            argmin.append(idx)
-    return ScanResult(min_rank=best, argmin=tuple(argmin), records=tuple(records))
+    m = next((idx for idx, g in enumerate(graphs) if g.n != n), len(graphs))
+    stack = np.array([g.adjacency() for g in graphs[:m]], dtype=np.int64).reshape(m, n, n)
+    has_triangle = triangle_pairs(stack > 0).any(axis=(1, 2))
+    if has_triangle.any():  # only the graphs before the first of the wrong size
+        idx = int(has_triangle.argmax())
+        raise ValueError(f"graph {idx} contains triangle {first_triangle(stack[idx] > 0).witness}")
+    if m < len(graphs):
+        raise ValueError(f"graph {m} has {graphs[m].n} vertices, expected {n}")
+    records = _rank_records(graphs, stack, tol, exact)
+    ranked = [(rec.rank, idx) for idx, rec in enumerate(records) if rec.lambda2_positive]
+    best = min(ranked)[0] if ranked else None
+    argmin = tuple(idx for rank, idx in ranked if rank == best)
+    return ScanResult(min_rank=best, argmin=argmin, records=tuple(records))
 
 
 def parse_graph_line(line: str) -> Graph:

@@ -123,6 +123,33 @@ def test_ball_threshold_validation():
         aeq.ball_bound_threshold(3, -0.1)
 
 
+CALCULATORS = {
+    "sphere": lambda d, points=None: aeq.sphere_bound(d, 0.5, points),
+    "diameter": lambda d, points=None: aeq.diameter_bound(d, points),
+    "ball": lambda d, points=None: aeq.ball_bound(d, 0.25, points),
+}
+
+
+@pytest.mark.parametrize("theorem", CALCULATORS)
+def test_every_calculator_checks_d_and_the_points_dim(theorem):
+    bound = CALCULATORS[theorem]
+    for d in (0, -3):
+        with pytest.raises(ValueError, match="^d must be at least 1$"):
+            bound(d)
+    with pytest.raises(ValueError, match="^dimension mismatch between points and d$"):
+        bound(1, aeq.construct_simplex(4, 3))
+    assert bound(1).bound > 0
+
+
+def test_nan_parameters_are_rejected():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="^radius must be positive$"):
+        aeq.sphere_bound(3, nan)
+    for f in (aeq.ball_bound, aeq.ball_bound_threshold):
+        with pytest.raises(ValueError, match="^c0 must be nonnegative$"):
+            f(3, nan)
+
+
 def test_ball_bound_zero_excess_is_diameter_style():
     for d in (1, 5, 50):
         assert aeq.ball_bound(d, 0.0).bound == 2 * d + 4
@@ -272,6 +299,22 @@ def test_pipeline_small_ball_branch():
     assert rep.detail["threshold"] is not None
     assert rep.bound >= 8
     assert rep.satisfied
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("c0", [0.001, 0.01, 0.05, 0.1, 0.2, 0.3, 0.45])
+def test_pipeline_small_ball_bound_is_ball_bounds(d, c0):
+    # two points at +-t e_1, t^2 = 1/2 + c0 / (d+1)^(2/3): recentred, their
+    # implied c0 is c0 up to rounding
+    t = math.sqrt(0.5 + c0 / (d + 1) ** (2.0 / 3.0))
+    pts = np.zeros((2, d))
+    pts[:, 0] = (t, -t)
+    rep = aeq.general_bound_pipeline(PointSet.from_array(pts))
+    assert rep.detail["branch"] == "small_ball"
+    assert rep.detail["c0_implied"] == pytest.approx(c0, rel=1e-6)
+    ball = aeq.ball_bound(d, rep.detail["c0_implied"])
+    assert rep.detail["threshold"] == ball.detail["threshold"]
+    assert rep.bound == ball.bound
 
 
 def test_pipeline_out_of_regime(rhombus):

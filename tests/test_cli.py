@@ -324,6 +324,31 @@ def test_bounds_ball_rejects_an_exact_set_just_outside(capsys, tmp_path):
     assert "exceeds the stated ball radius" in rep["payload"]["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("--theorem", "sphere", "--dim", "-3", "--radius", "0.5"),
+    ("--theorem", "diameter", "--dim", "-3"),
+    ("--theorem", "ball", "--dim", "0"),
+])
+def test_bounds_bad_dim_without_input_is_a_usage_error(capsys, argv):
+    code, rep = run_cli(capsys, "bounds", *argv)
+    assert (code, rep["outcome"]) == (2, "error")
+    assert rep["payload"]["message"] == "d must be at least 1"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--theorem", "sphere", "--radius", "0.6123724356957945"),
+    ("--theorem", "diameter"),
+    ("--theorem", "ball"),
+])
+def test_bounds_points_in_another_dim_fail(capsys, tmp_path, argv):
+    out = tmp_path / "simplex3.json"  # construct_simplex(4, 3)
+    main(["construct", "--kind", "simplex", "--dim", "3", "--out", str(out)])
+    capsys.readouterr()
+    code, rep = run_cli(capsys, "bounds", *argv, "--dim", "1", "--input", str(out))
+    assert (code, rep["outcome"]) == (1, "fail")
+    assert rep["payload"]["message"] == "dimension mismatch between points and d"
+
+
 def test_bounds_general_requires_input(capsys):
     code, rep = run_cli(capsys, "bounds", "--theorem", "general", "--dim", "2")
     assert code == 2

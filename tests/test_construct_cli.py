@@ -6,6 +6,7 @@ matching exit code: 3 kinds x 5 dimensions x 5 flag sets x 2 formats.
 """
 import itertools
 import math
+import warnings
 
 import pytest
 
@@ -21,6 +22,12 @@ FORMATS = ("json", "csv")
 
 def library(kind, dim, count, lift):
     """The point set the per-family functions build, or their error message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        return _library(kind, dim, count, lift), [str(w.message) for w in caught]
+
+
+def _library(kind, dim, count, lift):
     try:
         if dim < 1:
             raise ValueError("dim must be at least 1")
@@ -37,8 +44,11 @@ def library(kind, dim, count, lift):
 
 
 def expected(kind, dim, count, lift, fmt):
-    """(exit code, stdout, stderr) of `aeq construct` from the library's result."""
-    result = library(kind, dim, count, lift)
+    """(exit code, stdout, stderr) of `aeq construct` from the library's result:
+    each library warning, such as the degenerate two-simplices in R^1, is one
+    `aeq:` line on stderr."""
+    result, warned = library(kind, dim, count, lift)
+    err = "".join(f"aeq: {m}\n" for m in warned)
     if isinstance(result, str):
         code, outcome, payload = 2, "error", {"message": result}
     else:
@@ -46,22 +56,23 @@ def expected(kind, dim, count, lift, fmt):
         code, outcome = (0, "pass") if ok else (1, "fail")
         if fmt == "csv":
             rows = result.array.tolist()
-            return code, "".join(",".join(format(v, ".17g") for v in r) + "\n" for r in rows), ""
+            return code, "".join(",".join(format(v, ".17g") for v in r) + "\n" for r in rows), err
         payload = {**aeq.pointset_to_dict(result), "verified": ok}
     inputs = {"tol": 1e-9, "eig_tol": 1e-8, "exact": False, "kind": kind, "dim": dim,
               "count": count, "lift": lift}
     inputs = {k: v for k, v in inputs.items() if v is not None}  # as the CLI drops None
     report = {"command": "construct", "inputs": inputs, "outcome": outcome, "payload": payload}
-    return code, dumps_report(report, indent=1), f"aeq: {result}\n" if code == 2 else ""
+    return code, dumps_report(report, indent=1), f"aeq: {result}\n" if code == 2 else err
 
 
-@pytest.mark.filterwarnings("ignore:two-simplices construction degenerates")
 @pytest.mark.parametrize("flags", FLAGS, ids=("plain", "lift", "count2", "count9", "count3-lift"))
 @pytest.mark.parametrize("kind", KINDS)
 def test_construct_matches_the_library(kind, flags, capsys):
     count = int(flags[flags.index("--count") + 1]) if "--count" in flags else None
     for dim, fmt in itertools.product(DIMS, FORMATS):
         argv = ["construct", "--kind", kind, "--dim", str(dim), *flags, "--format", fmt]
-        code = main(argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no Python warning leaves the CLI
+            code = main(argv)
         out, err = capsys.readouterr()
         assert (code, out, err) == expected(kind, dim, count, "--lift" in flags, fmt), argv
