@@ -55,6 +55,14 @@ def _check_dim(d: int, points: Optional[PointSet]) -> None:
         raise ValueError("dimension mismatch between points and d")
 
 
+def _report(theorem, d, params, bound, detail, points, holds) -> BoundReport:
+    """The one verdict rule: given points and a finite bound, satisfied is
+    n <= bound and holds; otherwise None, and n_observed is None without points."""
+    n = None if points is None else points.n
+    satisfied = None if n is None or bound is None else (n <= bound and holds)
+    return BoundReport(theorem, d, params, bound, n, satisfied, detail)
+
+
 def sphere_bound(
     d: int,
     r: float,
@@ -76,20 +84,9 @@ def sphere_bound(
     critical = abs(r - INV_SQRT2) <= slack
     bound = 2 * d if critical else 2 * d + 2
     detail = {"critical_radius": critical, "radius": r}
-    n_obs = satisfied = None
     if points is not None:
         detail["max_sphere_defect"] = sphere_defect(points, r, tol)
-        n_obs = points.n
-        satisfied = n_obs <= bound
-    return BoundReport(
-        theorem="sphere",
-        dim=d,
-        params={"radius": r},
-        bound=bound,
-        n_observed=n_obs,
-        satisfied=satisfied,
-        detail=detail,
-    )
+    return _report("sphere", d, {"radius": r}, bound, detail, points, True)
 
 
 def diameter_bound(
@@ -108,49 +105,39 @@ def diameter_bound(
     _check_dim(d, points)
     bound = 2 * d + 4
     detail = {"conjectured_tight": conjectured_diameter_max(d)}
-    n_obs = satisfied = None
-    if points is not None:
-        tol = _resolve_tol(points, tol)
-        diam = diameter(points)
-        d2, scale = points.scaled_sqdist
-        # an exact set caps D at q^2 exactly; a float one caps the diameter
-        if points.mode == EXACT_MODE:
-            if d2.max() > scale:
-                raise ValueError(f"squared diameter {Fraction(d2.max(), scale)} exceeds 1")
-        elif diam > 1.0 + tol.slack("unit"):
-            raise ValueError(f"diameter {diam:.12g} exceeds 1 + dist_tol")
-        cert = certify(points, tol)
-        eig_tol = tol.slack("solver")
-        u_max = float((d2.max() - scale) / scale)  # the largest entry of U
-        if u_max > eig_tol:
-            raise ValueError("matrix has a negative entry")
-        # Perron-Frobenius on -U with its negative entries cleared, a change
-        # that moves each eigenvalue by at most n * max(0, u_max) (Weyl)
-        rho = max(cert.lambda_max, -cert.lambda_min)
-        slack = eig_tol * max(1.0, rho) + 2 * points.n * max(0.0, u_max)
-        perron_attained = -cert.lambda_min >= cert.lambda_max - slack
-        lam_sum = cert.lambda_max + cert.lambda_min
-        lam_sum_ok = lam_sum <= slack
-        detail.update(
-            {
-                "diameter": diam,
-                "lambda_sum": lam_sum,
-                "lambda_sum_ok": lam_sum_ok,
-                "perron_attained": perron_attained,
-                "certificate": cert.as_dict(),
-            }
-        )
-        n_obs = points.n
-        satisfied = n_obs <= bound and lam_sum_ok
-    return BoundReport(
-        theorem="diameter",
-        dim=d,
-        params={},
-        bound=bound,
-        n_observed=n_obs,
-        satisfied=satisfied,
-        detail=detail,
+    if points is None:
+        return _report("diameter", d, {}, bound, detail, None, True)
+    tol = _resolve_tol(points, tol)
+    diam = diameter(points)
+    d2, scale = points.scaled_sqdist
+    # an exact set caps D at q^2 exactly; a float one caps the diameter
+    if points.mode == EXACT_MODE:
+        if d2.max() > scale:
+            raise ValueError(f"squared diameter {Fraction(d2.max(), scale)} exceeds 1")
+    elif diam > 1.0 + tol.slack("unit"):
+        raise ValueError(f"diameter {diam:.12g} exceeds 1 + dist_tol")
+    cert = certify(points, tol)
+    eig_tol = tol.slack("solver")
+    u_max = float((d2.max() - scale) / scale)  # the largest entry of U
+    if u_max > eig_tol:
+        raise ValueError("matrix has a negative entry")
+    # Perron-Frobenius on -U with its negative entries cleared, a change
+    # that moves each eigenvalue by at most n * max(0, u_max) (Weyl)
+    rho = max(cert.lambda_max, -cert.lambda_min)
+    slack = eig_tol * max(1.0, rho) + 2 * points.n * max(0.0, u_max)
+    perron_attained = -cert.lambda_min >= cert.lambda_max - slack
+    lam_sum = cert.lambda_max + cert.lambda_min
+    lam_sum_ok = lam_sum <= slack
+    detail.update(
+        {
+            "diameter": diam,
+            "lambda_sum": lam_sum,
+            "lambda_sum_ok": lam_sum_ok,
+            "perron_attained": perron_attained,
+            "certificate": cert.as_dict(),
+        }
     )
+    return _report("diameter", d, {}, bound, detail, points, lam_sum_ok)
 
 
 CAP_FACTOR = 100  # the threshold scan's window ends at CAP_FACTOR * (d + 1)
@@ -205,7 +192,6 @@ def ball_bound(
         "no_spike_branch_bound": no_spike_bound,
         "ball_radius": radius,
     }
-    n_obs = satisfied = None
     if points is not None:
         center, mer_radius, mer_radius_sq = min_enclosing_ball(points)
         if mer_radius_sq is not None:
@@ -219,17 +205,7 @@ def ball_bound(
                 f"enclosing radius {mer_radius:.12g} exceeds the stated ball radius {radius:.12g}"
             )
         detail["mer_radius"] = mer_radius
-        n_obs = points.n
-        satisfied = (n_obs <= bound) if bound is not None else None
-    return BoundReport(
-        theorem="ball",
-        dim=d,
-        params={"c0": c0},
-        bound=bound,
-        n_observed=n_obs,
-        satisfied=satisfied,
-        detail=detail,
-    )
+    return _report("ball", d, {"c0": c0}, bound, detail, points, True)
 
 
 @dataclass(frozen=True)
@@ -329,7 +305,7 @@ def anchor_defect_ratio(
     if not 0 <= anchor_index < s.n:
         raise ValueError("anchor index out of range")
     nonunit = nonunit_mask(s, tol)
-    if x < 0:
+    if not x >= 0:
         raise ValueError("norm band x must be nonnegative")
     xs, _ = s.form
     norms = np.einsum("ij,ij->i", xs, xs)
@@ -378,7 +354,7 @@ def general_bound_pipeline(
             "budget": nb.f_over_n_bound,
         }
     )
-    n, d = s.n, s.dim
+    d = s.dim
     x = centered.array
     radius_actual = math.sqrt(float(np.einsum("ij,ij->i", x, x).max()))
     radius_band = math.sqrt(0.5 + nb.f_over_n_bound)
@@ -410,13 +386,4 @@ def general_bound_pipeline(
             branch = "out_of_regime"
             bound = None
     detail["branch"] = branch
-    satisfied = (n <= bound) if bound is not None else None
-    return BoundReport(
-        theorem="general",
-        dim=d,
-        params={},
-        bound=bound,
-        n_observed=n,
-        satisfied=satisfied,
-        detail=detail,
-    )
+    return _report("general", d, {}, bound, detail, s, True)

@@ -17,6 +17,7 @@ from typing import Optional
 
 from . import __version__
 from .bounds import (
+    BoundReport,
     ball_bound,
     diameter_bound,
     general_bound_pipeline,
@@ -111,16 +112,26 @@ def _bound_payload(report) -> dict:
     return {**asdict(report), "bound": bound}
 
 
-def cmd_verify(args):
-    s = _load_points(args, args.input)
-    check = is_almost_equidistant(s, _tolerance(args))
-    payload = {
+def _triple_payload(s: PointSet, check) -> dict:
+    return {
         "n": s.n,
         "dim": s.dim,
         "almost_equidistant": check.ok,
         "witness": list(check.witness) if check.witness else None,
     }
-    return (PASS if check.ok else FAIL), payload, None
+
+
+def _write_points(path: Optional[str], s: PointSet) -> None:
+    """The --out file of construct and search: the point set JSON."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(dumps_report(pointset_to_dict(s), indent=1))
+
+
+def cmd_verify(args):
+    s = _load_points(args, args.input)
+    check = is_almost_equidistant(s, _tolerance(args))
+    return (PASS if check.ok else FAIL), _triple_payload(s, check), None
 
 
 def cmd_certify(args):
@@ -128,12 +139,7 @@ def cmd_certify(args):
     tol = _tolerance(args)
     check = is_almost_equidistant(s, tol)
     if not check.ok:
-        return FAIL, {
-            "n": s.n,
-            "dim": s.dim,
-            "almost_equidistant": False,
-            "witness": list(check.witness),
-        }, None
+        return FAIL, _triple_payload(s, check), None
     cert = certify(s, tol)
     return (PASS if cert.lemma1_holds else FAIL), cert.as_dict(), None
 
@@ -150,9 +156,7 @@ def cmd_construct(args):
     check = is_almost_equidistant(s, _float_tolerance(args))
     payload = pointset_to_dict(s)
     payload["verified"] = check.ok
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(dumps_report(pointset_to_dict(s), indent=1))
+    _write_points(args.out, s)
     table = (None, s.array.tolist())
     return (PASS if check.ok else FAIL), payload, table
 
@@ -210,9 +214,7 @@ def cmd_search(args):
         "restart_index": res.restart_index,
         "certificate": res.certificate.as_dict() if res.certificate else None,
     }
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(dumps_report(pointset_to_dict(res.best_points), indent=1))
+    _write_points(args.out, res.best_points)
     return (PASS if res.feasible else INFEASIBLE), payload, None
 
 
@@ -250,16 +252,8 @@ def cmd_pipeline(args):
             stages.append({"name": "diameter_bound", "ok": bool(rep.satisfied)})
         except ValueError as e:
             stages.append({"name": "diameter_bound", "ok": False, "error": str(e)})
-            payload = {
-                "theorem": "general",
-                "dim": s.dim,
-                "params": {},
-                "bound": None,
-                "n_observed": s.n,
-                "satisfied": False,
-                "detail": {"stages": stages},
-            }
-            return FAIL, payload, None
+            failed = BoundReport("general", s.dim, {}, None, s.n, False, {"stages": stages})
+            return FAIL, asdict(failed), None
     report = general_bound_pipeline(s, tol)
     payload = _bound_payload(report)
     if stages:
@@ -274,15 +268,13 @@ def cmd_weyl(args):
     a = _load_matrix(args.a)
     b = _load_matrix(args.b)
     res = weyl_check(a, b, _float_tolerance(args).eig_tol)
-    payload = {"alpha": res.alpha, "beta": res.beta, "gamma": res.gamma, "holds": res.holds}
-    return (PASS if res.holds else FAIL), payload, None
+    return (PASS if res.holds else FAIL), asdict(res), None
 
 
 def cmd_perron(args):
     m = _load_matrix(args.input)
     res = perron_frobenius_check(m, _float_tolerance(args).eig_tol)
-    payload = {"rho": res.rho, "attained": res.attained}
-    return (PASS if res.attained else FAIL), payload, None
+    return (PASS if res.attained else FAIL), asdict(res), None
 
 
 def cmd_gershgorin(args):
@@ -391,6 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _abort(args, outcome: str, e: Exception) -> int:
+    print(f"aeq: {e}", file=sys.stderr)
+    _emit(args, args.command, outcome, {"message": str(e)}, None)
+    return _EXIT[outcome]
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -398,19 +396,13 @@ def main(argv: Optional[list] = None) -> int:
         _check_common_flags(args)
         outcome, payload, table = args.handler(args)
     except UsageError as e:
-        print(f"aeq: {e}", file=sys.stderr)
-        _emit(args, args.command, ERROR, {"message": str(e)}, None)
-        return _EXIT[ERROR]
+        return _abort(args, ERROR, e)
     except (ValueError, ArithmeticError) as e:
         # a well-formed input that violates a theorem hypothesis is a failed
         # check, not a usage error
-        print(f"aeq: {e}", file=sys.stderr)
-        _emit(args, args.command, FAIL, {"message": str(e)}, None)
-        return _EXIT[FAIL]
+        return _abort(args, FAIL, e)
     except OSError as e:
-        print(f"aeq: {e}", file=sys.stderr)
-        _emit(args, args.command, ERROR, {"message": str(e)}, None)
-        return _EXIT[ERROR]
+        return _abort(args, ERROR, e)
     _emit(args, args.command, outcome, payload, table)
     return _EXIT[outcome]
 

@@ -109,7 +109,7 @@ def lift_to_halfsphere(
     lands on the radius-1/sqrt(2) sphere in R^(d+1).
     """
     tol = _resolve_tol(s, tol)
-    if r < 0 or r * r > 0.5 + tol.slack("sphere"):
+    if not r >= 0 or r * r > 0.5 + tol.slack("sphere"):
         raise ValueError("radius must satisfy 0 <= r <= 1/sqrt(2)")
     sphere_defect(s, r, tol)
     h = math.sqrt(max(0.5 - r * r, 0.0))

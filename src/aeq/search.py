@@ -31,8 +31,10 @@ from .constructions import INV_SQRT2, construct_rosenfeld, construct_two_simplic
 from .geometry import PointSet, Tolerance, is_almost_equidistant, pairwise_squared_distances
 from .spectral import SpectralCertificate, certify
 
-# The descent's geometric step schedule runs from STEP_START down to STEP_END.
+# The descent's geometric step schedule runs from STEP_START down to STEP_END;
+# the polish then runs at most POLISH_ROUNDS Gauss-Newton rounds per restart.
 STEP_START, STEP_END = 0.1, 1e-6
+POLISH_ROUNDS = 8
 
 # The most elements an array of one stacked descent step may hold (see
 # _block_size), so a search's memory does not grow with its restart count.
@@ -58,7 +60,6 @@ class SearchConfig:
     seed: int = 0
     diameter_cap: bool = False
     sphere_radius: Optional[float] = None
-    polish_rounds: int = 8
 
     def __post_init__(self) -> None:
         if min(self.target_n, self.dim, self.restarts) < 1:
@@ -284,7 +285,7 @@ def _polish(x: np.ndarray, val: float, cfg: SearchConfig, tables: _Tables):
     n, d = x.shape
     best_x, best_val = x, val
     prev_active = None
-    for _ in range(cfg.polish_rounds):
+    for _ in range(POLISH_ROUNDS):
         _, (active,) = _evaluate(best_x[None], _distances(best_x[None]), cfg, tables)
         key = frozenset(active.tolist())
         if key == prev_active:

@@ -148,6 +148,59 @@ def test_nan_parameters_are_rejected():
     for f in (aeq.ball_bound, aeq.ball_bound_threshold):
         with pytest.raises(ValueError, match="^c0 must be nonnegative$"):
             f(3, nan)
+    with pytest.raises(ValueError, match="^norm band x must be nonnegative$"):
+        aeq.anchor_defect_ratio(aeq.construct_simplex(3, 2), 0, nan)
+
+
+def _diameter_with_failing_lambda_sum(monkeypatch):
+    """diameter_bound on a unit simplex whose lambda_max is raised far past the slack."""
+    certify = aeq.bounds.certify
+
+    def shifted(points, tol):
+        cert = certify(points, tol)
+        return replace(cert, lambda_max=1.0 - cert.lambda_min)
+
+    monkeypatch.setattr(aeq.bounds, "certify", shifted)
+    return aeq.diameter_bound(3, aeq.construct_simplex(4, 3))
+
+
+def _circle(n, r):
+    angles = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    return PointSet.from_array(np.c_[r * np.cos(angles), r * np.sin(angles)])
+
+
+# (calculator call given monkeypatch, n_observed, satisfied) under the one verdict rule
+VERDICTS = {
+    "sphere-no-points": (lambda _: aeq.sphere_bound(3, 0.5), None, None),
+    "diameter-no-points": (lambda _: aeq.diameter_bound(3), None, None),
+    "ball-no-points": (lambda _: aeq.ball_bound(3, 0.25), None, None),
+    "ball-no-points-asymptotic": (lambda _: aeq.ball_bound(3, 5.0), None, None),
+    "sphere-holds": (
+        lambda _: aeq.sphere_bound(3, math.sqrt(3.0 / 8.0), aeq.construct_two_simplices(3)),
+        8, True),
+    "sphere-too-many": (lambda _: aeq.sphere_bound(2, 0.5, _circle(8, 0.5)), 8, False),
+    "diameter-holds": (lambda _: aeq.diameter_bound(3, aeq.construct_simplex(4, 3)), 4, True),
+    "diameter-lambda-sum-fails": (_diameter_with_failing_lambda_sum, 4, False),
+    "ball-holds": (lambda _: aeq.ball_bound(3, 0.25, aeq.construct_two_simplices(3)), 8, True),
+    "ball-too-many": (
+        lambda _: aeq.ball_bound(1, 0.0, PointSet.from_array(np.linspace(-0.5, 0.5, 7)[:, None])),
+        7, False),
+    "ball-asymptotic": (lambda _: aeq.ball_bound(3, 5.0, aeq.construct_two_simplices(3)), 8, None),
+    "general-holds": (lambda _: aeq.general_bound_pipeline(aeq.construct_simplex(4, 4)), 4, True),
+    "general-asymptotic": (
+        lambda _: aeq.general_bound_pipeline(PointSet.from_array([[0.0], [1.0], [2.0]])),
+        3, None),
+}
+
+
+@pytest.mark.parametrize("case", VERDICTS)
+def test_every_calculator_decides_its_verdict_by_one_rule(case, monkeypatch):
+    call, n, satisfied = VERDICTS[case]
+    rep = call(monkeypatch)
+    assert rep.n_observed == n and rep.satisfied is satisfied
+    assert (rep.bound is None) is case.endswith("asymptotic")
+    if case.startswith("diameter") and n is not None:
+        assert rep.detail["lambda_sum_ok"] is satisfied
 
 
 def test_ball_bound_zero_excess_is_diameter_style():

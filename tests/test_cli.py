@@ -595,6 +595,53 @@ def test_perron_command(capsys, tmp_path):
     assert rep["outcome"] == "fail"
 
 
+def assert_payload(rep, want):
+    assert rep["payload"] == want
+    assert list(rep["payload"]) == list(want)  # the report keeps the payload's key order
+
+
+def test_pipeline_diameter_failure_payload(capsys, tmp_path):
+    line = tmp_path / "line.csv"
+    line.write_text("0.0\n1.0\n2.0\n")  # almost equidistant, diameter 2
+    code, rep = run_cli(capsys, "pipeline", "--input", str(line), "--diameter")
+    assert code == 1 and rep["outcome"] == "fail"
+    assert_payload(rep, {
+        "theorem": "general", "dim": 1, "params": {}, "bound": None, "n_observed": 3,
+        "satisfied": False, "detail": {"stages": [
+            {"name": "diameter_bound", "ok": False,
+             "error": "diameter 2 exceeds 1 + dist_tol"}]},
+    })
+
+
+@pytest.mark.parametrize("command", ["verify", "certify"])
+def test_triple_check_failure_payload(capsys, collinear_csv, command):
+    code, rep = run_cli(capsys, command, "--input", collinear_csv)
+    assert code == 1 and rep["outcome"] == "fail"
+    assert_payload(rep, {"n": 3, "dim": 1, "almost_equidistant": False, "witness": [0, 1, 2]})
+
+
+def test_verify_pass_payload(capsys, triangle_csv):
+    code, rep = run_cli(capsys, "verify", "--input", triangle_csv)
+    assert code == 0
+    assert_payload(rep, {"n": 3, "dim": 2, "almost_equidistant": True, "witness": None})
+
+
+def test_weyl_and_perron_payloads(capsys, tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("2 0\n0 1\n")
+    b.write_text("1 0\n0 3\n")
+    code, rep = run_cli(capsys, "weyl", "--a", str(a), "--b", str(b))
+    assert code == 0
+    assert_payload(rep, {"alpha": 2.0, "beta": 3.0, "gamma": 4.0, "holds": True})
+    code, rep = run_cli(capsys, "perron", "--input", str(b))
+    assert code == 0
+    assert_payload(rep, {"rho": 3.0, "attained": True})
+    b.write_text("1 0\n0 -3\n")
+    code, rep = run_cli(capsys, "perron", "--input", str(b))
+    assert code == 1 and rep["outcome"] == "fail"
+    assert_payload(rep, {"message": "matrix has a negative entry"})
+
+
 def test_nonfinite_matrix_csv_is_usage_error(capsys, tmp_path):
     m = tmp_path / "m.csv"
     m.write_text("nan,1\n1,0\n")

@@ -121,8 +121,9 @@ def test_lift_rejects_off_sphere_points():
 
 def test_lift_rejects_large_radius():
     s = aeq.construct_simplex(3, 2)
-    with pytest.raises(ValueError, match="1/sqrt\\(2\\)"):
-        aeq.lift_to_halfsphere(s, 0.9)
+    for r in (0.9, -0.1, float("nan")):
+        with pytest.raises(ValueError, match=r"^radius must satisfy 0 <= r <= 1/sqrt\(2\)$"):
+            aeq.lift_to_halfsphere(s, r)
 
 
 def test_lifted_set_still_certifies():

@@ -1,7 +1,6 @@
 import itertools
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -366,7 +365,9 @@ def test_polish_lets_a_type_error_through(monkeypatch):
     monkeypatch.setattr(search, "least_squares", raising(TypeError("workers")))
     with pytest.raises(TypeError):
         aeq.optimize(cfg)
-    descent_only = aeq.optimize(replace(cfg, polish_rounds=0))
+    with monkeypatch.context() as m:
+        m.setattr(search, "POLISH_ROUNDS", 0)
+        descent_only = aeq.optimize(cfg)
     for error in (ValueError("x0 is infeasible"), np.linalg.LinAlgError("SVD"),
                   FloatingPointError("overflow")):
         monkeypatch.setattr(search, "least_squares", raising(error))
@@ -461,12 +462,11 @@ def test_chunked_jacobians_give_the_same_search(monkeypatch):
         want.best_penalty, want.iterations_used, want.restart_index)
 
 
-def test_seeded_restart_hits_construction_immediately():
+def test_seeded_restart_hits_construction_immediately(monkeypatch):
     # restart 1 reuses the two-simplices layout verbatim, so with descent and
     # polish effectively disabled it is the only restart that can reach zero
-    cfg = SearchConfig(
-        dim=2, target_n=6, restarts=2, max_iters=1, seed=0, polish_rounds=0
-    )
+    monkeypatch.setattr(search, "POLISH_ROUNDS", 0)
+    cfg = SearchConfig(dim=2, target_n=6, restarts=2, max_iters=1, seed=0)
     res = aeq.optimize(cfg)
     assert res.feasible
     assert res.best_penalty == 0.0
