@@ -65,14 +65,12 @@ from .serialize import (
 from .spectral import (
     CubicInequalityResult,
     DefectMatrix,
-    UMatrix,
     PerronResult,
     SpectralCertificate,
     Spectrum,
     SpikedSpectrumReport,
     TraceIdentities,
     WeylResult,
-    build_u,
     certify,
     cubic_inequality,
     defect_matrix,

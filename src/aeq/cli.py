@@ -407,8 +407,5 @@ def main(argv: Optional[list] = None) -> int:
     return _EXIT[outcome]
 
 
-run = main
-
-
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -64,6 +64,7 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 FLAG_ULPS = 4  # an exact set's only slack: the rounding of a float flag, in its ulps
+EXACT_FLOATS = 2 ** 53  # every integer of smaller magnitude is a float64, so no sum that stays below it rounds
 
 
 def _exact_pair(c) -> Tuple[int, int]:
@@ -185,13 +186,6 @@ class PointSet:
         a.flags.writeable = False
         return a
 
-    @property
-    def integer_form(self) -> Tuple[np.ndarray, int]:
-        """Exact mode: the form (X, q), X an object array of Python ints."""
-        if self.mode != EXACT_MODE:
-            raise ValueError("only an exact point set has an integer form")
-        return self.form
-
     @cached_property
     def scaled_sqdist(self) -> Tuple[np.ndarray, int]:
         """(D, q^2) with D / q^2 the squared distances, D read-only: floats
@@ -247,9 +241,21 @@ def pairwise_squared_distances(x: np.ndarray) -> np.ndarray:
     or of each set in a stack (..., n, d); the package's one distance kernel.
 
     Serves both modes: a float array gives floats, an object array of
-    Python ints gives exact ints. Each slice of a stack equals the call on
-    that slice alone, bit for bit.
+    Python ints gives exact ints. With m = max|x|, every partial sum of
+    |x_i|^2 + |x_j|^2 - 2 x_i.x_j is an integer of magnitude at most
+    4 d m^2; when that is below 2^53, the ints run the float body, through
+    BLAS, where no such sum can round, and come back as Python ints.
+    Larger ints run the same body over objects. Each slice of a stack
+    equals the call on that slice alone, whichever body each takes.
     """
+    if x.dtype == object:
+        f, m = _as_floats(x)
+        if 4 * x.shape[-1] * m * m < EXACT_FLOATS:
+            return _squared_distances(f).astype(np.int64).astype(object)
+    return _squared_distances(x)
+
+
+def _squared_distances(x: np.ndarray) -> np.ndarray:
     sq = np.einsum("...ij,...ij->...i", x, x)
     d2 = sq[..., :, None] + sq[..., None, :]
     d2 -= 2 * (x @ x.swapaxes(-1, -2))
@@ -259,9 +265,25 @@ def pairwise_squared_distances(x: np.ndarray) -> np.ndarray:
     return d2
 
 
+def _as_floats(ints: np.ndarray):
+    """(f, m): an object array of Python ints as float64, and m = int(max|f|),
+    which is max|ints| whenever it is below 2^53 (every entry is then exact);
+    (None, inf) when an int is beyond the float range."""
+    try:
+        f = ints.astype(float)
+    except OverflowError:
+        return None, math.inf
+    return f, int(np.abs(f).max(initial=0))
+
+
 def _exact_floats(ints: np.ndarray, scale: int) -> np.ndarray:
     """ints / scale as floats, each entry correctly rounded like
-    float(Fraction(v, scale)); never rounded twice."""
+    float(Fraction(v, scale)); never rounded twice. When every |v| is below
+    2^53 and scale is at most 2^53, both operands are exact floats and one
+    IEEE division rounds correctly; otherwise each entry is divided as ints."""
+    f, m = _as_floats(ints)
+    if m < EXACT_FLOATS and scale <= EXACT_FLOATS:
+        return f / scale
     return np.array([[v / scale for v in row] for row in ints.tolist()], dtype=float)
 
 
@@ -361,7 +383,7 @@ def sphere_defect(s: PointSet, r: float, tol: Tolerance) -> float:
 
 def barycenter(s: PointSet) -> tuple:
     if s.mode == EXACT_MODE:
-        x, q = s.integer_form
+        x, q = s.form
         return tuple(Fraction(v, s.n * q) for v in x.sum(axis=0))
     return tuple(s.array.mean(axis=0).tolist())
 
@@ -370,7 +392,7 @@ def recenter_to_barycenter(s: PointSet) -> PointSet:
     """Translate so the barycenter is the origin; exact in rational mode."""
     if s.mode == EXACT_MODE:
         # points - barycenter == (n X - column sums of X) / (n q), in lowest terms
-        x, q = s.integer_form
+        x, q = s.form
         y = s.n * x - x.sum(axis=0)
         g = math.gcd(*y.flat, s.n * q)
         return PointSet._from_integers(y // g, s.n * q // g)

@@ -134,7 +134,7 @@ def _walk_exact(x):
 def min_enclosing_ball(s: PointSet) -> Tuple[tuple, float, Optional[Fraction]]:
     """Returns (center, radius, exact squared radius or None)."""
     if s.mode == EXACT_MODE:
-        x, q = s.integer_form  # the walk does not depend on the scale
+        x, q = s.form  # the walk does not depend on the scale
         c, den, support = _walk_exact(x)
         r2 = Fraction(((den * x[support[0]] - c) ** 2).sum(), (den * q) ** 2)
         return tuple(Fraction(v, den * q) for v in c), math.sqrt(float(r2)), r2

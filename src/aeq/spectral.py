@@ -76,12 +76,6 @@ def defect_matrix(s: PointSet) -> DefectMatrix:
     return DefectMatrix(n=s.n, values=u, mode=s.mode, scale=scale)
 
 
-# reports call this matrix family "u" (trace_u, trace_u3), so the builder
-# and type are exposed under that vocabulary as well
-UMatrix = DefectMatrix
-build_u = defect_matrix
-
-
 @dataclass(frozen=True)
 class TraceIdentities:
     trace_u: object

@@ -120,16 +120,16 @@ def test_criterion_03_trace_identities(search_outputs):
     with reported(3, "trace identities"):
         t0 = time.monotonic()
         for s in construction_fleet():
-            ident = aeq.trace_identities(aeq.build_u(s), s, TOL)
+            ident = aeq.trace_identities(aeq.defect_matrix(s), s, TOL)
             assert ident.trace_u == 0
             assert abs(float(ident.trace_u3)) <= s.n ** 3 * 1e-8
         for res in feasible_outputs(search_outputs):
             s = res.best_points
-            ident = aeq.trace_identities(aeq.build_u(s), s)
+            ident = aeq.trace_identities(aeq.defect_matrix(s), s)
             assert ident.trace_u == 0
             assert abs(float(ident.trace_u3)) <= s.n ** 3 * 1e-8
         for s in EXACT_FIXTURES:
-            ident = aeq.trace_identities(aeq.build_u(s), s)
+            ident = aeq.trace_identities(aeq.defect_matrix(s), s)
             assert ident.trace_u == 0
             assert ident.trace_u3 == 0
             assert isinstance(ident.trace_u3, Fraction)
@@ -241,7 +241,7 @@ def test_criterion_09_norm_bounds_and_row_identity(search_outputs):
             centered = aeq.recenter_to_barycenter(s)
             assert aeq.recentred_norm_bounds(centered).holds
             fs = aeq.f_statistic(s)
-            u = aeq.build_u(s)
+            u = aeq.defect_matrix(s)
             if s.mode == "exact":
                 assert tuple(sum(row) for row in u.entries) == fs.per_point_sums
             else:

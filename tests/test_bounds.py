@@ -250,7 +250,7 @@ def test_f_statistic_two_simplices_rows():
 def test_f_statistic_row_identity_against_build_u():
     s = aeq.construct_two_simplices(3)
     fs = aeq.f_statistic(s)
-    rows = aeq.build_u(s).array.sum(axis=1)
+    rows = aeq.defect_matrix(s).array.sum(axis=1)
     assert np.abs(rows - np.array(fs.per_point_sums)).max() <= 1e-12
 
 
@@ -264,7 +264,7 @@ def test_f_statistic_exact(rhombus):
     )
     assert fs.value == Fraction(11, 5)
     assert fs.argmax_index == 0
-    u = aeq.build_u(rhombus)
+    u = aeq.defect_matrix(rhombus)
     assert tuple(sum(row) for row in u.entries) == fs.per_point_sums
 
 

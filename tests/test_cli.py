@@ -183,7 +183,7 @@ def test_integer_coordinates_past_the_float_range(capsys, tmp_path, sign):
     path = tmp_path / "big.json"
     path.write_text('{"dim": 1, "mode": "exact", "points": [[%s], [0]]}' % big)
     assert run_cli(capsys, "verify", "--input", str(path))[0] == 0
-    assert aeq.load_pointset(path.read_text()).integer_form[0][0, 0] == int(big)
+    assert aeq.load_pointset(path.read_text()).form[0][0, 0] == int(big)
 
 
 def test_exact_flag_rejects_float_input(capsys, triangle_csv):

@@ -239,7 +239,7 @@ def test_fixtures_match_oracle(rhombus, zigzag):
 
 
 def test_integer_form_is_read_only_and_exact(rhombus):
-    x, q = rhombus.integer_form
+    x, q = rhombus.form
     assert q == 5
     assert all(type(v) is int for v in x.flat)
     assert all(Fraction(v, q) == c for row, p in zip(x.tolist(), rhombus.points)
@@ -343,7 +343,7 @@ def test_recentred_integer_form_is_the_lcm_form_of_its_fractions(rows):
     # the recentred set is built from (n X - column sums, n q) reduced by one
     # gcd; its integer form must be what its Fraction view gives
     centred = aeq.recenter_to_barycenter(PointSet.exact_rows(rows))
-    x, q = centred.integer_form
+    x, q = centred.form
     want_x, want_q = _lcm_form(centred.points)
     assert q == want_q and x.tolist() == want_x
     assert all(type(v) is int for v in x.flat) and not x.flags.writeable
@@ -361,7 +361,7 @@ def test_both_exact_builders_give_the_lcm_form(rows, data):
     want_x, want_q = _lcm_form(rows)
     obj = {"dim": len(rows[0]), "mode": "exact", "points": [[encode(c) for c in r] for r in rows]}
     for s in (PointSet.exact_rows(rows), aeq.pointset_from_dict(obj)):
-        x, q = s.integer_form
+        x, q = s.form
         assert q == want_q and x.tolist() == want_x
         assert all(type(v) is int for v in x.flat) and not x.flags.writeable
 
@@ -373,7 +373,7 @@ def two_branch_norm_bounds(s, tol=None):
         tol = Tolerance.exact() if s.mode == "exact" else Tolerance()
     n = s.n
     if s.mode == "exact":
-        x, q = s.integer_form
+        x, q = s.form
         if any(x.sum(axis=0)):
             raise ValueError("set must be recentred to its barycenter")
         fs = aeq.f_statistic(s)

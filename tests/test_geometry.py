@@ -1,12 +1,15 @@
+import contextlib
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aeq
-from aeq import PointSet, Tolerance
+from aeq import PointSet, Tolerance, geometry
 
 
 def brute_triple_check(points, dist_tol=1e-9):
@@ -215,6 +218,133 @@ def test_kernel_stack_slices_equal_the_one_set_call(ints):
             assert np.array_equal(got[idx], one_set_kernel(x[idx])), (n, d, idx)
         if ints:
             assert all(type(v) is int for v in got.flat)
+
+
+@contextlib.contextmanager
+def kernel_bodies():
+    """The dtypes the distance kernel's body runs on, in call order."""
+    seen = []
+    body = geometry._squared_distances
+
+    def recording(x):
+        seen.append(x.dtype)
+        return body(x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_squared_distances", recording)
+        yield seen
+
+
+def per_pair(rows):
+    return [[aeq.squared_distance(p, q) for q in rows] for p in rows]
+
+
+@st.composite
+def int_stacks(draw):
+    """An object array (*lead, n, d) of Python ints whose kernel bound
+    4 d m^2, m = max|x|, lies just below, at or just above 2^53 (at it
+    exactly for d = 2, 8 and 32)."""
+    d = draw(st.sampled_from((1, 2, 3, 8, 32)))
+    n = draw(st.integers(1, 6))
+    lead = draw(st.sampled_from(((), (2,), (2, 2))))
+    top = math.isqrt((2 ** 53 - 1) // (4 * d))  # the largest m below the bound
+    m = top + draw(st.integers(-2, 2))
+    size = math.prod(lead) * n * d
+    flat = draw(st.lists(st.integers(-m, m), min_size=size, max_size=size))
+    flat[draw(st.integers(0, size - 1))] = draw(st.sampled_from((m, -m)))
+    return np.array(flat, dtype=object).reshape(*lead, n, d)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(x=int_stacks())
+def test_exact_kernel_tiers_match_the_per_pair_oracle(x):
+    d, m = x.shape[-1], max(abs(v) for v in x.flat)
+    with kernel_bodies() as seen:
+        got = geometry.pairwise_squared_distances(x)
+    assert seen == [np.dtype(float) if 4 * d * m * m < 2 ** 53 else np.dtype(object)]
+    assert got.dtype == object and all(type(v) is int for v in got.flat)
+    for idx in np.ndindex(*x.shape[:-2]):
+        assert got[idx].tolist() == per_pair(x[idx].tolist())
+        assert np.array_equal(got[idx], geometry.pairwise_squared_distances(x[idx]))
+
+
+def test_ints_that_would_round_in_float64_take_the_object_body():
+    big = 2 ** 26  # 4 d m^2 = 2^55 in d = 2
+    x = np.array([[big + 1, big], [0, 0], [-big, 3]], dtype=object)
+    want = per_pair(x.tolist())
+    assert int(geometry._squared_distances(x.astype(float))[0, 1]) != want[0][1]  # it rounds
+    with kernel_bodies() as seen:
+        got = geometry.pairwise_squared_distances(x)
+    assert seen == [np.dtype(object)]
+    assert got.tolist() == want and all(type(v) is int for v in got.flat)
+
+
+def test_stack_slices_equal_the_one_set_call_across_tiers():
+    x = np.random.default_rng(3).integers(-1000, 1000, size=(3, 5, 2)).astype(object)
+    x[1, 0, 0] = 2 ** 26 + 1  # too large for float64 in slice 1, and so in the stack
+    with kernel_bodies() as seen:
+        got = geometry.pairwise_squared_distances(x)
+        slices = [geometry.pairwise_squared_distances(x[i]) for i in range(3)]
+    assert seen == [np.dtype(t) for t in (object, float, object, float)]
+    for g, one, rows in zip(got, slices, x.tolist()):
+        assert g.tolist() == one.tolist() == per_pair(rows)
+        assert all(type(v) is int for v in g.flat)
+
+
+def test_cross160_takes_the_float_tier_and_matches_the_object_body():
+    half, d = Fraction(1, 2), 160
+    shift = [Fraction((-1) ** i * (1 + i % 6), 7) for i in range(d)]  # sevenths
+    rows = []
+    for k in range(0, d, 2):  # the rows +-(e_k +- e_k+1)/2 of R^160, shifted
+        for a, b in itertools.product((half, -half), repeat=2):
+            row = shift[:]
+            row[k] += a
+            row[k + 1] += b
+            rows.append(row)
+    x, q = PointSet.exact_rows(rows).form
+    assert q == 14
+    with kernel_bodies() as seen:
+        got = geometry.pairwise_squared_distances(x)
+    assert seen == [np.dtype(float)]
+    assert got.dtype == object and all(type(v) is int for v in got.flat)
+    assert got.tolist() == geometry._squared_distances(x).tolist()
+
+
+EDGES = (0, 1, -1, 3, -7, 2 ** 53 - 1, -(2 ** 53 - 1), 2 ** 53, -(2 ** 53),
+         2 ** 53 + 1, -(2 ** 53 + 1), 10 ** 300)
+
+
+def fraction_floats(ints, scale):
+    return np.array([[float(Fraction(v, scale)) for v in row] for row in ints], dtype=float)
+
+
+def assert_bit_equal(got, want):
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("scale", (1, 3, 7 * 2 ** 40, 2 ** 53, 2 ** 53 + 1, 3 ** 40))
+def test_exact_floats_match_the_fraction_oracle_at_the_edges(scale):
+    for rows in [[[v]] for v in EDGES] + [[list(EDGES[:-1])], [list(EDGES)]]:
+        ints = np.array(rows, dtype=object)
+        assert_bit_equal(geometry._exact_floats(ints, scale), fraction_floats(rows, scale))
+
+
+def test_exact_floats_edges_need_their_fallback():
+    # one float division would round twice past 2^53: in the entry, or in the scale
+    assert float(2 ** 53 + 1) / 3 != float(Fraction(2 ** 53 + 1, 3))
+    assert float(2 ** 53 - 1) / float(2 ** 53 + 1) != float(Fraction(2 ** 53 - 1, 2 ** 53 + 1))
+    huge = np.array([[10 ** 400, -(10 ** 400)]], dtype=object)  # beyond the float range
+    assert_bit_equal(geometry._exact_floats(huge, 10 ** 100), np.array([[1e300, -1e300]]))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(rows=st.lists(st.lists(st.integers(-(2 ** 60), 2 ** 60), min_size=3, max_size=3),
+                     min_size=1, max_size=4),
+       scale=st.integers(1, 2 ** 60))
+def test_exact_floats_match_the_fraction_oracle(rows, scale):
+    ints = np.array(rows, dtype=object)
+    assert_bit_equal(geometry._exact_floats(ints, scale), fraction_floats(rows, scale))
 
 
 def test_cached_arrays_are_read_only():

@@ -72,7 +72,7 @@ def assert_exact_ball_matches_oracle(rows):
     x = np.array([[Fraction(v) for v in row] for row in rows], dtype=object)
     center, support = oracle_walk(x)
     s = PointSet.exact_rows(rows)
-    assert miniball._walk_exact(s.integer_form[0])[2] == support  # the same steps
+    assert miniball._walk_exact(s.form[0])[2] == support  # the same steps
     c, r, r2 = aeq.min_enclosing_ball(s)
     assert c == tuple(center)
     assert r2 == ((x[support[0]] - center) ** 2).sum()

@@ -313,7 +313,7 @@ def test_exact_sets_read_into_their_integer_form(rows, data):
     obj = {"dim": len(rows[0]), "mode": "exact", "points": [[encode(c) for c in r] for r in rows]}
     got, want = aeq.pointset_from_dict(obj), PointSet.exact_rows(rows)
     assert got.points == want.points
-    (gx, gq), (wx, wq) = got.integer_form, want.integer_form
+    (gx, gq), (wx, wq) = got.form, want.form
     assert gq == wq and np.array_equal(gx, wx)
     assert all(type(v) is int for v in gx.flat)
 

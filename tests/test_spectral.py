@@ -58,11 +58,6 @@ def test_cube_trace_matches_einsum_oracle():
         assert abs(got - oracle) <= s.n ** 3 * 1e-15 * float(np.abs(m).max()) ** 3
 
 
-def test_vocabulary_aliases():
-    assert aeq.build_u is aeq.defect_matrix
-    assert aeq.UMatrix is aeq.DefectMatrix
-
-
 def test_trace_identities_exact(zigzag):
     u = aeq.defect_matrix(zigzag)
     ident = aeq.trace_identities(u, zigzag)
