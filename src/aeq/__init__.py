@@ -27,7 +27,6 @@ from .geometry import (
     DEFAULT_TOL,
     EXACT_MODE,
     FLOAT_MODE,
-    GeometrySummary,
     PointSet,
     Tolerance,
     TripleCheck,
@@ -36,9 +35,7 @@ from .geometry import (
     diameter,
     is_almost_equidistant,
     recenter_to_barycenter,
-    squared_distance,
     squared_distance_matrix,
-    summarize,
 )
 from .charpoly import (
     charpoly_int,

@@ -8,7 +8,7 @@ violated preconditions raise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -134,7 +134,7 @@ def diameter_bound(
             "lambda_sum": lam_sum,
             "lambda_sum_ok": lam_sum_ok,
             "perron_attained": perron_attained,
-            "certificate": cert.as_dict(),
+            "certificate": asdict(cert),
         }
     )
     return _report("diameter", d, {}, bound, detail, points, lam_sum_ok)
@@ -360,7 +360,7 @@ def general_bound_pipeline(
     radius_band = math.sqrt(0.5 + nb.f_over_n_bound)
     excess = radius_actual ** 2 - 0.5
     cert = certify(s, tol)
-    stages.append({"name": "certificate", "ok": cert.lemma1_holds, "certificate": cert.as_dict()})
+    stages.append({"name": "certificate", "ok": cert.lemma1_holds, "certificate": asdict(cert)})
     detail = {
         "stages": stages,
         "radius_actual": radius_actual,

@@ -18,6 +18,7 @@ from typing import Optional
 from . import __version__
 from .bounds import (
     BoundReport,
+    _check_dim,
     ball_bound,
     diameter_bound,
     general_bound_pipeline,
@@ -141,7 +142,7 @@ def cmd_certify(args):
     if not check.ok:
         return FAIL, _triple_payload(s, check), None
     cert = certify(s, tol)
-    return (PASS if cert.lemma1_holds else FAIL), cert.as_dict(), None
+    return (PASS if cert.lemma1_holds else FAIL), asdict(cert), None
 
 
 def cmd_construct(args):
@@ -176,6 +177,7 @@ def cmd_bounds(args):
         elif args.theorem == "ball":
             report = ball_bound(args.dim, args.c0, points, tol)
         else:
+            _check_dim(args.dim, points)
             report = general_bound_pipeline(points, tol)
     except ValueError as e:
         # without a configuration the failure can only be a bad parameter
@@ -212,7 +214,7 @@ def cmd_search(args):
         "feasible": res.feasible,
         "iterations_used": res.iterations_used,
         "restart_index": res.restart_index,
-        "certificate": res.certificate.as_dict() if res.certificate else None,
+        "certificate": asdict(res.certificate) if res.certificate else None,
     }
     _write_points(args.out, res.best_points)
     return (PASS if res.feasible else INFEASIBLE), payload, None
@@ -267,6 +269,9 @@ def cmd_pipeline(args):
 def cmd_weyl(args):
     a = _load_matrix(args.a)
     b = _load_matrix(args.b)
+    if a.shape != b.shape:
+        raise UsageError(f"matrices must have equal shape, got {len(a)} x {len(a)} and "
+                         f"{len(b)} x {len(b)}")
     res = weyl_check(a, b, _float_tolerance(args).eig_tol)
     return (PASS if res.holds else FAIL), asdict(res), None
 

@@ -92,7 +92,7 @@ def construct_rosenfeld(d: int) -> PointSet:
     vertices each, in parallel hyperplanes at heights +-sqrt(1/(2d))."""
     if d < 2:
         raise ValueError("d must be at least 2")
-    base = construct_simplex(d, d - 1).array if d > 1 else np.zeros((1, 1))
+    base = construct_simplex(d, d - 1).array
     h = math.sqrt(1.0 / (2.0 * d))
     top = np.hstack([base, np.full((d, 1), h)])
     bottom = np.hstack([base, np.full((d, 1), -h)])

@@ -43,10 +43,6 @@ class Tolerance:
     def exact(cls) -> "Tolerance":
         return cls(0.0, 0.0)
 
-    @property
-    def is_exact(self) -> bool:
-        return self.dist_tol == 0.0 and self.eig_tol == 0.0
-
     def slack(self, name: str) -> float:
         """The float slack of the comparisons named ``name``: the one slack
         table. A site multiplies it only by its own factor (n^3, max(1, a^2),
@@ -195,14 +191,6 @@ class PointSet:
         d2.flags.writeable = False
         return d2, q * q
 
-    @cached_property
-    def sqdist(self):
-        """n x n squared distances: ndarray in float mode, Fraction rows in exact."""
-        d2, q2 = self.scaled_sqdist
-        if self.mode == EXACT_MODE:
-            return tuple(tuple(Fraction(v, q2) for v in row) for row in d2.tolist())
-        return d2
-
     @classmethod
     def from_array(cls, arr) -> "PointSet":
         a = np.atleast_2d(np.asarray(arr, dtype=float))
@@ -227,13 +215,6 @@ def _resolve_tol(s: Optional[PointSet], tol: Optional[Tolerance]) -> Tolerance:
     if tol is not None:
         return tol
     return Tolerance.exact() if s is not None and s.mode == EXACT_MODE else DEFAULT_TOL
-
-
-def squared_distance(p: Sequence, q: Sequence):
-    """Exact squared Euclidean distance; stays rational on rational input."""
-    if len(p) != len(q):
-        raise ValueError("dimension mismatch")
-    return sum((a - b) * (a - b) for a, b in zip(p, q))
 
 
 def pairwise_squared_distances(x: np.ndarray) -> np.ndarray:
@@ -288,8 +269,12 @@ def _exact_floats(ints: np.ndarray, scale: int) -> np.ndarray:
 
 
 def squared_distance_matrix(s: PointSet):
-    """The set's own n x n squared distances (read-only; see PointSet.sqdist)."""
-    return s.sqdist
+    """The set's n x n squared distances: the read-only float array of a float
+    set, or Fraction row tuples of an exact set, built on each call."""
+    d2, q2 = s.scaled_sqdist
+    if s.mode == EXACT_MODE:
+        return tuple(tuple(Fraction(v, q2) for v in row) for row in d2.tolist())
+    return d2
 
 
 @dataclass(frozen=True)
@@ -402,29 +387,6 @@ def recenter_to_barycenter(s: PointSet) -> PointSet:
 def diameter(s: PointSet) -> float:
     d2, scale = s.scaled_sqdist
     return math.sqrt(d2.max() / scale)
-
-
-@dataclass(frozen=True)
-class GeometrySummary:
-    diameter: float
-    mer_center: tuple
-    mer_radius: float
-    barycenter: tuple
-    mer_radius_sq: object = None  # exact squared radius in rational mode
-
-
-def summarize(s: PointSet, tol: Optional[Tolerance] = None) -> GeometrySummary:
-    """Diameter, minimum enclosing ball, and barycenter of the set."""
-    from .miniball import min_enclosing_ball
-
-    center, radius, radius_sq = min_enclosing_ball(s)
-    return GeometrySummary(
-        diameter=diameter(s),
-        mer_center=center,
-        mer_radius=radius,
-        barycenter=barycenter(s),
-        mer_radius_sq=radius_sq,
-    )
 
 
 def barycenter_identity_check(x: PointSet, y: PointSet):

@@ -162,6 +162,8 @@ def load_matrix_csv(text: str) -> np.ndarray:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError("ragged matrix CSV")
+    if len(rows) != width:
+        raise ValueError(f"matrix CSV must be square, got {len(rows)} rows of {width}")
     return np.array(rows, dtype=float)
 
 

@@ -10,7 +10,7 @@ bound calculators lean on.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
@@ -36,22 +36,14 @@ class DefectMatrix:
 
     In float mode ``values`` holds the entries, a read-only ndarray. In
     exact mode it holds the integers scale * entries (D - q^2 off the
-    diagonal, with scale q^2), a read-only object array; ``entries`` gives
-    them as Fraction row tuples and ``array`` as correctly rounded floats,
-    both built on first use.
+    diagonal, with scale q^2), a read-only object array; ``array`` gives
+    them as correctly rounded floats, built on first use.
     """
 
     n: int
     values: np.ndarray
     mode: str = FLOAT_MODE
     scale: int = 1
-
-    @cached_property
-    def entries(self):
-        if self.mode == EXACT_MODE:
-            q2 = self.scale
-            return tuple(tuple(Fraction(v, q2) for v in row) for row in self.values.tolist())
-        return self.values
 
     @cached_property
     def array(self) -> np.ndarray:
@@ -63,8 +55,12 @@ class DefectMatrix:
 
 
 def _matrix(m) -> np.ndarray:
-    """A DefectMatrix's float array, or any matrix-like input as floats."""
-    return m.array if isinstance(m, DefectMatrix) else np.asarray(m, dtype=float)
+    """A DefectMatrix's float array, or any matrix-like input as floats;
+    raises unless it is square."""
+    a = m.array if isinstance(m, DefectMatrix) else np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    return a
 
 
 def defect_matrix(s: PointSet) -> DefectMatrix:
@@ -122,16 +118,10 @@ class Spectrum:
     values: Tuple[float, ...]
     eig_tol: float
 
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
 
 def eigenvalues(m, eig_tol: float = DEFAULT_TOL.eig_tol) -> Spectrum:
     """Symmetric eigenvalues, nonincreasing. Raises on asymmetric input."""
     a = _matrix(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
     tol = Tolerance(eig_tol=eig_tol)
     scale = max(1.0, float(np.abs(a).max()))
     if float(np.abs(a - a.T).max()) > tol.slack("eig") * scale:
@@ -157,9 +147,6 @@ class SpectralCertificate:
     lambda_max: float
     lambda_min: float
     lemma1_holds: bool
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def certify(s: PointSet, tol: Optional[Tolerance] = None) -> SpectralCertificate:
@@ -336,8 +323,6 @@ class PerronResult:
 
 def perron_frobenius_check(m, eig_tol: float = DEFAULT_TOL.eig_tol) -> PerronResult:
     a = _matrix(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
     if float(a.min()) < -eig_tol:
         raise ValueError("matrix has a negative entry")
     vals = np.linalg.eigvals(np.maximum(a, 0.0))

@@ -47,7 +47,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Tuple[int, int]]) -> "Graph":
-        return cls(n=n, edges=frozenset((min(u, v), max(u, v)) for u, v in edges))
+        return cls(n=n, edges=frozenset(map(tuple, edges)))
 
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=np.int64)
@@ -179,22 +179,28 @@ def parse_graph_line(line: str) -> Graph:
     parts = line.split()
     if len(parts) < 2:
         raise ValueError(f"malformed graph line: {line!r}")
-    n, m = int(parts[0]), int(parts[1])
-    if len(parts) != 2 + 2 * m:
-        raise ValueError(
-            f"graph line declares {m} edges but carries {(len(parts) - 2) // 2}"
-        )
-    it = iter(parts[2:])
-    edges = [(int(u), int(v)) for u, v in zip(it, it)]
-    return Graph.from_edges(n, edges)
+    n, m, *ends = map(int, parts)
+    if m < 0:
+        raise ValueError(f"graph line declares a negative edge count, {m}")
+    if len(ends) % 2:
+        raise ValueError(f"graph line carries an odd number of endpoints, {len(ends)}")
+    if len(ends) != 2 * m:
+        raise ValueError(f"graph line declares {m} edges but carries {len(ends) // 2}")
+    it = iter(ends)
+    return Graph.from_edges(n, zip(it, it))
 
 
 def read_graph_file(path) -> List[Graph]:
+    """The graphs of a file, one per line; blank and # comment lines are
+    skipped but counted, and a fault raises "line N: <fault>"."""
     graphs = []
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            graphs.append(parse_graph_line(line))
+            try:
+                graphs.append(parse_graph_line(line))
+            except ValueError as e:
+                raise ValueError(f"line {lineno}: {e}") from None
     return graphs

@@ -308,7 +308,7 @@ def test_exact_anchor_reads_the_exact_values(rhombus):
     # recentred rhombus: |x|^2 - 1/2 exactly, no float rounding in lhs
     s = aeq.recenter_to_barycenter(rhombus)
     rep = aeq.anchor_defect_ratio(s, anchor_index=0, x=0.5)
-    d2 = s.sqdist
+    d2 = aeq.squared_distance_matrix(s)
     want = abs(sum(d2[0][i] - 1 for i in range(1, s.n) if d2[0][i] != 1))
     assert rep.kept == 1 and rep.discarded == 2
     assert rep.lhs == float(want)

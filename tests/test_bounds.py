@@ -265,7 +265,7 @@ def test_f_statistic_exact(rhombus):
     assert fs.value == Fraction(11, 5)
     assert fs.argmax_index == 0
     u = aeq.defect_matrix(rhombus)
-    assert tuple(sum(row) for row in u.entries) == fs.per_point_sums
+    assert tuple(Fraction(sum(row), u.scale) for row in u.values.tolist()) == fs.per_point_sums
 
 
 def test_recentred_norm_bounds_rhombus_exact(rhombus):

@@ -349,6 +349,26 @@ def test_bounds_points_in_another_dim_fail(capsys, tmp_path, argv):
     assert rep["payload"]["message"] == "dimension mismatch between points and d"
 
 
+@pytest.mark.parametrize("argv", [
+    ("--theorem", "sphere", "--radius", "0.5"),
+    ("--theorem", "diameter"),
+    ("--theorem", "ball"),
+    ("--theorem", "general"),
+])
+@pytest.mark.parametrize("dim, message", [
+    ("5", "dimension mismatch between points and d"),
+    ("-3", "d must be at least 1"),
+])
+def test_bounds_every_theorem_checks_dim_against_the_input(capsys, tmp_path, argv, dim,
+                                                           message):
+    path = tmp_path / "segment.json"
+    path.write_text('{"dim": 1, "mode": "exact", "points": [["0"], ["1"]]}')
+    code, rep = run_cli(capsys, "bounds", *argv, "--dim", dim, "--exact",
+                        "--input", str(path))
+    assert (code, rep["outcome"]) == (1, "fail")
+    assert rep["payload"]["message"] == message
+
+
 def test_bounds_general_requires_input(capsys):
     code, rep = run_cli(capsys, "bounds", "--theorem", "general", "--dim", "2")
     assert code == 2
@@ -538,6 +558,20 @@ def test_tdrank_no_matching_graphs(capsys, corpus_path):
     assert code == 2 and rep["outcome"] == "error"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# header\n\n3 1 0 1 2\n", "line 3: graph line carries an odd number of endpoints, 3"),
+    ("3 0\n3 -1\n", "line 2: graph line declares a negative edge count, -1"),
+    ("3 1 0 x\n", "line 1: invalid literal for int() with base 10: 'x'"),
+    ("3 1 0 1\n\n3 1 0 3\n", "line 3: edge (0, 3) out of range for 3 vertices"),
+])
+def test_tdrank_graph_file_faults_name_their_line(capsys, tmp_path, text, message):
+    path = tmp_path / "graphs.txt"
+    path.write_text(text)
+    code, rep = run_cli(capsys, "tdrank", "--n", "3", "--graphs", str(path))
+    assert (code, rep["outcome"]) == (2, "error")
+    assert rep["payload"]["message"] == message
+
+
 def test_pipeline_simplex(capsys, tmp_path):
     out = tmp_path / "simplex.json"
     main(["construct", "--kind", "simplex", "--dim", "4", "--out", str(out)])
@@ -593,6 +627,28 @@ def test_perron_command(capsys, tmp_path):
     code, rep = run_cli(capsys, "perron", "--input", str(m))
     assert code == 1  # hypothesis violation, not a usage error
     assert rep["outcome"] == "fail"
+
+
+@pytest.mark.parametrize("command", ["weyl", "perron", "gershgorin"])
+def test_matrix_commands_reject_a_non_square_csv(capsys, tmp_path, command):
+    m = tmp_path / "m.csv"
+    m.write_text("1 2 3\n4 5 6\n")
+    square = tmp_path / "square.csv"
+    square.write_text("1 0\n0 1\n")
+    argv = ["--a", str(m), "--b", str(square)] if command == "weyl" else ["--input", str(m)]
+    code, rep = run_cli(capsys, command, *argv)
+    assert (code, rep["outcome"]) == (2, "error")
+    assert rep["payload"]["message"] == "matrix CSV must be square, got 2 rows of 3"
+
+
+def test_weyl_rejects_matrices_of_different_sizes(capsys, tmp_path):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    a.write_text("2 1\n1 2\n")
+    b.write_text("1 0 0\n0 1 0\n0 0 1\n")
+    code, rep = run_cli(capsys, "weyl", "--a", str(a), "--b", str(b))
+    assert (code, rep["outcome"]) == (2, "error")
+    assert rep["payload"]["message"] == "matrices must have equal shape, got 2 x 2 and 3 x 3"
 
 
 def assert_payload(rep, want):

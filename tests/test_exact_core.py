@@ -9,7 +9,7 @@ cross-sum identity that the one form (X, q) replaced. Every comparison is
 exact equality, floats bit for bit.
 """
 import math
-from dataclasses import astuple
+from dataclasses import asdict, astuple
 from fractions import Fraction
 from itertools import product
 
@@ -26,12 +26,16 @@ from aeq.spectral import SpectralCertificate
 
 # -- the Fraction oracles ---------------------------------------------------
 
+def squared_distance(p, q):
+    return sum((a - b) * (a - b) for a, b in zip(p, q))
+
+
 def oracle_sqdist(points):
     n = len(points)
     m = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            m[i][j] = m[j][i] = aeq.squared_distance(points[i], points[j])
+            m[i][j] = m[j][i] = squared_distance(points[i], points[j])
     return tuple(map(tuple, m))
 
 
@@ -116,7 +120,7 @@ def oracle_certify(points, dim):
     count_gt_one = int(np.sum(vals > 1.0 + eig_tol))
     n = len(points)
     structural = count_gt_one <= 1 and count_eq_one >= n - dim - 2
-    return SpectralCertificate(
+    return asdict(SpectralCertificate(
         n=n,
         dim=dim,
         trace_u=float(tr),
@@ -126,7 +130,7 @@ def oracle_certify(points, dim):
         lambda_max=spec.values[0],
         lambda_min=spec.values[-1],
         lemma1_holds=bool(structural and holds),
-    ).as_dict()
+    ))
 
 
 def assert_matches_oracle(rows):
@@ -138,8 +142,8 @@ def assert_matches_oracle(rows):
     assert (check.ok, check.witness) == oracle_triple(pts)
     u = aeq.defect_matrix(s)
     ou = oracle_defect(pts)
-    assert u.entries == ou
-    assert all(isinstance(v, Fraction) for row in u.entries for v in row)
+    assert tuple(tuple(Fraction(v, u.scale) for v in row) for row in u.values.tolist()) == ou
+    assert all(type(v) is int for v in u.values.flat)
     assert np.array_equal(u.array, np.array([[float(c) for c in row] for row in ou]))
     assert diameter(s) == math.sqrt(max(max(row) for row in d2))  # both correctly rounded
     fs = aeq.f_statistic(s)
@@ -152,7 +156,7 @@ def assert_matches_oracle(rows):
         ident = aeq.trace_identities(u, s)
         assert (ident.trace_u, ident.trace_u3, ident.holds) == oracle_traces(ou)
         assert isinstance(ident.trace_u3, Fraction)
-        assert aeq.certify(s, Tolerance.exact()).as_dict() == oracle_certify(pts, s.dim)
+        assert asdict(aeq.certify(s, Tolerance.exact())) == oracle_certify(pts, s.dim)
 
 
 # -- inputs -------------------------------------------------------------------
@@ -298,10 +302,10 @@ def test_exact_verdict_and_certificate_invariant_under_permutation(case, data):
         # with the rows; it must still be a triple with no unit pair
         pts = p.points
         a, b, c = pwitness
-        assert all(aeq.squared_distance(pts[i], pts[j]) != 1 for i, j in ((a, b), (a, c), (b, c)))
+        assert all(squared_distance(pts[i], pts[j]) != 1 for i, j in ((a, b), (a, c), (b, c)))
         return
-    cert = aeq.certify(s).as_dict()
-    pcert = aeq.certify(p).as_dict()
+    cert = asdict(aeq.certify(s))
+    pcert = asdict(aeq.certify(p))
     for key in ("lambda_max", "lambda_min"):  # float eigvalsh of a permuted matrix
         want = cert.pop(key)
         assert abs(pcert.pop(key) - want) <= 1e-9 * max(1.0, abs(want))
@@ -318,7 +322,7 @@ def test_exact_verdict_and_certificate_invariant_under_translation(case, data):
     t = PointSet.exact_rows([[a + b for a, b in zip(row, shift)] for row in rows])
     assert _verdict(t) == _verdict(s)
     if _verdict(s)[0]:
-        assert aeq.certify(t).as_dict() == aeq.certify(s).as_dict()
+        assert asdict(aeq.certify(t)) == asdict(aeq.certify(s))
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -396,10 +400,10 @@ def two_branch_norm_bounds(s, tol=None):
 
 
 def fraction_barycenter_identity(x, y):
-    lhs = sum(aeq.squared_distance(p, q) for p in x.points for q in y.points)
-    ax = sum(map(sum, x.sqdist)) / 2
-    ay = sum(map(sum, y.sqdist)) / 2
-    cross = aeq.squared_distance(aeq.barycenter(x), aeq.barycenter(y))
+    lhs = sum(squared_distance(p, q) for p in x.points for q in y.points)
+    ax = sum(map(sum, aeq.squared_distance_matrix(x))) / 2
+    ay = sum(map(sum, aeq.squared_distance_matrix(y))) / 2
+    cross = squared_distance(aeq.barycenter(x), aeq.barycenter(y))
     return abs(lhs - (ax + ay + x.n * x.n * cross))
 
 

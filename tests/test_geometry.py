@@ -27,17 +27,10 @@ def brute_triple_check(points, dist_tol=1e-9):
     return True, None
 
 
-def test_squared_distance_exact():
-    p = (Fraction(3, 5), Fraction(4, 5))
-    q = (Fraction(0), Fraction(0))
-    d2 = aeq.squared_distance(p, q)
-    assert d2 == 1
-    assert isinstance(d2, Fraction)
-
-
-def test_squared_distance_dimension_mismatch():
-    with pytest.raises(ValueError):
-        aeq.squared_distance((0.0,), (0.0, 1.0))
+def squared_distance(p, q):
+    """The per-pair oracle: exact on Fractions."""
+    assert len(p) == len(q)
+    return sum((a - b) * (a - b) for a, b in zip(p, q))
 
 
 def test_pointset_validation():
@@ -64,8 +57,8 @@ def test_tolerance_validation():
             Tolerance(dist_tol=bad)
         with pytest.raises(ValueError, match="finite"):
             Tolerance(eig_tol=bad)
-    assert Tolerance.exact().is_exact
-    assert not Tolerance().is_exact
+    assert (Tolerance.exact().dist_tol, Tolerance.exact().eig_tol) == (0.0, 0.0)
+    assert Tolerance() != Tolerance.exact()
 
 
 def test_unit_triangle_is_almost_equidistant(unit_triangle):
@@ -152,12 +145,12 @@ def test_diameter_simplex():
 
 
 def test_summarize_triangle(unit_triangle):
-    g = aeq.summarize(unit_triangle)
-    assert abs(g.diameter - 1.0) < 1e-12
+    assert abs(aeq.diameter(unit_triangle) - 1.0) < 1e-12
+    center, radius, _ = aeq.min_enclosing_ball(unit_triangle)
     # circumradius of the unit triangle
-    assert abs(g.mer_radius - 1.0 / math.sqrt(3.0)) < 1e-9
-    assert abs(g.mer_center[0] - 0.5) < 1e-9
-    assert abs(g.mer_center[1] - 0.28867513459481287) < 1e-9
+    assert abs(radius - 1.0 / math.sqrt(3.0)) < 1e-9
+    assert abs(center[0] - 0.5) < 1e-9
+    assert abs(center[1] - 0.28867513459481287) < 1e-9
 
 
 def test_barycenter_identity_float_fuzz():
@@ -184,14 +177,14 @@ def test_cached_distances_match_per_pair_oracle(rhombus):
     exact = aeq.squared_distance_matrix(rhombus)
     for i, p in enumerate(rhombus.points):
         for j, q in enumerate(rhombus.points):
-            assert exact[i][j] == aeq.squared_distance(p, q)
+            assert exact[i][j] == squared_distance(p, q)
     rng = np.random.default_rng(5)
     s = PointSet.from_array(rng.normal(size=(12, 4)))
     floats = aeq.squared_distance_matrix(s)
     assert floats is aeq.squared_distance_matrix(s)  # computed once
     for i, p in enumerate(s.points):
         for j, q in enumerate(s.points):
-            assert abs(floats[i, j] - aeq.squared_distance(p, q)) <= 1e-12
+            assert abs(floats[i, j] - squared_distance(p, q)) <= 1e-12
 
 
 def one_set_kernel(x):
@@ -236,7 +229,7 @@ def kernel_bodies():
 
 
 def per_pair(rows):
-    return [[aeq.squared_distance(p, q) for q in rows] for p in rows]
+    return [[squared_distance(p, q) for q in rows] for p in rows]
 
 
 @st.composite
@@ -387,13 +380,12 @@ def test_exact_pipeline_builds_no_per_pair_fractions(monkeypatch, capsys, tmp_pa
     from aeq.cli import main
 
     calls = []
-    per_pair = geometry.squared_distance
 
-    def counting(p, q):
-        calls.append(1)
-        return per_pair(p, q)
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            calls.append(1)
+            return super().__new__(cls, *args, **kwargs)
 
-    monkeypatch.setattr(geometry, "squared_distance", counting)
     half = Fraction(1, 2)
     rows = []
     for k in range(8):  # cross16: the rows +-(e_2k +- e_2k+1)/2 of R^16
@@ -403,9 +395,10 @@ def test_exact_pipeline_builds_no_per_pair_fractions(monkeypatch, capsys, tmp_pa
             rows.append(row)
     path = tmp_path / "cross16.json"
     path.write_text(aeq.dumps_report(aeq.pointset_to_dict(PointSet.exact_rows(rows))))
+    monkeypatch.setattr(geometry, "Fraction", CountingFraction)
     assert main(["pipeline", "--exact", "--input", str(path)]) == 0
     capsys.readouterr()
-    assert calls == []
+    assert 0 < len(calls) < len(rows)  # a few scalars, none per pair or per point
 
 
 def test_pipeline_certifies_once_per_set(monkeypatch, capsys, tmp_path):

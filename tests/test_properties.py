@@ -7,6 +7,7 @@ of the coordinates, nor on the sign of a coordinate. Every coordinate there
 is k/8 with |k| <= 64, so every squared distance is exact in float and the
 checks see the same numbers in every order.
 """
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import product
 
@@ -111,7 +112,7 @@ def test_float_verdict_and_certificate_invariant_under_symmetries(case, data):
     assert aeq.is_almost_equidistant(t).ok == ok
     if not ok:
         return
-    cert, tcert = aeq.certify(s).as_dict(), aeq.certify(t).as_dict()
+    cert, tcert = asdict(aeq.certify(s)), asdict(aeq.certify(t))
     # eigvalsh and the cube-trace sum see a permuted matrix
     for key in ("lambda_max", "lambda_min", "trace_u3"):
         want = cert.pop(key)

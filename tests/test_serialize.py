@@ -116,6 +116,8 @@ def test_matrix_csv():
     # every message whole, with lines counted past blanks and comments
     for text, message in (("", "empty matrix CSV"), ("# c\n\n", "empty matrix CSV"),
                           ("0 1\n1\n", "ragged matrix CSV"),
+                          ("1 2 3\n4 5 6\n", "matrix CSV must be square, got 2 rows of 3"),
+                          ("1 2\n3 4\n5 6\n", "matrix CSV must be square, got 3 rows of 2"),
                           ("0 1\n# c\n\n1 x\n", "line 4: non-numeric entry"),
                           ("0 nan\n1 x\n", "line 1: entries must be finite"),
                           ("0 1\nx nan\n", "line 2: non-numeric entry")):

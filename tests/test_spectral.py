@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -11,13 +12,14 @@ from aeq import PointSet, Spectrum, Tolerance
 def test_defect_matrix_rhombus_exact_entries(rhombus):
     u = aeq.defect_matrix(rhombus)
     assert u.mode == "exact"
-    assert u.entries[0][3] == Fraction(11, 5)
-    assert u.entries[1][2] == Fraction(-1, 5)
+    entries = [[Fraction(v, u.scale) for v in row] for row in u.values.tolist()]
+    assert entries[0][3] == Fraction(11, 5)
+    assert entries[1][2] == Fraction(-1, 5)
     # unit pairs contribute exact zeros
-    assert u.entries[0][1] == 0
-    assert u.entries[0][2] == 0
-    assert u.entries[1][3] == 0
-    assert u.entries[2][3] == 0
+    assert entries[0][1] == 0
+    assert entries[0][2] == 0
+    assert entries[1][3] == 0
+    assert entries[2][3] == 0
 
 
 def test_defect_matrix_invariants_fuzz():
@@ -40,9 +42,9 @@ def test_unit_simplex_defect_vanishes():
 
 def test_defect_entries_read_only():
     u = aeq.defect_matrix(aeq.construct_two_simplices(3))
-    assert u.array is u.entries
+    assert u.array is u.values
     with pytest.raises(ValueError):
-        u.entries[0, 1] = 0.0
+        u.values[0, 1] = 0.0
 
 
 def test_cube_trace_matches_einsum_oracle():
@@ -88,7 +90,6 @@ def test_eigenvalues_complete_graph_shift():
     assert abs(spec.values[0] - 2.0) < 1e-9
     assert abs(spec.values[1] + 1.0) < 1e-9
     assert abs(spec.values[2] + 1.0) < 1e-9
-    assert spec.n == 3
 
 
 def test_eigenvalues_sorted_nonincreasing():
@@ -140,7 +141,7 @@ def test_certify_zigzag_frozen(zigzag):
     assert cert.count_gt_one == 1
     assert cert.count_eq_one == 0
     assert cert.lemma1_holds
-    assert cert.as_dict()["lambda_max"] == cert.lambda_max
+    assert asdict(cert)["lambda_max"] == cert.lambda_max
 
 
 def test_certify_rejects_non_ae():
@@ -290,3 +291,12 @@ def test_gershgorin_dominates_spectrum_fuzz():
         spec = aeq.eigenvalues(m)
         assert spec.values[0] <= bound + 1e-12
         assert spec.values[-1] >= -bound - 1e-12
+
+
+@pytest.mark.parametrize("check", [aeq.eigenvalues, aeq.perron_frobenius_check,
+                                   aeq.gershgorin_bound], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("m", [[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [1.0, 2.0]],
+                         ids=["2x3", "vector"])
+def test_every_matrix_check_rejects_a_non_square_input(check, m):
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        check(m)

@@ -190,6 +190,20 @@ def test_parse_graph_line_malformed():
         aeq.parse_graph_line("3")
     with pytest.raises(ValueError, match="declares"):
         aeq.parse_graph_line("3 2 0 1")
+    # every message whole
+    for line, message in (("3 1 0 1 2", "graph line carries an odd number of endpoints, 3"),
+                          ("3 -1", "graph line declares a negative edge count, -1"),
+                          ("3 2 0 1", "graph line declares 2 edges but carries 1")):
+        with pytest.raises(ValueError) as err:
+            aeq.parse_graph_line(line)
+        assert str(err.value) == message, line
+
+
+def test_read_graph_file_names_the_line_of_a_fault(tmp_path):
+    p = tmp_path / "graphs.txt"
+    p.write_text("# header\n\n3 1 0 1\n  \n3 1 0 y\n")
+    with pytest.raises(ValueError, match=r"^line 5: invalid literal for int\(\)"):
+        aeq.read_graph_file(p)
 
 
 def test_read_graph_file_skips_comments(tmp_path):
