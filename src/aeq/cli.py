@@ -56,13 +56,15 @@ class RunReport:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path) as fh:
             return fh.read()
     except OSError as e:
         raise UsageError(str(e)) from e
+    except UnicodeDecodeError as e:  # a ValueError, which main would read as a failed check
+        raise UsageError(f"cannot decode {path}: {e}") from e
 
 
 def _load_points(args, path: str) -> PointSet:

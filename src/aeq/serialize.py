@@ -4,6 +4,15 @@ Point sets travel as JSON {"dim": d, "mode": "float"|"exact", "points":
 [...]} with exact coordinates encoded as "p/q" strings, or as plain CSV
 (one point per row, floating only). Reports are emitted with floats
 rendered at 17 significant digits so every value round-trips.
+
+JSON point sets are decoded by one rule: orjson reads the text and
+``pointset_from_dict`` checks the tree; if either raises ``ValueError``,
+the stdlib ``json`` re-reads the text and that result, or that error,
+stands. The two parsers give the same floats, bit for bit; orjson refuses
+what only the stdlib reads (NaN, Infinity, 1e400, lone surrogates) and
+turns integers past 64 bits into floats, which are the same numbers in
+float mode and fail the exact-mode check, so those documents load or fail
+exactly as the stdlib alone would have them.
 """
 from __future__ import annotations
 
@@ -15,6 +24,7 @@ from fractions import Fraction
 from typing import Tuple
 
 import numpy as np
+import orjson
 
 from .geometry import EXACT_MODE, FLOAT_MODE, PointSet, _checked_rows, _integer_form
 
@@ -118,9 +128,14 @@ def pointset_from_dict(obj: dict) -> PointSet:
 
 
 def load_pointset(text: str) -> PointSet:
+    """The point set of a JSON text, by the module's decode rule."""
+    try:
+        return pointset_from_dict(orjson.loads(text))
+    except ValueError:  # orjson.JSONDecodeError is one
+        pass
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ValueError(f"invalid JSON: {e}")
     return pointset_from_dict(obj)
 

@@ -35,6 +35,8 @@ class Graph:
     edges: frozenset  # of (u, v) tuples with u < v
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"graph declares a negative vertex count, {self.n}")
         norm = set()
         for e in self.edges:
             u, v = e

@@ -563,6 +563,7 @@ def test_tdrank_no_matching_graphs(capsys, corpus_path):
     ("3 0\n3 -1\n", "line 2: graph line declares a negative edge count, -1"),
     ("3 1 0 x\n", "line 1: invalid literal for int() with base 10: 'x'"),
     ("3 1 0 1\n\n3 1 0 3\n", "line 3: edge (0, 3) out of range for 3 vertices"),
+    ("-3 0\n0 0\n3 1 0 1\n", "line 1: graph declares a negative vertex count, -3"),
 ])
 def test_tdrank_graph_file_faults_name_their_line(capsys, tmp_path, text, message):
     path = tmp_path / "graphs.txt"
@@ -570,6 +571,29 @@ def test_tdrank_graph_file_faults_name_their_line(capsys, tmp_path, text, messag
     code, rep = run_cli(capsys, "tdrank", "--n", "3", "--graphs", str(path))
     assert (code, rep["outcome"]) == (2, "error")
     assert rep["payload"]["message"] == message
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["verify", "--input", "{path}"], "points.json"),
+    (["perron", "--input", "{path}"], "matrix.csv"),
+])
+def test_undecodable_input_is_a_usage_error(capsys, tmp_path, argv, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe{}")
+    code, rep = run_cli(capsys, *[a.format(path=path) for a in argv])
+    assert (code, rep["outcome"]) == (2, "error")
+    assert rep["payload"]["message"] == (
+        f"cannot decode {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte")
+
+
+def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path):
+    depth = 100_000
+    path = tmp_path / "deep.json"
+    path.write_text('{"dim": 2, "points": ' + "[" * depth + "]" * depth + "}")
+    code, rep = run_cli(capsys, "verify", "--input", str(path))
+    assert (code, rep["outcome"]) == (2, "error")
+    assert rep["payload"]["message"].startswith("invalid JSON: maximum recursion depth exceeded")
 
 
 def test_pipeline_simplex(capsys, tmp_path):

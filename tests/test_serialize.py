@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 import re
@@ -454,3 +455,120 @@ def test_cli_reports_render_as_asdict_renders_them(monkeypatch, capsys, report_i
     capsys.readouterr()
     assert len(seen) == len(_CLI_RUNS)
     assert all(is_dataclass(obj) for obj in seen)
+
+
+# -------------------------------------- JSON decoding: orjson, then the stdlib
+
+
+def _loaded(load, text):
+    """What a loader makes of a text: mode, q and the bytes of the numeric
+    form (float64 bits, so the sign of zero counts), or its error."""
+    try:
+        s = load(text)
+    except Exception as e:
+        return type(e).__name__, str(e)
+    x, q = s.form
+    return s.mode, q, x.shape, x.tobytes() if s.mode == "float" else x.tolist()
+
+
+def _stdlib_load(text):
+    return aeq.pointset_from_dict(json.loads(text))
+
+
+def _bits_to_float(bits):
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def _halfway(x):
+    """The exact decimal midway between x and the next float up."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 2000
+        return str((decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, math.inf))) / 2)
+
+
+_finite_floats = st.integers(0, 2 ** 64 - 1).map(_bits_to_float).filter(math.isfinite)
+_float_texts = st.one_of(
+    st.tuples(_finite_floats, st.sampled_from(["r", ".17g", ".16e"])).map(
+        lambda t: repr(t[0]) if t[1] == "r" else format(*t)),
+    st.tuples(st.sampled_from(["", "-"]), st.text("0123456789", min_size=17, max_size=40),
+              st.integers(-330, 310)).map(lambda t: f"{t[0]}{t[1][0]}.{t[1][1:]}e{t[2]}"),
+    _finite_floats.filter(lambda x: x != math.nextafter(x, math.inf)).map(_halfway),
+    st.sampled_from([
+        "4.9406564584124654e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
+        "-2.4703282292062328e-324", "2.2250738585072009e-308", "2.2250738585072014e-308",
+        "1.7976931348623157e308", "1.7976931348623158e308", "1.7976931348623159e308",
+        "-1.797693134862315807937e308", "1e-400", "-1e-400", "1e309", "-0", "-0.0", "0e0",
+        "18446744073709551616", "-9223372036854775809", "1" + "0" * 308, "1" + "0" * 309,
+    ]),
+    st.integers(-(2 ** 70), 2 ** 70).map(str),
+)
+_exact_texts = st.one_of(
+    st.integers(-(2 ** 70), 2 ** 70).map(str),
+    st.fractions(max_denominator=2 ** 70).map(lambda f: json.dumps(str(f))),
+    st.sampled_from(["0.5", "1e3", '"1/0"', "true", "-0"]),
+)
+
+
+def _document(dim, rows, mode):
+    head = {"float": '"mode": "float", ', "exact": '"mode": "exact", ', None: ""}[mode]
+    points = ", ".join("[" + ", ".join(row) + "]" for row in rows)
+    return '{"dim": %d, %s"points": [%s]}' % (dim, head, points)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data(), dim=st.integers(1, 3), count=st.integers(1, 4),
+       mode=st.sampled_from([None, "float", "exact"]))
+def test_json_documents_load_as_the_stdlib_loads_them(data, dim, count, mode):
+    texts = _exact_texts if mode == "exact" else _float_texts
+    rows = data.draw(st.lists(st.lists(texts, min_size=dim, max_size=dim),
+                              min_size=count, max_size=count))
+    text = _document(dim, rows, mode)
+    assert _loaded(aeq.load_pointset, text) == _loaded(_stdlib_load, text)
+
+
+_BIG = 2 ** 64
+
+
+# the documents that orjson refuses or reads otherwise than json.loads, and
+# duplicate keys, where both keep the last value
+@pytest.mark.parametrize("text, want", [
+    ('{"dim": 1, "points": [[0.0], [NaN]]}', "coordinates must be finite, got (nan,)"),
+    ('{"dim": 1, "points": [[0.0], [Infinity]]}', "coordinates must be finite, got (inf,)"),
+    ('{"dim": 1, "points": [[0.0], [-Infinity]]}', "coordinates must be finite, got (-inf,)"),
+    ('{"dim": 1, "points": [[0.0], [1e400]]}', "coordinates must be finite, got (inf,)"),
+    ('{"dim": 1, "mode": "exact", "points": [[%d], [0]]}' % _BIG, ("exact", 1, [[_BIG], [0]])),
+    ('{"dim": 1, "points": [[%d], [0]]}' % _BIG, ("float", 1, [[float(_BIG)], [0.0]])),
+    ('{"dim": %d, "points": [[0.0]]}' % (_BIG + 1),
+     f"ragged point set: expected {_BIG + 1} coordinates, got 1"),
+    ('{"dim": 1, "points": [["\\ud800"]]}', "Invalid literal for Fraction: '\\ud800'"),
+    ('{"dim": 1, "points": [["x"]], "points": [[0.5], [1]]}', ("float", 1, [[0.5], [1.0]])),
+])
+def test_documents_the_parsers_read_apart_load_as_before(text, want):
+    assert _loaded(aeq.load_pointset, text) == _loaded(_stdlib_load, text)
+    try:
+        s = aeq.load_pointset(text)
+    except ValueError as e:
+        assert str(e) == want
+    else:
+        x, q = s.form
+        assert (s.mode, q, x.tolist()) == want
+
+
+def test_the_stdlib_reads_only_what_orjson_or_the_checks_refuse(monkeypatch):
+    calls, loads = [], json.loads
+
+    def counted(text):
+        calls.append(text)
+        return loads(text)
+
+    monkeypatch.setattr(serialize.json, "loads", counted)
+    good = ['{"dim": 2, "points": [[0.1, -0.0], [1, 2e-300]]}',
+            '{"dim": 1, "mode": "exact", "points": [["1/3"], [-7]]}']
+    for text in good:
+        aeq.load_pointset(text)
+    assert calls == []
+    refused = ['{"dim": 1, "points": [[NaN]]}', '{"dim": 1, "points": [["x"]]}', "{not json"]
+    for text in refused:
+        with pytest.raises(ValueError):
+            aeq.load_pointset(text)
+    assert calls == refused

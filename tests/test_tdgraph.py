@@ -199,6 +199,15 @@ def test_parse_graph_line_malformed():
         assert str(err.value) == message, line
 
 
+def test_negative_vertex_count_is_rejected():
+    with pytest.raises(ValueError) as err:
+        aeq.parse_graph_line("-3 0")
+    assert str(err.value) == "graph declares a negative vertex count, -3"
+    with pytest.raises(ValueError, match="^graph declares a negative vertex count, -1$"):
+        Graph(n=-1, edges=frozenset())
+    assert aeq.parse_graph_line("0 0").n == 0
+
+
 def test_read_graph_file_names_the_line_of_a_fault(tmp_path):
     p = tmp_path / "graphs.txt"
     p.write_text("# header\n\n3 1 0 1\n  \n3 1 0 y\n")
