@@ -70,7 +70,8 @@ def _read_text(path: str) -> str:
 def _load_points(args, path: str) -> PointSet:
     text = _read_text(path)
     try:
-        if path.endswith(".csv") or not text.lstrip().startswith("{"):
+        # a BOM is not whitespace; a JSON text behind one goes to the JSON reader
+        if path.endswith(".csv") or not text.removeprefix("\ufeff").lstrip().startswith("{"):
             s = load_pointset_csv(text)
         else:
             s = load_pointset(text)

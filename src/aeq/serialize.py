@@ -13,6 +13,19 @@ what only the stdlib reads (NaN, Infinity, 1e400, lone surrogates) and
 turns integers past 64 bits into floats, which are the same numbers in
 float mode and fail the exact-mode check, so those documents load or fail
 exactly as the stdlib alone would have them.
+
+CSV texts, points and matrices alike, are read by one rule too. A text that
+is ASCII, holds only digits, ``+ - . e E``, commas, spaces and newlines, and
+has no integer token ``-0``, is read by orjson as ``[[`` + its lines joined
+by ``],[`` + ``]]``, blank lines dropped; any other text, or one that orjson
+refuses, takes the line walk ``_csv_rows``, and that result, or that error,
+stands. Those characters leave orjson only numbers to read, one list per
+line; JSON's numbers are a subset of what ``float()`` reads, and orjson
+gives the same floats, refuses the ones past the float range and turns
+integers past 64 bits into ``float()``'s float. So the line walk reads
+``-0`` (orjson's int 0, ``float()``'s -0.0), ``+1``, ``.5``, ``1.``, empty
+cells, trailing commas, space-only separators, tabs, carriage returns,
+comments, ``nan``, ``inf`` and ``1e400``.
 """
 from __future__ import annotations
 
@@ -140,10 +153,43 @@ def load_pointset(text: str) -> PointSet:
     return pointset_from_dict(obj)
 
 
+# the characters of a CSV text that orjson may read (module docstring)
+_JSON_CSV_CHARS = b"0123456789+-.eE, \n"
+# an integer token -0: orjson reads the int 0, float() reads -0.0
+_INTEGER_NEGATIVE_ZERO = re.compile(rb"-0(?![0-9.eE])")
+
+
+def _json_csv_rows(text: str):
+    """The rows of a CSV text read by orjson, one per line, blank lines
+    as empty rows; None when the module's CSV rule sends the text to the
+    line walk."""
+    if not text.isascii():
+        return None
+    raw = text.encode()
+    if raw.translate(None, _JSON_CSV_CHARS) or _INTEGER_NEGATIVE_ZERO.search(raw):
+        return None
+    try:
+        return orjson.loads(b"[[" + raw.replace(b"\n", b"],[") + b"]]")
+    except ValueError:  # orjson.JSONDecodeError is one
+        return None
+
+
+def _read_csv(text: str, cell: str):
+    """(line number, row of numbers) for each row of a CSV text, by the
+    module's CSV rule: orjson's rows when it reads the text, else the line
+    walk's rows, lazily, so its error comes after the rows before it."""
+    rows = _json_csv_rows(text)
+    if rows is None:
+        return _csv_rows(text, cell)
+    return [(lineno, row) for lineno, row in enumerate(rows, 1) if row]
+
+
 def _csv_rows(text: str, cell: str):
-    """(line number, row of floats) for each line of a CSV text that is not
-    blank or a # comment, its cells split on commas and spaces; a cell that
-    float() rejects raises "line N: non-numeric <cell>"."""
+    """The line walk: (line number, row of floats) for each line of a CSV
+    text that is not blank or a # comment, its cells split on commas and
+    spaces; a cell that float() rejects raises "line N: non-numeric <cell>".
+    It reads every text that orjson does not (module docstring), and is the
+    oracle of the orjson read."""
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -156,7 +202,7 @@ def _csv_rows(text: str, cell: str):
 
 
 def load_pointset_csv(text: str) -> PointSet:
-    rows = [row for _, row in _csv_rows(text, "coordinate")]
+    rows = [row for _, row in _read_csv(text, "coordinate")]
     if not rows:
         raise ValueError("empty point CSV")
     width = len(rows[0])
@@ -168,7 +214,7 @@ def load_pointset_csv(text: str) -> PointSet:
 
 def load_matrix_csv(text: str) -> np.ndarray:
     rows = []
-    for lineno, row in _csv_rows(text, "entry"):
+    for lineno, row in _read_csv(text, "entry"):
         if not all(map(math.isfinite, row)):
             raise ValueError(f"line {lineno}: entries must be finite")
         rows.append(row)

@@ -8,9 +8,11 @@ import sys
 import time
 
 import jsonschema
+import numpy as np
 import pytest
 
 import aeq
+from aeq import serialize
 from aeq.cli import build_parser, main
 from aeq.serialize import dumps_report
 from aeq.schemas import load_schema, schema_names
@@ -594,6 +596,48 @@ def test_deeply_nested_json_is_a_usage_error(capsys, tmp_path):
     code, rep = run_cli(capsys, "verify", "--input", str(path))
     assert (code, rep["outcome"]) == (2, "error")
     assert rep["payload"]["message"].startswith("invalid JSON: maximum recursion depth exceeded")
+
+
+def test_json_behind_a_bom_is_read_as_json(capsys, tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_text('\ufeff{"dim": 1, "points": [[0.0], [1.0]]}', encoding="utf-8")
+    code, rep = run_cli(capsys, "verify", "--input", str(path))
+    assert (code, rep["outcome"]) == (2, "error")
+    assert rep["payload"]["message"] == (
+        "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)")
+
+
+def _payload(capsys, *argv):
+    main(list(argv))
+    return json.dumps(json.loads(capsys.readouterr().out)["payload"])
+
+
+def test_every_csv_and_json_path_gives_the_same_payloads(capsys, tmp_path):
+    s = aeq.construct_two_simplices(6)
+    rng = np.random.default_rng(6)
+    rows = (s.array @ np.linalg.qr(rng.normal(size=(s.dim, s.dim)))[0]).tolist()
+    comma = "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    space = comma.replace(",", " ")
+    # the comma CSV is read by orjson, the space-separated one by the line walk
+    assert serialize._json_csv_rows(comma) is not None
+    assert serialize._json_csv_rows(space) is None
+    paths = []
+    for name, text in (("comma.csv", comma), ("space.csv", space),
+                       ("set.json", json.dumps({"dim": s.dim, "points": rows}))):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(text)
+    for verb in ("verify", "certify"):
+        payloads = {_payload(capsys, verb, "--input", str(p)) for p in paths}
+        assert len(payloads) == 1, verb
+    m = rng.random((5, 5))
+    m = (m + m.T).tolist()
+    comma = "".join(",".join(map(repr, row)) + "\n" for row in m)
+    (tmp_path / "comma_m.csv").write_text(comma)
+    (tmp_path / "space_m.csv").write_text(comma.replace(",", " "))
+    for verb in ("gershgorin", "perron"):
+        payloads = {_payload(capsys, verb, "--input", str(tmp_path / name))
+                    for name in ("comma_m.csv", "space_m.csv")}
+        assert len(payloads) == 1, verb
 
 
 def test_pipeline_simplex(capsys, tmp_path):

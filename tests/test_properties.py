@@ -1,7 +1,8 @@
 """Property tests: wire-format round trips and float-mode symmetries.
 
 A float set read back from its own report, or from a CSV of ``repr``
-floats, has an identical array; an exact set has identical Fraction rows.
+floats, has an identical array, bit for bit, so the sign of zero counts; an
+exact set has identical Fraction rows.
 Float verdicts and certificates do not depend on the order of the rows or
 of the coordinates, nor on the sign of a coordinate. Every coordinate there
 is k/8 with |k| <= 64, so every squared distance is exact in float and the
@@ -12,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aeq
@@ -28,21 +29,28 @@ def rows_of(coord, max_n=8, max_d=5):
     )
 
 
+def same_bits(a, b):
+    """Equal float64 arrays, bit for bit: np.array_equal alone takes -0.0 for 0.0."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(rows=rows_of(finite))
+@example(rows=[[-0.0, 0.0], [0.0, -0.0]])
 def test_float_report_roundtrip_is_identical(rows):
     s = PointSet.from_array(rows)
     back = aeq.load_pointset(aeq.dumps_report(aeq.pointset_to_dict(s)))
     assert back.mode == "float" and back.dim == s.dim
-    assert np.array_equal(back.array, s.array)
+    assert same_bits(back.array, s.array)
 
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(rows=rows_of(finite))
+@example(rows=[[-0.0, 0.0], [0.0, -0.0]])
 def test_float_csv_of_repr_roundtrip_is_identical(rows):
     s = PointSet.from_array(rows)
     text = "".join(", ".join(map(repr, row)) + "\n" for row in s.array.tolist())
-    assert np.array_equal(aeq.load_pointset_csv(text).array, s.array)
+    assert same_bits(aeq.load_pointset_csv(text).array, s.array)
 
 
 @settings(max_examples=150, deadline=None, database=None)

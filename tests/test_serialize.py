@@ -4,6 +4,7 @@ import math
 import re
 from dataclasses import asdict, dataclass, is_dataclass
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -572,3 +573,120 @@ def test_the_stdlib_reads_only_what_orjson_or_the_checks_refuse(monkeypatch):
         with pytest.raises(ValueError):
             aeq.load_pointset(text)
     assert calls == refused
+
+
+# ----------------------------------- CSV decoding: orjson, then the line walk
+
+
+def _walk_only():
+    """The CSV loaders with the orjson read off, so every text takes the line walk."""
+    return mock.patch.object(serialize, "_json_csv_rows", lambda text: None)
+
+
+def _matrix_loaded(text):
+    """What load_matrix_csv makes of a text: the shape and float64 bytes, or its error."""
+    try:
+        m = aeq.load_matrix_csv(text)
+    except Exception as e:
+        return type(e).__name__, str(e)
+    return m.shape, m.tobytes()
+
+
+def _csv_loaded(text):
+    return _loaded(aeq.load_pointset_csv, text), _matrix_loaded(text)
+
+
+def _walk_only_loaded(text):
+    with _walk_only():
+        return _csv_loaded(text)
+
+
+_csv_tokens = st.one_of(
+    _float_texts,
+    _float_texts,
+    st.sampled_from([
+        "-0", "-0.0", "-0e0", "-0E+0", "0", "00", "01", "-01", "1e-0", "1e-400", "-1e-400",
+        "1e400", "1" + "0" * 400, str(2 ** 64), str(2 ** 64 - 1), str(-(2 ** 63) - 1),
+        "1.", ".5", "+1", "1_0", "nan", "-nan", "inf", "-inf", "Infinity", "1e", "-", "",
+    ]),
+)
+# a third of the texts keep to commas and newlines and a third to commas,
+# spaces and blank lines, so that many reach orjson
+_cell_separators = st.sampled_from([
+    (",",), (",", ", ", " , "), (",", ", ", " ,", " ", "\t", ",,")])
+_line_ends = st.sampled_from([
+    ("\n",), ("\n", "\n\n", "\n  \n"), ("\n", "\r\n", "\r", "\n\n", "\n# c\n")])
+
+
+@st.composite
+def _csv_texts(draw):
+    dim = draw(st.integers(1, 3))
+    count = draw(st.sampled_from([dim, dim, 1, 2, 3]))
+    separators, line_ends = st.sampled_from(draw(_cell_separators)), draw(_line_ends)
+    lines = []
+    for _ in range(count):
+        width = draw(st.sampled_from([dim, dim, dim, dim + 1]))
+        cells = draw(st.lists(_csv_tokens, min_size=width, max_size=width))
+        line = cells[0]
+        for cell in cells[1:]:
+            line += draw(separators) + cell
+        lines.append(line)
+    text = draw(st.sampled_from(["", "", "# head\n", " "])) + lines[0]
+    for line in lines[1:]:
+        text += draw(st.sampled_from(line_ends)) + line
+    return text + draw(st.sampled_from(("", "\n") + line_ends))
+
+
+@settings(max_examples=600, deadline=None, database=None)
+@given(text=_csv_texts())
+def test_csv_texts_load_as_the_line_walk_loads_them(text):
+    assert _csv_loaded(text) == _walk_only_loaded(text)
+
+
+# the texts where orjson and float() read a token apart, or where JSON is
+# the stricter grammar; each loads or fails as the line walk alone had it
+@pytest.mark.parametrize("text, points, matrix", [
+    ("-0,1\n1,-0\n", [[-0.0, 1.0], [1.0, -0.0]], [[-0.0, 1.0], [1.0, -0.0]]),
+    ("1e400,0\n0,1\n", "coordinates must be finite, got (inf, 0.0)",
+     "line 1: entries must be finite"),
+    ("1" + "0" * 400 + ",0\n0,1\n", "coordinates must be finite, got (inf, 0.0)",
+     "line 1: entries must be finite"),
+    ("1.,.5\n+1,1\n", [[1.0, 0.5], [1.0, 1.0]], [[1.0, 0.5], [1.0, 1.0]]),
+    ("1,,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]]),
+    ("1,2,\n3,4,\n", [[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]]),
+    ("1,2\r3,4\r", [[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]]),
+    ("1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]]),
+    ("%d,-1e-400\n%d,0\n" % (2 ** 64, 2 ** 64 - 1), [[2.0 ** 64, -0.0], [2.0 ** 64, 0.0]],
+     [[2.0 ** 64, -0.0], [2.0 ** 64, 0.0]]),
+])
+def test_csv_texts_the_readers_read_apart_load_as_before(text, points, matrix):
+    assert _csv_loaded(text) == _walk_only_loaded(text)
+    for load, want in ((aeq.load_pointset_csv, points), (aeq.load_matrix_csv, matrix)):
+        try:
+            got = load(text)
+        except ValueError as e:
+            assert str(e) == want
+        else:
+            a = got.array if isinstance(got, PointSet) else got
+            assert a.tobytes() == np.array(want).tobytes()
+
+
+def test_the_line_walk_reads_only_what_the_csv_rule_sends_it(monkeypatch):
+    calls, walk = [], serialize._csv_rows
+
+    def counted(text, cell):
+        calls.append(text)
+        return walk(text, cell)
+
+    monkeypatch.setattr(serialize, "_csv_rows", counted)
+    read = ["0,0\n1,0.5\n", "1e-5, -0.0\n\n 2 ,3E+2\n", "%d,-0e0\n1,2" % 2 ** 70]
+    for text in read:
+        aeq.load_pointset_csv(text)
+        aeq.load_matrix_csv(text.replace("\n\n", "\n"))
+    assert calls == []
+    walked = ["-0,1\n", "1 2\n", "# c\n1,2\n", "1,2\r\n", "1\t2\n", "\ufeff1,2\n",
+              "1,,2\n", "1e-0,2\n", "nan,1\n", "1e400,0\n"]
+    for text in walked:
+        with pytest.raises(ValueError):  # a row of 2 is not square, or a cell is bad
+            aeq.load_matrix_csv(text)
+    assert calls == walked
