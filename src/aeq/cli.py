@@ -2,7 +2,8 @@
 
 Every subcommand prints a run report {command, inputs, outcome, payload} as
 JSON on stdout (floats at 17 significant digits) and diagnostics on stderr.
-Exit codes: 0 pass, 1 failed check or infeasible search, 2 malformed input.
+Exit codes: 0 pass, 1 failed check or infeasible search, 2 malformed input
+or a result holding NaN or infinity.
 The csv format switches stdout to the tabular payload where one exists.
 """
 from __future__ import annotations
@@ -12,7 +13,7 @@ import functools
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
@@ -44,7 +45,7 @@ _FLOAT_ONLY = ("construct", "search", "weyl", "perron", "gershgorin")
 
 
 class UsageError(ValueError):
-    """Malformed input or invalid flag combination; maps to exit code 2."""
+    """Malformed input, invalid flags or a NaN or infinity in the report: exit 2."""
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class RunReport:
     command: str
     inputs: dict
     outcome: str  # pass | fail | infeasible | error
-    payload: dict
+    payload: object  # a dict or a result dataclass
 
 
 def _read_text(path: str) -> str:
@@ -113,7 +114,7 @@ def _check_common_flags(args) -> None:
 
 def _bound_payload(report) -> dict:
     bound = report.bound if report.bound is not None else "asymptotic"
-    return {**asdict(report), "bound": bound}
+    return {**vars(report), "bound": bound}
 
 
 def _triple_payload(s: PointSet, check) -> dict:
@@ -129,7 +130,7 @@ def _write_points(path: Optional[str], s: PointSet) -> None:
     """The --out file of construct and search: the point set JSON."""
     if path:
         with open(path, "w") as fh:
-            fh.write(dumps_report(pointset_to_dict(s), indent=1))
+            fh.write(dumps_report(pointset_to_dict(s)))
 
 
 def cmd_verify(args):
@@ -145,7 +146,7 @@ def cmd_certify(args):
     if not check.ok:
         return FAIL, _triple_payload(s, check), None
     cert = certify(s, tol)
-    return (PASS if cert.lemma1_holds else FAIL), asdict(cert), None
+    return (PASS if cert.lemma1_holds else FAIL), cert, None
 
 
 def cmd_construct(args):
@@ -217,7 +218,7 @@ def cmd_search(args):
         "feasible": res.feasible,
         "iterations_used": res.iterations_used,
         "restart_index": res.restart_index,
-        "certificate": asdict(res.certificate) if res.certificate else None,
+        "certificate": res.certificate,
     }
     _write_points(args.out, res.best_points)
     return (PASS if res.feasible else INFEASIBLE), payload, None
@@ -258,7 +259,7 @@ def cmd_pipeline(args):
         except ValueError as e:
             stages.append({"name": "diameter_bound", "ok": False, "error": str(e)})
             failed = BoundReport("general", s.dim, {}, None, s.n, False, {"stages": stages})
-            return FAIL, asdict(failed), None
+            return FAIL, failed, None
     report = general_bound_pipeline(s, tol)
     payload = _bound_payload(report)
     if stages:
@@ -276,13 +277,13 @@ def cmd_weyl(args):
         raise UsageError(f"matrices must have equal shape, got {len(a)} x {len(a)} and "
                          f"{len(b)} x {len(b)}")
     res = weyl_check(a, b, _float_tolerance(args).eig_tol)
-    return (PASS if res.holds else FAIL), asdict(res), None
+    return (PASS if res.holds else FAIL), res, None
 
 
 def cmd_perron(args):
     m = _load_matrix(args.input)
     res = perron_frobenius_check(m, _float_tolerance(args).eig_tol)
-    return (PASS if res.attained else FAIL), asdict(res), None
+    return (PASS if res.attained else FAIL), res, None
 
 
 def cmd_gershgorin(args):
@@ -297,7 +298,8 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _emit(args, command: str, outcome: str, payload: dict, table) -> None:
+def _output(args, outcome: str, payload, table) -> str:
+    """The stdout text of a run: its csv table, or its JSON run report."""
     if args.format == "csv" and table is not None:
         header, rows = table
         lines = []
@@ -305,15 +307,17 @@ def _emit(args, command: str, outcome: str, payload: dict, table) -> None:
             lines.append(",".join(header))
         for row in rows:
             lines.append(",".join(_csv_cell(v) for v in row))
-        sys.stdout.write("\n".join(lines) + "\n")
-        return
+        return "\n".join(lines) + "\n"
     inputs = {
         k: v if not isinstance(v, float) or math.isfinite(v) else str(v)
         for k, v in vars(args).items()
         if k not in ("handler", "format", "command") and v is not None and not callable(v)
     }
-    report = RunReport(command=command, inputs=inputs, outcome=outcome, payload=payload)
-    sys.stdout.write(dumps_report(report, indent=1))
+    report = RunReport(command=args.command, inputs=inputs, outcome=outcome, payload=payload)
+    try:
+        return dumps_report(report)
+    except ValueError as e:
+        raise UsageError(str(e)) from e
 
 
 @functools.cache
@@ -393,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _abort(args, outcome: str, e: Exception) -> int:
     print(f"aeq: {e}", file=sys.stderr)
-    _emit(args, args.command, outcome, {"message": str(e)}, None)
+    sys.stdout.write(_output(args, outcome, {"message": str(e)}, None))
     return _EXIT[outcome]
 
 
@@ -403,6 +407,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         _check_common_flags(args)
         outcome, payload, table = args.handler(args)
+        text = _output(args, outcome, payload, table)
     except UsageError as e:
         return _abort(args, ERROR, e)
     except (ValueError, ArithmeticError) as e:
@@ -411,7 +416,7 @@ def main(argv: Optional[list] = None) -> int:
         return _abort(args, FAIL, e)
     except OSError as e:
         return _abort(args, ERROR, e)
-    _emit(args, args.command, outcome, payload, table)
+    sys.stdout.write(text)
     return _EXIT[outcome]
 
 

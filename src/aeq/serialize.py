@@ -2,8 +2,15 @@
 
 Point sets travel as JSON {"dim": d, "mode": "float"|"exact", "points":
 [...]} with exact coordinates encoded as "p/q" strings, or as plain CSV
-(one point per row, floating only). Reports are emitted with floats
-rendered at 17 significant digits so every value round-trips.
+(one point per row, floating only).
+
+Reports are rendered in one walk: a dataclass is an object of its fields
+in field order, a dict an object keyed by ``str(key)``, a list, tuple or
+``np.ndarray`` (through ``tolist()``) an array, a ``Fraction`` the string
+``"p/q"``, a float or numpy float ``format(x, ".17g")``, which round-trips
+(a negative zero is ``-0.0``), and ``None``, bools, ints, numpy integers and
+strings their JSON. NaN and infinity raise ``ValueError`` (the CLI exits 2),
+any other type ``TypeError``. Items go one to a line, a space of indent a level.
 
 JSON point sets are decoded by one rule: orjson reads the text and
 ``pointset_from_dict`` checks the tree; if either raises ``ValueError``,
@@ -236,55 +243,39 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def dumps_report(obj, indent: int = 0) -> str:
-    """JSON text with floats at 17 significant digits (round-trip safe)."""
-    return _dumps(_plain(obj), indent, 0) + "\n"
+def dumps_report(obj) -> str:
+    """The report text of obj, by the module's render rule, newline-ended."""
+    return _render(obj, "\n") + "\n"
 
 
-def _plain(obj):
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    return obj
-
-
-def _dumps(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * (level + 1)) if indent else ""
-    endpad = " " * (indent * level) if indent else ""
-    sep = ",\n" if indent else ", "
-    nl = "\n" if indent else ""
+def _render(obj, nl: str) -> str:
+    """The text of obj; nl is a newline and the indent of obj's own level,
+    before its closing bracket, and its items indent one space more."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _format_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, Fraction):
+        return json.dumps(str(obj))
+    if isinstance(obj, np.ndarray):
+        return _render(obj.tolist(), nl)
+    if is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    inner = nl + " "
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [
-            f"{pad}{json.dumps(str(k))}: {_dumps(v, indent, level + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{" + nl + sep.join(items) + nl + endpad + "}"
+        items = [f"{json.dumps(str(k))}: {_render(v, inner)}" for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{pad}{_dumps(v, indent, level + 1)}" for v in obj]
-        return "[" + nl + sep.join(items) + nl + endpad + "]"
+        items = [_render(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")

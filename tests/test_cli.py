@@ -719,6 +719,21 @@ def test_weyl_rejects_matrices_of_different_sizes(capsys, tmp_path):
     assert rep["payload"]["message"] == "matrices must have equal shape, got 2 x 2 and 3 x 3"
 
 
+@pytest.mark.parametrize("command", ["gershgorin", "perron", "weyl"])
+def test_a_result_past_the_float_range_is_a_usage_error(capsys, tmp_path, command):
+    m = tmp_path / "big.csv"
+    m.write_text("1e308,1e308\n1e308,1e308\n")
+    argv = ["--a", str(m), "--b", str(m)] if command == "weyl" else ["--input", str(m)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main([command, *argv])
+    out, err = capsys.readouterr()
+    assert err == "aeq: reports may not contain NaN or infinity\n"
+    rep = json.loads(out)
+    assert (code, rep["outcome"]) == (2, "error")
+    assert rep["payload"]["message"] == "reports may not contain NaN or infinity"
+    check_report(rep, command)
+
+
 def assert_payload(rep, want):
     assert rep["payload"] == want
     assert list(rep["payload"]) == list(want)  # the report keeps the payload's key order

@@ -62,7 +62,7 @@ def expected(kind, dim, count, lift, fmt):
               "count": count, "lift": lift}
     inputs = {k: v for k, v in inputs.items() if v is not None}  # as the CLI drops None
     report = {"command": "construct", "inputs": inputs, "outcome": outcome, "payload": payload}
-    return code, dumps_report(report, indent=1), f"aeq: {result}\n" if code == 2 else err
+    return code, dumps_report(report), f"aeq: {result}\n" if code == 2 else err
 
 
 @pytest.mark.parametrize("flags", FLAGS, ids=("plain", "lift", "count2", "count9", "count3-lift"))

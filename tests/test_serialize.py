@@ -2,7 +2,7 @@ import decimal
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from fractions import Fraction
 from unittest import mock
 
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import aeq
 from aeq import PointSet, cli, serialize
@@ -164,7 +165,7 @@ def test_report_handles_dataclasses_and_numpy():
 
 
 def test_report_indent_mode_is_valid_json():
-    out = aeq.dumps_report({"a": [1, 2], "b": {"c": None}}, indent=2)
+    out = aeq.dumps_report({"a": [1, 2], "b": {"c": None}})
     assert json.loads(out) == {"a": [1, 2], "b": {"c": None}}
     assert out.endswith("\n")
 
@@ -387,11 +388,70 @@ def test_float_rows_read_as_the_per_coordinate_walk_reads_them(dim, rows):
 
 # -------------------------------------- reports: dataclasses walked in place
 
+# the oracle: the report writer as it was, a copy by _plain, then _dumps
 
-def _asdict_report(obj, indent):
-    """dumps_report as it was: a dataclass deep-copied by asdict, then walked."""
-    plain = serialize._plain(asdict(obj) if is_dataclass(obj) else obj)
-    return serialize._dumps(plain, indent, 0) + "\n"
+
+def _plain(obj):
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [_plain(v) for v in obj.tolist()]
+    return obj
+
+
+def _dumps(obj, indent: int, level: int) -> str:
+    pad = " " * (indent * (level + 1)) if indent else ""
+    endpad = " " * (indent * level) if indent else ""
+    sep = ",\n" if indent else ", "
+    nl = "\n" if indent else ""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return serialize._format_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f"{pad}{json.dumps(str(k))}: {_dumps(v, indent, level + 1)}"
+            for k, v in obj.items()
+        ]
+        return "{" + nl + sep.join(items) + nl + endpad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{pad}{_dumps(v, indent, level + 1)}" for v in obj]
+        return "[" + nl + sep.join(items) + nl + endpad + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _asdict_report(obj):
+    """The oracle, dumps_report as it was: a dataclass deep-copied by asdict,
+    copied again by _plain, then rendered by _dumps at the CLI's indent."""
+    return _dumps(_plain(asdict(obj) if is_dataclass(obj) else obj), 1, 0) + "\n"
+
+
+def _rendered(render, obj):
+    """The text render makes of obj, or its error's type and message."""
+    try:
+        return render(obj)
+    except Exception as e:
+        return type(e).__name__, str(e)
 
 
 def test_report_dataclasses_render_as_asdict_renders_them():
@@ -410,8 +470,52 @@ def test_report_dataclasses_render_as_asdict_renders_them():
     obj = Outer(Inner(Fraction(1, 3), np.array([[0.5, -0.0]])),
                 (Inner(Fraction(2), np.arange(2)), [np.int64(3)]),
                 {1: Inner(Fraction(-1, 2), np.zeros(0)), "k": (0.1, None)}, np.float64(2.5))
-    for indent in (0, 1, 2):
-        assert aeq.dumps_report(obj, indent) == _asdict_report(obj, indent)
+    assert aeq.dumps_report(obj) == _asdict_report(obj)
+
+
+@dataclass
+class _Pair:
+    left: object
+    right: object
+
+
+_finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]))
+_bad_leaves = st.sampled_from([math.nan, -math.inf, np.float64(math.inf), np.float32(math.nan),
+                               np.bool_(True), set(), object()])
+_report_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), _finite, st.text(), st.fractions(),
+    _finite.map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=3), elements=_finite),
+    hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=3)),
+    _bad_leaves,
+)
+_report_keys = st.one_of(st.text(max_size=3), st.integers(), st.fractions(), _finite)
+
+
+def _report_containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        # keys that stay distinct after str(), as the oracle's dict would merge them
+        st.lists(st.tuples(_report_keys, children), max_size=4, unique_by=_key_text).map(dict),
+        st.builds(_Pair, children, children),
+    )
+
+
+def _key_text(item):
+    return str(item[0])
+
+
+_report_trees = st.deferred(lambda: _report_leaves | _report_containers(_report_trees))
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_report_containers(_report_trees))
+def test_report_trees_render_as_the_oracle_renders_them(tree):
+    assert _rendered(aeq.dumps_report, tree) == _rendered(_asdict_report, tree)
 
 
 @pytest.fixture
@@ -422,6 +526,9 @@ def report_inputs(tmp_path, rhombus, corpus_path):
     for name, s in sets.items():
         paths[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(aeq.dumps_report(aeq.pointset_to_dict(s)))
+    paths["matrix"] = str(tmp_path / "matrix.csv")
+    (tmp_path / "matrix.csv").write_text("2 1\n1 2\n")
+    paths["out"] = str(tmp_path / "out.json")
     return paths
 
 
@@ -438,24 +545,30 @@ _CLI_RUNS = [
     "bounds --theorem sphere --dim 3 --radius 0.5", "bounds --theorem sphere --dim 3 --radius 0.9",
     "search --dim 2 --n 4 --restarts 1 --iters 20",
     "tdrank --n 5 --graphs {graphs}", "tdrank --n 5 --graphs {graphs} --exact",
+    "weyl --a {matrix} --b {matrix}", "perron --input {matrix}", "gershgorin --input {matrix}",
+    "construct --kind simplex --dim 2 --out {out}",
+    "search --dim 2 --n 4 --restarts 1 --iters 20 --out {out}",
+    "search --dim 2 --n 4 --restarts 0",
 ]
 
 
 def test_cli_reports_render_as_asdict_renders_them(monkeypatch, capsys, report_inputs):
     seen = []
 
-    def checked(obj, indent=0):
-        text = serialize.dumps_report(obj, indent)
-        assert text == _asdict_report(obj, indent)
+    def checked(obj):
+        text = serialize.dumps_report(obj)
+        assert text == _asdict_report(obj)
         seen.append(obj)
         return text
 
     monkeypatch.setattr(cli, "dumps_report", checked)
-    for run in _CLI_RUNS:
-        cli.main(run.format(**report_inputs).split())
+    codes = [cli.main(run.format(**report_inputs).split()) for run in _CLI_RUNS]
     capsys.readouterr()
-    assert len(seen) == len(_CLI_RUNS)
-    assert all(is_dataclass(obj) for obj in seen)
+    assert codes[-1] == 2  # a usage error, reported by _abort
+    # one run report per run, and the two --out point sets as plain dicts
+    reports = [obj for obj in seen if isinstance(obj, cli.RunReport)]
+    assert len(reports) == len(_CLI_RUNS)
+    assert len(seen) == len(_CLI_RUNS) + 2
 
 
 # -------------------------------------- JSON decoding: orjson, then the stdlib
