@@ -16,6 +16,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from .bounds import (
     BoundReport,
@@ -35,7 +37,13 @@ from .serialize import (
     load_pointset_csv,
     pointset_to_dict,
 )
-from .spectral import certify, gershgorin_bound, perron_frobenius_check, weyl_check
+from .spectral import (
+    NonFiniteMatrix,
+    certify,
+    gershgorin_bound,
+    perron_frobenius_check,
+    weyl_check,
+)
 from .tdgraph import check_rank_size, min_rank_scan, read_graph_file
 
 PASS, FAIL, INFEASIBLE, ERROR = "pass", "fail", "infeasible", "error"
@@ -270,25 +278,36 @@ def cmd_pipeline(args):
     return (PASS if ok else FAIL), payload, None
 
 
+def _matrix_check(check, *args):
+    """check(*args) for the matrix subcommands, with numpy's float warnings
+    off: a matrix or spectrum past the float range is malformed input, as a
+    result holding NaN or infinity is (exit 2)."""
+    with np.errstate(all="ignore"):
+        try:
+            return check(*args)
+        except NonFiniteMatrix as e:
+            raise UsageError(str(e)) from e
+
+
 def cmd_weyl(args):
     a = _load_matrix(args.a)
     b = _load_matrix(args.b)
     if a.shape != b.shape:
         raise UsageError(f"matrices must have equal shape, got {len(a)} x {len(a)} and "
                          f"{len(b)} x {len(b)}")
-    res = weyl_check(a, b, _float_tolerance(args).eig_tol)
+    res = _matrix_check(weyl_check, a, b, _float_tolerance(args).eig_tol)
     return (PASS if res.holds else FAIL), res, None
 
 
 def cmd_perron(args):
     m = _load_matrix(args.input)
-    res = perron_frobenius_check(m, _float_tolerance(args).eig_tol)
+    res = _matrix_check(perron_frobenius_check, m, _float_tolerance(args).eig_tol)
     return (PASS if res.attained else FAIL), res, None
 
 
 def cmd_gershgorin(args):
     m = _load_matrix(args.input)
-    payload = {"bound": gershgorin_bound(m), "n": int(m.shape[0])}
+    payload = {"bound": _matrix_check(gershgorin_bound, m), "n": int(m.shape[0])}
     return PASS, payload, None
 
 

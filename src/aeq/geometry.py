@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,6 +61,7 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 FLAG_ULPS = 4  # an exact set's only slack: the rounding of a float flag, in its ulps
+DISTINCT_SAMPLE = 4096  # the coordinates _integer_form reads to see if values repeat
 EXACT_FLOATS = 2 ** 53  # every integer of smaller magnitude is a float64, so no sum that stays below it rounds
 
 
@@ -117,16 +119,65 @@ def _checked_rows(dim: int, rows, convert):
     return rows
 
 
-def _integer_form(rows) -> Tuple[np.ndarray, int]:
-    """(X, q) in lowest terms for rows of (numerator, denominator) pairs with
-    positive denominators: X an object array of Python ints."""
-    q = math.lcm(*{d for row in rows for _, d in row})
-    x = [[p * (q // d) for p, d in row] for row in rows]
-    g = math.gcd(q, *(v for row in x for v in row))
+def _integer_form(dim, rows, pair, walk) -> Tuple[np.ndarray, int]:
+    """(X, q) in lowest terms for the rows of an exact set: X an object
+    array of Python ints, q the lcm of the coordinate denominators over its
+    common factor with X; pair(c) is (p, d) with d > 0 for one coordinate c,
+    or raises ValueError.
+
+    The distinct pass: every coordinate is keyed on (type(c), c), so True
+    and 1, or 0.5 and Fraction(1, 2), stay apart; each distinct key is
+    converted once, in row-major order of first appearance; q is the lcm of
+    the distinct denominators, g the gcd of q and the distinct scaled
+    numerators, and X takes one dict lookup per coordinate. When more than
+    half of the first DISTINCT_SAMPLE keys are distinct, it converts every
+    coordinate in row-major order instead, with no dict. It takes rows
+    that are a nonempty list of lists of dim hashable coordinates, dim an
+    int >= 1, that pair() converts; any other input goes to walk(), the
+    route's per-coordinate walk, which gives the rows of (p, d) pairs or
+    raises, and that result, or that error, stands.
+    """
+    form = _distinct_form(dim, rows, pair)
+    if form is not None:
+        return form
+    walked = walk()
+    values, q = _lowest_terms(list(chain.from_iterable(walked)))
+    return np.array(values, dtype=object).reshape(len(walked), -1), q
+
+
+def _distinct_form(dim, rows, pair):
+    """The distinct pass of _integer_form, or None when it does not take the rows."""
+    if type(dim) is not int or dim < 1 or type(rows) is not list or not rows:
+        return None
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {dim}:
+        return None
+    flat = list(chain.from_iterable(rows))
+    # keyed on (type(c), c); where every coordinate has one type, c alone is the same key
+    one_type = len(set(map(type, flat))) == 1
+    keys = flat if one_type else list(zip(map(type, flat), flat))
+    try:
+        # on mostly distinct values the dict costs more than it saves
+        sample = keys[:DISTINCT_SAMPLE]
+        distinct = dict.fromkeys(keys) if 2 * len(set(sample)) <= len(sample) else keys
+        coords = distinct if one_type else [c for _, c in distinct]
+        values, q = _lowest_terms(list(map(pair, coords)))
+    except (TypeError, ValueError):  # an unhashable or a bad coordinate
+        return None
+    if len(distinct) < len(keys):  # else the values are in row-major order already
+        values = list(map(dict(zip(distinct, values)).__getitem__, keys))
+    return np.array(values, dtype=object).reshape(len(rows), dim), q
+
+
+def _lowest_terms(pairs) -> Tuple[list, int]:
+    """(values, q) for (p, d) pairs with d > 0: q the lcm of the d over g,
+    each value p * (q // d) over g, g their gcd with the lcm."""
+    q = math.lcm(*{d for _, d in pairs})
+    values = [p * (q // d) for p, d in pairs]
+    g = math.gcd(q, *values)
     if g > 1:
         q //= g
-        x = [[v // g for v in row] for row in x]
-    return np.array(x, dtype=object), q
+        values = [v // g for v in values]
+    return values, q
 
 
 class PointSet:
@@ -155,7 +206,8 @@ class PointSet:
         state.update(_triple_checks={}, _certificates={})
         if "form" not in state:  # not built by _from_integers
             if self.mode == EXACT_MODE:
-                state["form"] = _integer_form(_checked_rows(self.dim, given, _exact_pairs))
+                walk = partial(_checked_rows, self.dim, given, _exact_pairs)
+                state["form"] = _integer_form(self.dim, given, _exact_pair, walk)
             else:
                 state["form"] = (_checked_rows(self.dim, given, _float_rows), 1)
         x = self.form[0]
@@ -312,8 +364,12 @@ def is_almost_equidistant(s: PointSet, tol: Optional[Tolerance] = None) -> Tripl
     """
     tol = _resolve_tol(s, tol)
     if tol.dist_tol not in s._triple_checks:
-        dev, limit, _ = band_deviation(s, s.scaled_sqdist[0], 1, tol, "unit")
-        nonunit = np.abs(dev) > limit
+        d2, q2 = s.scaled_sqdist
+        if s.mode == EXACT_MODE:
+            nonunit = d2 != q2  # the band rule at the int target 1: limit 0, no slack
+        else:
+            dev, limit, _ = band_deviation(s, d2, 1, tol, "unit")
+            nonunit = np.abs(dev) > limit
         np.fill_diagonal(nonunit, False)
         nonunit.flags.writeable = False
         s._triple_checks[tol.dist_tol] = first_triangle(nonunit), nonunit

@@ -21,6 +21,14 @@ turns integers past 64 bits into floats, which are the same numbers in
 float mode and fail the exact-mode check, so those documents load or fail
 exactly as the stdlib alone would have them.
 
+Exact coordinates are decoded by one rule as well, ``geometry._integer_form``:
+each distinct coordinate, keyed on its type and value so that ``true`` and
+``1`` stay apart, is converted once by ``_ratio``, and (X, q) is built from
+those. A document that this pass does not take (``dim`` not an int of at
+least 1, a row that is not a list of ``dim`` coordinates, or a coordinate
+that ``_ratio`` rejects) takes the per-coordinate row walk, and that result,
+or that error, stands; the walk names the first bad coordinate in row order.
+
 CSV texts, points and matrices alike, are read by one rule too. A text that
 is ASCII, holds only digits, ``+ - . e E``, commas, spaces and newlines, and
 has no integer token ``-0``, is read by orjson as ``[[`` + its lines joined
@@ -86,19 +94,24 @@ def _float(text: str) -> float:
         return math.inf if f > 0 else -math.inf
 
 
-def _ratio(text: str) -> Tuple[int, int]:
-    """(p, q) with p / q == Fraction(text) and q > 0, not always in lowest
-    terms. "p" and "p/q" in ASCII digits, p with an optional "-", are read as
-    two ints; any other text goes to Fraction, for its values and errors."""
-    num, slash, den = text.partition("/")
-    digits = num[1:] if num[:1] == "-" else num
-    if digits.isascii() and digits.isdigit():
-        if not slash:
-            return int(num), 1
-        if den.isascii() and den.isdigit() and int(den) > 0:
-            return int(num), int(den)
-    f = _fraction(text)
-    return f.numerator, f.denominator
+def _ratio(c) -> Tuple[int, int]:
+    """(p, q) with p / q the value of an exact-mode coordinate and q > 0, not
+    always in lowest terms: an int as (c, 1); "p" and "p/q" in ASCII digits,
+    p with an optional "-", as two ints; any other string through Fraction,
+    for its values and errors; any other type raises."""
+    if isinstance(c, str):
+        num, slash, den = c.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if digits.isascii() and digits.isdigit():
+            if not slash:
+                return int(num), 1
+            if den.isascii() and den.isdigit() and (d := int(den)) > 0:
+                return int(num), d
+        f = _fraction(c)
+        return f.numerator, f.denominator
+    if isinstance(c, bool) or not isinstance(c, int):
+        raise ValueError("exact mode coordinates must be integers or 'p/q' strings")
+    return c, 1
 
 
 def pointset_from_dict(obj: dict) -> PointSet:
@@ -115,36 +128,32 @@ def pointset_from_dict(obj: dict) -> PointSet:
         raise ValueError(f"dim must be an integer, got {dim!r}")
     if not isinstance(rows, list) or not rows:
         raise ValueError("points must be a nonempty list")
-    parsed = []  # exact: (p, q) pairs; float: numbers, which PointSet converts
-    for row in rows:
-        # a float row of plain JSON numbers needs no per-coordinate walk; a
-        # bool, str or any other type in it sends the row down the walk
-        if mode != EXACT_MODE and isinstance(row, list) and set(map(type, row)) <= {int, float}:
-            parsed.append(row)
-            continue
-        if not isinstance(row, list):
-            raise ValueError("each point must be a list of coordinates")
-        coords = []
-        for c in row:
-            if mode == EXACT_MODE:
-                if isinstance(c, str):
-                    c = _ratio(c)
-                elif isinstance(c, bool) or not isinstance(c, int):
-                    raise ValueError(
-                        "exact mode coordinates must be integers or 'p/q' strings"
-                    )
-                else:
-                    c = (c, 1)
-            elif isinstance(c, str):
-                c = _float(c)
-            elif isinstance(c, bool) or not isinstance(c, (int, float)):
-                raise ValueError("coordinates must be numbers")
-            coords.append(c)
-        parsed.append(coords)
     if mode == EXACT_MODE:
-        # each coordinate is checked above; the row check adds dim and width
-        return PointSet._from_integers(*_integer_form(_checked_rows(int(dim), parsed, list)))
+        def walk():  # each coordinate, then dim and the row widths
+            return _checked_rows(int(dim), [_walked_row(r, _ratio) for r in rows], list)
+
+        return PointSet._from_integers(*_integer_form(dim, rows, _ratio, walk))
+    # a float row of plain JSON numbers needs no per-coordinate walk; a
+    # bool, str or any other type in it sends the row down the walk
+    parsed = [row if isinstance(row, list) and set(map(type, row)) <= {int, float}
+              else _walked_row(row, _float_coordinate) for row in rows]
     return PointSet(dim=int(dim), points=parsed, mode=mode)
+
+
+def _float_coordinate(c):
+    """A float-mode coordinate: a number, or a string read by _float."""
+    if isinstance(c, str):
+        return _float(c)
+    if isinstance(c, bool) or not isinstance(c, (int, float)):
+        raise ValueError("coordinates must be numbers")
+    return c
+
+
+def _walked_row(row, coordinate) -> list:
+    """The per-coordinate walk of one row, which must be a list."""
+    if not isinstance(row, list):
+        raise ValueError("each point must be a list of coordinates")
+    return [coordinate(c) for c in row]
 
 
 def load_pointset(text: str) -> PointSet:

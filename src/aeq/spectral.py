@@ -54,12 +54,18 @@ class DefectMatrix:
         return self.values
 
 
+class NonFiniteMatrix(ValueError):
+    """A matrix, or a sum or spectrum of matrices, holding NaN or infinity."""
+
+
 def _matrix(m) -> np.ndarray:
     """A DefectMatrix's float array, or any matrix-like input as floats;
-    raises unless it is square."""
+    raises unless it is square and finite."""
     a = m.array if isinstance(m, DefectMatrix) else np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
+    if not np.isfinite(a).all():
+        raise NonFiniteMatrix("matrix entries must be finite")
     return a
 
 
@@ -82,28 +88,20 @@ class TraceIdentities:
 def trace_identities(
     u: DefectMatrix, s: PointSet, tol: Optional[Tolerance] = None
 ) -> TraceIdentities:
-    """Directly summed trace and cube-trace; independent of any eigensolver.
+    """The trace and cube-trace of s's defect matrix u; no eigensolver.
 
-    The cube-trace is sum_{i,j,k} U_ij U_jk U_ki, summed in float mode as
-    ((U @ U) * U^T).sum() and in exact mode over the integers scale * U,
-    walking only its nonzero entries. Every closed triple walks through
-    some unit pair when the set is almost equidistant, so both traces
-    vanish (exactly in rational mode, within n^3 * eig_tol in float).
+    The cube-trace is sum_{i,j,k} U_ij U_jk U_ki. Once the triple check
+    passes, both vanish as identities: U has a zero diagonal and is zero on
+    every unit pair, so a nonzero term needs i, j, k distinct and pairwise
+    off unit distance, a triangle of the non-unit graph, which an almost
+    equidistant set has none of. Exact mode returns those zeros; float mode
+    sums ((U @ U) * U^T) and holds within n^3 * eig_tol.
     """
     tol = _resolve_tol(s, tol)
     nonunit_mask(s, tol)  # raises unless the set is almost equidistant
-    n = u.n
     if u.mode == EXACT_MODE:
-        rows = u.values.tolist()
-        support = [[k for k, v in enumerate(row) if v] for row in rows]
-        tr3 = 0
-        for i, ri in enumerate(rows):
-            for j in support[i]:
-                rj = rows[j]
-                tr3 += ri[j] * sum(rj[k] * ri[k] for k in support[j])
-        tr = Fraction(sum(rows[i][i] for i in range(n)), u.scale)
-        tr3 = Fraction(tr3, u.scale ** 3)
-        return TraceIdentities(tr, tr3, tr == 0 and tr3 == 0)
+        return TraceIdentities(Fraction(0), Fraction(0), True)
+    n = u.n
     m = u.array
     tr = float(np.trace(m))
     tr3 = float(((m @ m) * m.T).sum())
@@ -130,6 +128,8 @@ def eigenvalues(m, eig_tol: float = DEFAULT_TOL.eig_tol) -> Spectrum:
         vals = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as e:  # pragma: no cover - solver failure
         raise RuntimeError(f"eigenvalue iteration failed: {e}")
+    if not np.isfinite(vals).all():
+        raise NonFiniteMatrix("eigenvalues overflow the float range")
     vals = vals[::-1]
     if abs(float(vals.sum()) - float(np.trace(a))) > scale * len(vals) * tol.slack("eig_sum"):
         raise RuntimeError("eigenvalue sum drifted from the trace")

@@ -719,19 +719,36 @@ def test_weyl_rejects_matrices_of_different_sizes(capsys, tmp_path):
     assert rep["payload"]["message"] == "matrices must have equal shape, got 2 x 2 and 3 x 3"
 
 
-@pytest.mark.parametrize("command", ["gershgorin", "perron", "weyl"])
-def test_a_result_past_the_float_range_is_a_usage_error(capsys, tmp_path, command):
+@pytest.mark.parametrize("command, message", [
+    ("gershgorin", "reports may not contain NaN or infinity"),
+    ("perron", "reports may not contain NaN or infinity"),
+    ("weyl", "eigenvalues overflow the float range"),
+])
+def test_a_result_past_the_float_range_is_a_usage_error(capsys, tmp_path, command, message):
     m = tmp_path / "big.csv"
     m.write_text("1e308,1e308\n1e308,1e308\n")
     argv = ["--a", str(m), "--b", str(m)] if command == "weyl" else ["--input", str(m)]
     with np.errstate(over="ignore", invalid="ignore"):
         code = main([command, *argv])
     out, err = capsys.readouterr()
-    assert err == "aeq: reports may not contain NaN or infinity\n"
+    assert err == f"aeq: {message}\n"
     rep = json.loads(out)
     assert (code, rep["outcome"]) == (2, "error")
-    assert rep["payload"]["message"] == "reports may not contain NaN or infinity"
+    assert rep["payload"]["message"] == message
     check_report(rep, command)
+
+
+@pytest.mark.parametrize("command", ["gershgorin", "perron", "weyl"])
+def test_a_matrix_past_the_float_range_prints_no_numpy_warning(tmp_path, command):
+    m = tmp_path / "big.csv"
+    m.write_text("1e308,1e308\n1e308,1e308\n")
+    argv = ["--a", str(m), "--b", str(m)] if command == "weyl" else ["--input", str(m)]
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(aeq.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "aeq.cli", command, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("aeq: ")
 
 
 def assert_payload(rep, want):

@@ -5,8 +5,10 @@ The oracles below are the earlier Fraction implementations, kept here
 verbatim in substance: per-pair squared distances, the Fraction defect
 matrix, the triple-loop cube-trace and the Fraction row statistics; and,
 at the end, the two-branch (exact and float) norm band and the Fraction
-cross-sum identity that the one form (X, q) replaced. Every comparison is
-exact equality, floats bit for bit.
+cross-sum identity that the one form (X, q) replaced, the band-rule mask
+that ``D != q^2`` replaced and the integer walk of the cube-trace that the
+trace identities replaced. Every comparison is exact equality, floats bit
+for bit.
 """
 import math
 from dataclasses import asdict, astuple
@@ -14,13 +16,14 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aeq
 from aeq import PointSet, Tolerance
 from aeq.bounds import RecentredNormBounds
-from aeq.geometry import diameter, pairwise_squared_distances
+from aeq.geometry import band_deviation, diameter, pairwise_squared_distances
 from aeq.spectral import SpectralCertificate
 
 
@@ -447,3 +450,130 @@ def test_barycenter_identity_matches_the_fraction_oracle(rows, data):
     x, y = PointSet.exact_rows(rows), PointSet.exact_rows(other)
     got = aeq.barycenter_identity_check(x, y)
     assert got == fraction_barycenter_identity(x, y) == 0 and isinstance(got, Fraction)
+
+
+# -- the exact mask and the exact trace identities -----------------------------
+
+
+def band_rule_mask(s):
+    """The non-unit mask through the band rule at target 1: |D - q^2| > limit."""
+    dev, limit, _ = band_deviation(s, s.scaled_sqdist[0], 1, Tolerance.exact(), "unit")
+    mask = np.abs(dev) > limit
+    np.fill_diagonal(mask, False)
+    return mask
+
+
+def walked_traces(u):
+    """trace_identities on an exact defect matrix as it summed them: the
+    trace, and the cube-trace over the integers scale * U, walking only the
+    nonzero entries of each row."""
+    rows = u.values.tolist()
+    support = [[k for k, v in enumerate(row) if v] for row in rows]
+    tr3 = 0
+    for i, ri in enumerate(rows):
+        for j in support[i]:
+            rj = rows[j]
+            tr3 += ri[j] * sum(rj[k] * ri[k] for k in support[j])
+    tr = Fraction(sum(rows[i][i] for i in range(u.n)), u.scale)
+    tr3 = Fraction(tr3, u.scale ** 3)
+    return tr, tr3, tr == 0 and tr3 == 0
+
+
+def bipartite_rows(m, chosen):
+    """An exact almost-equidistant set whose non-unit graph is dense bipartite.
+
+    A is the unit simplex p_k = (e_2k + e_2k+1)/2 of R^2m, B = A + w with
+    w_2k = w_2k+1 = 1/c on the c blocks in chosen and 0 elsewhere, so
+    |w|^2 = 2/c. Pairs within A or within B are unit. The pair (p_i, p_j + w)
+    is at squared distance 1 - 2 (s_j - s_i) + 2/c, s_k = (w_2k + w_2k+1)/2,
+    which is unit only for i unchosen and j chosen, and for i = j when
+    c = 2: K_{m,m} less those pairs.
+    """
+    c = len(chosen)
+    a = [[Fraction(0)] * (2 * m) for _ in range(m)]
+    for k, row in enumerate(a):
+        row[2 * k] = row[2 * k + 1] = Fraction(1, 2)
+    w = [Fraction(1, c) if k // 2 in chosen else Fraction(0) for k in range(2 * m)]
+    return a + [[x + y for x, y in zip(row, w)] for row in a]
+
+
+@st.composite
+def bipartite_sets(draw):
+    """bipartite_rows, kept in part, shuffled and shifted."""
+    m = draw(st.integers(1, 7))
+    chosen = set(draw(st.permutations(range(m)))[: draw(st.integers(1, m))])
+    rows = bipartite_rows(m, chosen)
+    order = draw(st.permutations(range(2 * m)))
+    keep = order[: draw(st.integers(m, 2 * m))]
+    coord = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    shift = draw(st.lists(coord, min_size=2 * m, max_size=2 * m))
+    return [[x + t for x, t in zip(rows[i], shift)] for i in keep]
+
+
+@st.composite
+def near_unit_sets(draw):
+    """Unit-rich exact sets with one coordinate moved by a float ulp or so,
+    so that some pairs sit 1 ulp of a float flag off unit distance (and two
+    points (0, 0), (1, 2^-26) at 1 + 2^-52 exactly)."""
+    _, rows = draw(common_denominator_sets())
+    rows = [row[:] for row in rows]
+    i = draw(st.integers(0, len(rows) - 1))
+    j = draw(st.integers(0, len(rows[0]) - 1))
+    eps = draw(st.sampled_from([2 ** -26, 2 ** -52, 2 ** -53, 2 ** -54, 3 * 2 ** -53]))
+    rows[i][j] += Fraction(eps) * draw(st.sampled_from([1, -1]))
+    if draw(st.booleans()):
+        rows = [[Fraction(0), Fraction(0)], [Fraction(1), Fraction(2 ** -26)],
+                [Fraction(1 - 2 ** -54), Fraction(0)]] + [r[:2] + [0] * (2 - len(r[:2]))
+                                                          for r in rows]
+    return rows
+
+
+_exact_sets = st.one_of(bipartite_sets(), near_unit_sets(),
+                        common_denominator_sets().map(lambda case: case[1]), rational_sets())
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(rows=_exact_sets, tol=st.sampled_from([None, Tolerance.exact(), Tolerance(),
+                                                Tolerance(0.5, 0.5)]))
+def test_exact_mask_is_the_band_rule(rows, tol):
+    s = PointSet.exact_rows(rows)
+    check = aeq.is_almost_equidistant(s, tol)
+    mask = s._triple_checks[(tol or Tolerance.exact()).dist_tol][1]
+    want = band_rule_mask(s)
+    assert mask.dtype == bool and not mask.flags.writeable
+    assert np.array_equal(mask, want)
+    assert (check.ok, check.witness) == oracle_triple(s.points)
+
+
+def test_pairs_an_ulp_off_unit_distance_are_not_unit():
+    s = PointSet.exact_rows([[0, 0], [1, Fraction(2 ** -26)], [1 - Fraction(2 ** -54), 0],
+                             [1, 0]])
+    d2 = aeq.squared_distance_matrix(s)
+    assert d2[0][1] == 1 + Fraction(2 ** -52) and d2[0][2] < 1 and d2[0][3] == 1
+    assert aeq.is_almost_equidistant(s).witness == (0, 1, 2)
+    mask = s._triple_checks[0.0][1]
+    assert np.array_equal(mask, band_rule_mask(s))
+    assert mask[0].tolist() == [False, True, True, False]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(rows=st.one_of(bipartite_sets(), common_denominator_sets().map(lambda case: case[1])))
+def test_exact_trace_identities_are_the_walks_zeros(rows):
+    s = PointSet.exact_rows(rows)
+    u = aeq.defect_matrix(s)
+    if not aeq.is_almost_equidistant(s).ok:
+        with pytest.raises(ValueError, match="witness"):
+            aeq.trace_identities(u, s)
+        return
+    ident = aeq.trace_identities(u, s)
+    assert astuple(ident) == walked_traces(u) == (0, 0, True)
+    assert type(ident.trace_u) is Fraction and type(ident.trace_u3) is Fraction
+
+
+def test_bipartite_rows_have_the_stated_non_unit_graph():
+    for m in range(1, 8):
+        for c in range(1, m + 1):
+            s = PointSet.exact_rows(bipartite_rows(m, set(range(c))))
+            mask = aeq.geometry.nonunit_mask(s, Tolerance.exact())
+            assert not mask[:m, :m].any() and not mask[m:, m:].any()
+            assert int(mask[:m, m:].sum()) == m * m - (m - c) * c - (m if c == 2 else 0)

@@ -300,3 +300,30 @@ def test_gershgorin_dominates_spectrum_fuzz():
 def test_every_matrix_check_rejects_a_non_square_input(check, m):
     with pytest.raises(ValueError, match="^matrix must be square$"):
         check(m)
+
+
+@pytest.mark.parametrize("check", [aeq.eigenvalues, aeq.perron_frobenius_check,
+                                   aeq.gershgorin_bound], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_every_matrix_check_rejects_a_non_finite_entry(check, bad):
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        check([[bad, 1.0], [1.0, 0.0]])
+
+
+def test_eigenvalues_reject_nan_on_the_diagonal():
+    with pytest.raises(ValueError, match="finite"):
+        aeq.eigenvalues([[math.nan, 1.0], [1.0, 0.0]])
+
+
+def test_weyl_rejects_matrices_whose_spectrum_or_sum_overflows():
+    big = np.full((2, 2), 1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="overflow"):
+            aeq.eigenvalues(big)
+        with pytest.raises(ValueError, match="overflow"):
+            aeq.weyl_check(big, big)
+        # each finite, with a finite spectrum; their sum is not
+        top = np.diag([1e308, 0.0])
+        assert aeq.eigenvalues(top).values == (1e308, 0.0)
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            aeq.weyl_check(top, top)
