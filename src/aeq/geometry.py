@@ -129,9 +129,10 @@ def _integer_form(dim, rows, pair, walk) -> Tuple[np.ndarray, int]:
     and 1, or 0.5 and Fraction(1, 2), stay apart; each distinct key is
     converted once, in row-major order of first appearance; q is the lcm of
     the distinct denominators, g the gcd of q and the distinct scaled
-    numerators, and X takes one dict lookup per coordinate. When more than
-    half of the first DISTINCT_SAMPLE keys are distinct, it converts every
-    coordinate in row-major order instead, with no dict. It takes rows
+    numerators, and X takes one dict lookup per coordinate. Where a
+    coordinate is neither a str nor an int, or more than half of the first
+    DISTINCT_SAMPLE keys are distinct, it converts every coordinate in
+    row-major order instead, with no dict. It takes rows
     that are a nonempty list of lists of dim hashable coordinates, dim an
     int >= 1, that pair() converts; any other input goes to walk(), the
     route's per-coordinate walk, which gives the rows of (p, d) pairs or
@@ -152,14 +153,16 @@ def _distinct_form(dim, rows, pair):
     if set(map(type, rows)) != {list} or set(map(len, rows)) != {dim}:
         return None
     flat = list(chain.from_iterable(rows))
+    types = set(map(type, flat))
     # keyed on (type(c), c); where every coordinate has one type, c alone is the same key
-    one_type = len(set(map(type, flat))) == 1
-    keys = flat if one_type else list(zip(map(type, flat), flat))
+    keys = flat if len(types) == 1 else list(zip(map(type, flat), flat))
     try:
-        # on mostly distinct values the dict costs more than it saves
+        # the dict pays only where values repeat and hash in C, as a str or an
+        # int does; a Fraction hashes in Python, at more than its pair costs
         sample = keys[:DISTINCT_SAMPLE]
-        distinct = dict.fromkeys(keys) if 2 * len(set(sample)) <= len(sample) else keys
-        coords = distinct if one_type else [c for _, c in distinct]
+        repeats = types <= {str, int} and 2 * len(set(sample)) <= len(sample)
+        distinct = dict.fromkeys(keys) if repeats else keys
+        coords = distinct if len(types) == 1 else [c for _, c in distinct]
         values, q = _lowest_terms(list(map(pair, coords)))
     except (TypeError, ValueError):  # an unhashable or a bad coordinate
         return None

@@ -723,7 +723,7 @@ def test_weyl_rejects_matrices_of_different_sizes(capsys, tmp_path):
     ("gershgorin", "reports may not contain NaN or infinity"),
     ("perron", "reports may not contain NaN or infinity"),
     ("weyl", "eigenvalues overflow the float range"),
-])
+], ids=["gershgorin", "perron", "weyl"])
 def test_a_result_past_the_float_range_is_a_usage_error(capsys, tmp_path, command, message):
     m = tmp_path / "big.csv"
     m.write_text("1e308,1e308\n1e308,1e308\n")
