@@ -125,18 +125,18 @@ def _integer_form(dim, rows, pair, walk) -> Tuple[np.ndarray, int]:
     common factor with X; pair(c) is (p, d) with d > 0 for one coordinate c,
     or raises ValueError.
 
-    The distinct pass: every coordinate is keyed on (type(c), c), so True
-    and 1, or 0.5 and Fraction(1, 2), stay apart; each distinct key is
-    converted once, in row-major order of first appearance; q is the lcm of
-    the distinct denominators, g the gcd of q and the distinct scaled
-    numerators, and X takes one dict lookup per coordinate. Where a
-    coordinate is neither a str nor an int, or more than half of the first
-    DISTINCT_SAMPLE keys are distinct, it converts every coordinate in
-    row-major order instead, with no dict. It takes rows
-    that are a nonempty list of lists of dim hashable coordinates, dim an
-    int >= 1, that pair() converts; any other input goes to walk(), the
-    route's per-coordinate walk, which gives the rows of (p, d) pairs or
-    raises, and that result, or that error, stands.
+    The distinct pass: where every coordinate is a str or an int and at
+    most half of the first DISTINCT_SAMPLE are distinct, each distinct value
+    is converted once, in row-major order of first appearance, q is the lcm
+    of the distinct denominators, g the gcd of q and the distinct scaled
+    numerators, and X takes one dict lookup per coordinate. No str equals
+    an int, so c alone is the key (type(c), c), and True and 1, or 0.5 and
+    Fraction(1, 2), never share one: a bool, a float or a Fraction keeps the
+    dict out. Otherwise the pass converts every coordinate in row-major
+    order. It takes rows that are a nonempty list of lists of dim
+    coordinates, dim an int >= 1, that pair() converts; any other input goes
+    to walk(), the route's per-coordinate walk, which gives the rows of
+    (p, d) pairs or raises, and that result, or that error, stands.
     """
     form = _distinct_form(dim, rows, pair)
     if form is not None:
@@ -153,21 +153,17 @@ def _distinct_form(dim, rows, pair):
     if set(map(type, rows)) != {list} or set(map(len, rows)) != {dim}:
         return None
     flat = list(chain.from_iterable(rows))
-    types = set(map(type, flat))
-    # keyed on (type(c), c); where every coordinate has one type, c alone is the same key
-    keys = flat if len(types) == 1 else list(zip(map(type, flat), flat))
+    # the dict pays only where values repeat and hash in C, as a str or an
+    # int does; a Fraction hashes in Python, at more than its pair costs
+    sample = flat[:DISTINCT_SAMPLE]
+    repeats = set(map(type, flat)) <= {str, int} and 2 * len(set(sample)) <= len(sample)
+    distinct = dict.fromkeys(flat) if repeats else flat
     try:
-        # the dict pays only where values repeat and hash in C, as a str or an
-        # int does; a Fraction hashes in Python, at more than its pair costs
-        sample = keys[:DISTINCT_SAMPLE]
-        repeats = types <= {str, int} and 2 * len(set(sample)) <= len(sample)
-        distinct = dict.fromkeys(keys) if repeats else keys
-        coords = distinct if len(types) == 1 else [c for _, c in distinct]
-        values, q = _lowest_terms(list(map(pair, coords)))
-    except (TypeError, ValueError):  # an unhashable or a bad coordinate
+        values, q = _lowest_terms(list(map(pair, distinct)))
+    except ValueError:  # a bad coordinate
         return None
-    if len(distinct) < len(keys):  # else the values are in row-major order already
-        values = list(map(dict(zip(distinct, values)).__getitem__, keys))
+    if len(distinct) < len(flat):  # else the values are in row-major order already
+        values = list(map(dict(zip(distinct, values)).__getitem__, flat))
     return np.array(values, dtype=object).reshape(len(rows), dim), q
 
 

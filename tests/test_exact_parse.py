@@ -158,6 +158,16 @@ def test_fraction_rows_read_as_the_walk_reads_them(data, dim, row):
     assert outcome(lambda: PointSet(dim, rows, mode="exact").form) == want
 
 
+@pytest.mark.parametrize("rows", [
+    [[Fraction(1, 2), 0.5], [Fraction(1, 2), Fraction(1, 2)]],
+    [[1, 1.0], [1, 1]],
+    [[1, True], [1, 1]],
+])
+def test_equal_values_of_other_types_read_as_the_walk_reads_them(rows):
+    assert outcome(lambda: PointSet(2, rows, mode="exact").form) == outcome(
+        lambda: walk_rows(2, rows))
+
+
 def _first_error(obj):
     try:
         aeq.pointset_from_dict(obj)
@@ -168,6 +178,8 @@ def _first_error(obj):
 
 @pytest.mark.parametrize("points, dim, want", [
     ([[True, 1]], 2, "exact mode coordinates must be integers or 'p/q' strings"),
+    ([[1, True], [1, 1]], 2, "exact mode coordinates must be integers or 'p/q' strings"),
+    ([[1, 1.0], [1, 1]], 2, "exact mode coordinates must be integers or 'p/q' strings"),
     ([["1", 1], [1, "1"]], 2, (1, [[1, 1], [1, 1]])),
     ([["2/4", "1/2"], ["1/2", 1]], 2, (2, [[1, 1], [1, 2]])),
     ([[0.5, 1]], 2, "exact mode coordinates must be integers or 'p/q' strings"),
