@@ -22,9 +22,11 @@ float mode and fail the exact-mode check, so those documents load or fail
 exactly as the stdlib alone would have them.
 
 Exact coordinates are decoded by one rule as well, ``geometry._integer_form``:
-each distinct coordinate, keyed on its type and value so that ``true`` and
-``1`` stay apart, is converted once by ``_ratio``, and (X, q) is built from
-those. A document that this pass does not take (``dim`` not an int of at
+where the coordinates are strings and ints whose values repeat, each
+distinct value is converted once by ``_ratio`` and every coordinate looked
+up (no string equals an int, and a ``true`` keeps the lookup out, so
+``true`` and ``1`` stay apart); otherwise each coordinate is converted in
+turn. A document that this pass does not take (``dim`` not an int of at
 least 1, a row that is not a list of ``dim`` coordinates, or a coordinate
 that ``_ratio`` rejects) takes the per-coordinate row walk, and that result,
 or that error, stands; the walk names the first bad coordinate in row order.
