@@ -280,13 +280,10 @@ def cmd_pipeline(args):
 
 def _matrix_check(check, *args):
     """check(*args) for the matrix subcommands, with numpy's float warnings
-    off: a matrix or spectrum past the float range is malformed input, as a
-    result holding NaN or infinity is (exit 2)."""
+    off: a matrix or spectrum past the float range is malformed input, which
+    main reports as an error (exit 2), not as a warning."""
     with np.errstate(all="ignore"):
-        try:
-            return check(*args)
-        except NonFiniteMatrix as e:
-            raise UsageError(str(e)) from e
+        return check(*args)
 
 
 def cmd_weyl(args):
@@ -427,7 +424,9 @@ def main(argv: Optional[list] = None) -> int:
         _check_common_flags(args)
         outcome, payload, table = args.handler(args)
         text = _output(args, outcome, payload, table)
-    except UsageError as e:
+    except (UsageError, NonFiniteMatrix) as e:
+        # a matrix or spectrum past the float range is malformed input, as a
+        # result holding NaN or infinity is
         return _abort(args, ERROR, e)
     except (ValueError, ArithmeticError) as e:
         # a well-formed input that violates a theorem hypothesis is a failed

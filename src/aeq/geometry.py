@@ -132,11 +132,11 @@ def _integer_form(dim, rows, pair, walk) -> Tuple[np.ndarray, int]:
     numerators, and X takes one dict lookup per coordinate. No str equals
     an int, so c alone is the key (type(c), c), and True and 1, or 0.5 and
     Fraction(1, 2), never share one: a bool, a float or a Fraction keeps the
-    dict out. Otherwise the pass converts every coordinate in row-major
-    order. It takes rows that are a nonempty list of lists of dim
-    coordinates, dim an int >= 1, that pair() converts; any other input goes
-    to walk(), the route's per-coordinate walk, which gives the rows of
-    (p, d) pairs or raises, and that result, or that error, stands.
+    pass out. It takes rows that are a nonempty list of lists of dim
+    coordinates, dim an int >= 1, that pair() converts; any other input,
+    mostly distinct values among them, goes to walk(), the route's
+    per-coordinate walk, which gives the rows of (p, d) pairs or raises, and
+    that result, or that error, stands.
     """
     form = _distinct_form(dim, rows, pair)
     if form is not None:
@@ -156,14 +156,14 @@ def _distinct_form(dim, rows, pair):
     # the dict pays only where values repeat and hash in C, as a str or an
     # int does; a Fraction hashes in Python, at more than its pair costs
     sample = flat[:DISTINCT_SAMPLE]
-    repeats = set(map(type, flat)) <= {str, int} and 2 * len(set(sample)) <= len(sample)
-    distinct = dict.fromkeys(flat) if repeats else flat
+    if not set(map(type, flat)) <= {str, int} or 2 * len(set(sample)) > len(sample):
+        return None
+    distinct = dict.fromkeys(flat)
     try:
         values, q = _lowest_terms(list(map(pair, distinct)))
     except ValueError:  # a bad coordinate
         return None
-    if len(distinct) < len(flat):  # else the values are in row-major order already
-        values = list(map(dict(zip(distinct, values)).__getitem__, flat))
+    values = list(map(dict(zip(distinct, values)).__getitem__, flat))
     return np.array(values, dtype=object).reshape(len(rows), dim), q
 
 

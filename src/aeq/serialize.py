@@ -25,11 +25,12 @@ Exact coordinates are decoded by one rule as well, ``geometry._integer_form``:
 where the coordinates are strings and ints whose values repeat, each
 distinct value is converted once by ``_ratio`` and every coordinate looked
 up (no string equals an int, and a ``true`` keeps the lookup out, so
-``true`` and ``1`` stay apart); otherwise each coordinate is converted in
-turn. A document that this pass does not take (``dim`` not an int of at
-least 1, a row that is not a list of ``dim`` coordinates, or a coordinate
-that ``_ratio`` rejects) takes the per-coordinate row walk, and that result,
-or that error, stands; the walk names the first bad coordinate in row order.
+``true`` and ``1`` stay apart). A document that this pass does not take
+(``dim`` not an int of at least 1, a row that is not a list of ``dim``
+coordinates, a coordinate that is not a string or an int or that ``_ratio``
+rejects, or values that mostly do not repeat) takes the per-coordinate row
+walk, and that result, or that error, stands; the walk names the first bad
+coordinate in row order.
 
 CSV texts, points and matrices alike, are read by one rule too. A text that
 is ASCII, holds only digits, ``+ - . e E``, commas, spaces and newlines, and

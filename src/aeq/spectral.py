@@ -48,7 +48,10 @@ class DefectMatrix:
     @cached_property
     def array(self) -> np.ndarray:
         if self.mode == EXACT_MODE:
-            a = _exact_floats(self.values, self.scale)
+            try:
+                a = _exact_floats(self.values, self.scale)
+            except OverflowError as e:  # an entry past the float range
+                raise NonFiniteMatrix("matrix entries must be finite") from e
             a.flags.writeable = False
             return a
         return self.values
@@ -94,12 +97,15 @@ def trace_identities(
     passes, both vanish as identities: U has a zero diagonal and is zero on
     every unit pair, so a nonzero term needs i, j, k distinct and pairwise
     off unit distance, a triangle of the non-unit graph, which an almost
-    equidistant set has none of. Exact mode returns those zeros; float mode
-    sums ((U @ U) * U^T) and holds within n^3 * eig_tol.
+    equidistant set has none of. Exact mode returns those zeros, so u must
+    be s's own defect matrix: one of another size, mode or scale raises;
+    float mode sums ((U @ U) * U^T) and holds within n^3 * eig_tol.
     """
     tol = _resolve_tol(s, tol)
     nonunit_mask(s, tol)  # raises unless the set is almost equidistant
     if u.mode == EXACT_MODE:
+        if (u.n, u.mode, u.scale) != (s.n, s.mode, s.scaled_sqdist[1]):
+            raise ValueError("u is not the defect matrix of s")
         return TraceIdentities(Fraction(0), Fraction(0), True)
     n = u.n
     m = u.array

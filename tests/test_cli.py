@@ -751,6 +751,26 @@ def test_a_matrix_past_the_float_range_prints_no_numpy_warning(tmp_path, command
     assert len(lines) == 1 and lines[0].startswith("aeq: ")
 
 
+@pytest.mark.parametrize("command, mode, far", [
+    ("certify", "float", 1e200), ("pipeline", "float", 1e200), ("certify", "exact", "1e200"),
+], ids=["certify-float", "pipeline-float", "certify-exact"])
+def test_a_defect_matrix_past_the_float_range_is_a_usage_error(capsys, tmp_path, command,
+                                                               mode, far):
+    # one pair, so no triangle: the triple check passes and the spectral layer
+    # meets a squared distance of 1e400, past the float range
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"dim": 1, "mode": mode, "points": [[0], [far]]}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main([command, "--input", str(path)])
+    out, err = capsys.readouterr()
+    message = "matrix entries must be finite"
+    assert err == f"aeq: {message}\n"
+    rep = json.loads(out)
+    assert (code, rep["outcome"]) == (2, "error")
+    assert rep["payload"]["message"] == message
+    check_report(rep, command)
+
+
 def assert_payload(rep, want):
     assert rep["payload"] == want
     assert list(rep["payload"]) == list(want)  # the report keeps the payload's key order

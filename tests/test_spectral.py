@@ -69,6 +69,20 @@ def test_trace_identities_exact(zigzag):
     assert ident.holds
 
 
+def test_exact_trace_identities_reject_another_sets_defect_matrix(zigzag):
+    # the exact identities read only s, so u must be s's own matrix
+    sevenths = [[0, 0], [1, 0], [0, Fraction(1, 7)], [Fraction(2, 7), 0]]
+    others = [
+        aeq.PointSet.exact_rows(zigzag.points[:3]),  # another size
+        aeq.PointSet.exact_rows(sevenths),  # another scale
+    ]
+    for other in others:
+        with pytest.raises(ValueError, match="^u is not the defect matrix of s$"):
+            aeq.trace_identities(aeq.defect_matrix(other), zigzag)
+    with pytest.raises(ValueError, match="^u is not the defect matrix of s$"):
+        aeq.trace_identities(aeq.defect_matrix(zigzag), aeq.construct_two_simplices(2))
+
+
 def test_trace_identities_float_construction():
     s = aeq.construct_two_simplices(3)
     ident = aeq.trace_identities(aeq.defect_matrix(s), s)
