@@ -28,7 +28,7 @@ from .geometry import (
     sphere_defect,
 )
 from .miniball import min_enclosing_ball
-from .spectral import certify, defect_matrix
+from .spectral import NonFiniteMatrix, certify, defect_matrix
 
 
 @dataclass(frozen=True)
@@ -268,12 +268,17 @@ def recentred_norm_bounds(
     norms = np.einsum("ij,ij->i", x, x)
     dev, limit, scale = band_deviation(s, norms, Fraction(1, 2), tol, "unit", budget)
     max_dev = np.abs(dev).max()
+    try:  # an exact value past the float range cannot be reported
+        deviation, bound, f_value, defect = map(float, (max_dev / scale, budget, fs.value,
+                                                         centered))
+    except OverflowError as e:
+        raise NonFiniteMatrix("norm band values overflow the float range") from e
     return RecentredNormBounds(
-        max_deviation=float(max_dev / scale),
-        f_over_n_bound=float(budget),
+        max_deviation=deviation,
+        f_over_n_bound=bound,
         holds=bool(max_dev <= limit),
-        f_value=float(fs.value),
-        centered_defect=float(centered),
+        f_value=f_value,
+        centered_defect=defect,
     )
 
 

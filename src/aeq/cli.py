@@ -44,7 +44,14 @@ from .spectral import (
     perron_frobenius_check,
     weyl_check,
 )
-from .tdgraph import check_rank_size, min_rank_scan, read_graph_file
+from .tdgraph import (
+    adjacency_stack,
+    check_rank_size,
+    graph_lines,
+    min_rank,
+    rank_stack,
+    reject_triangles,
+)
 
 PASS, FAIL, INFEASIBLE, ERROR = "pass", "fail", "infeasible", "error"
 _EXIT = {PASS: 0, FAIL: 1, INFEASIBLE: 1, ERROR: 2}
@@ -234,23 +241,27 @@ def cmd_search(args):
 
 def cmd_tdrank(args):
     exact = args.exact_rank or args.exact
+    n = args.n
     try:
-        check_rank_size(args.n, exact)
-        graphs = read_graph_file(args.graphs)
+        check_rank_size(n, exact)
+        # every line is checked, in file order, before any graph is ranked
+        ends = [e for k, e in graph_lines(args.graphs) if k == n]
     except (OSError, ValueError) as e:
         raise UsageError(str(e)) from e
-    graphs = [g for g in graphs if g.n == args.n]
-    if not graphs:
-        raise UsageError(f"no graphs on {args.n} vertices in {args.graphs}")
+    if not ends:
+        raise UsageError(f"no graphs on {n} vertices in {args.graphs}")
+    stack = adjacency_stack(n, ends)
+    reject_triangles(stack)
     # eig_tol clusters the float rows; exact rows count roots and do not read it
-    scan = min_rank_scan(args.n, graphs, _float_tolerance(args), exact=exact)
+    lam2, counts = rank_stack(stack, _float_tolerance(args), exact)
+    best, argmin = min_rank(n, counts)
     header = ["index", "lambda2", "multiplicity", "rank", "lambda2_positive"]
-    rows = [[idx, rec.lambda2, rec.multiplicity, rec.rank, rec.lambda2_positive]
-            for idx, rec in enumerate(scan.records)]
+    rows = [[idx, l2, mult, n - mult, positive]
+            for idx, (l2, (positive, mult)) in enumerate(zip(lam2, counts))]
     payload = {
-        "n": args.n,
-        "min_rank": scan.min_rank,
-        "argmin": list(scan.argmin),
+        "n": n,
+        "min_rank": best,
+        "argmin": list(argmin),
         "rows": [dict(zip(header, row)) for row in rows],
     }
     return PASS, payload, (header, rows)
@@ -278,33 +289,25 @@ def cmd_pipeline(args):
     return (PASS if ok else FAIL), payload, None
 
 
-def _matrix_check(check, *args):
-    """check(*args) for the matrix subcommands, with numpy's float warnings
-    off: a matrix or spectrum past the float range is malformed input, which
-    main reports as an error (exit 2), not as a warning."""
-    with np.errstate(all="ignore"):
-        return check(*args)
-
-
 def cmd_weyl(args):
     a = _load_matrix(args.a)
     b = _load_matrix(args.b)
     if a.shape != b.shape:
         raise UsageError(f"matrices must have equal shape, got {len(a)} x {len(a)} and "
                          f"{len(b)} x {len(b)}")
-    res = _matrix_check(weyl_check, a, b, _float_tolerance(args).eig_tol)
+    res = weyl_check(a, b, _float_tolerance(args).eig_tol)
     return (PASS if res.holds else FAIL), res, None
 
 
 def cmd_perron(args):
     m = _load_matrix(args.input)
-    res = _matrix_check(perron_frobenius_check, m, _float_tolerance(args).eig_tol)
+    res = perron_frobenius_check(m, _float_tolerance(args).eig_tol)
     return (PASS if res.attained else FAIL), res, None
 
 
 def cmd_gershgorin(args):
     m = _load_matrix(args.input)
-    payload = {"bound": _matrix_check(gershgorin_bound, m), "n": int(m.shape[0])}
+    payload = {"bound": gershgorin_bound(m), "n": int(m.shape[0])}
     return PASS, payload, None
 
 
@@ -422,7 +425,10 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_common_flags(args)
-        outcome, payload, table = args.handler(args)
+        # a value past the float range is reported once, as an error or a
+        # failed check, never as a numpy warning as well
+        with np.errstate(all="ignore"):
+            outcome, payload, table = args.handler(args)
         text = _output(args, outcome, payload, table)
     except (UsageError, NonFiniteMatrix) as e:
         # a matrix or spectrum past the float range is malformed input, as a

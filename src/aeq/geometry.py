@@ -249,8 +249,10 @@ class PointSet:
 
     @classmethod
     def exact_rows(cls, rows: Sequence[Sequence]) -> "PointSet":
-        return cls(dim=len(rows[0]), points=[[Fraction(c) for c in r] for r in rows],
-                   mode=EXACT_MODE)
+        """The exact set of the rows: an int or a Fraction is read as it is, any
+        other coordinate through Fraction(), for its value and its error."""
+        return cls(dim=len(rows[0]), mode=EXACT_MODE, points=[
+            [c if type(c) in (int, Fraction) else Fraction(c) for c in r] for r in rows])
 
     @classmethod
     def _from_integers(cls, x: np.ndarray, q: int) -> "PointSet":

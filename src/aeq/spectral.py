@@ -58,7 +58,8 @@ class DefectMatrix:
 
 
 class NonFiniteMatrix(ValueError):
-    """A matrix, or a sum or spectrum of matrices, holding NaN or infinity."""
+    """A matrix, or a sum, spectrum or row sums of matrices, holding NaN or
+    infinity."""
 
 
 def _matrix(m) -> np.ndarray:
@@ -70,6 +71,14 @@ def _matrix(m) -> np.ndarray:
     if not np.isfinite(a).all():
         raise NonFiniteMatrix("matrix entries must be finite")
     return a
+
+
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """values, unless one of them, computed from a finite matrix, is past the
+    float range."""
+    if not np.isfinite(values).all():
+        raise NonFiniteMatrix(f"{what} overflow the float range")
+    return values
 
 
 def defect_matrix(s: PointSet) -> DefectMatrix:
@@ -134,9 +143,7 @@ def eigenvalues(m, eig_tol: float = DEFAULT_TOL.eig_tol) -> Spectrum:
         vals = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as e:  # pragma: no cover - solver failure
         raise RuntimeError(f"eigenvalue iteration failed: {e}")
-    if not np.isfinite(vals).all():
-        raise NonFiniteMatrix("eigenvalues overflow the float range")
-    vals = vals[::-1]
+    vals = _finite(vals, "eigenvalues")[::-1]
     if abs(float(vals.sum()) - float(np.trace(a))) > scale * len(vals) * tol.slack("eig_sum"):
         raise RuntimeError("eigenvalue sum drifted from the trace")
     return Spectrum(values=tuple(float(v) for v in vals), eig_tol=eig_tol)
@@ -332,7 +339,7 @@ def perron_frobenius_check(m, eig_tol: float = DEFAULT_TOL.eig_tol) -> PerronRes
     if float(a.min()) < -eig_tol:
         raise ValueError("matrix has a negative entry")
     vals = np.linalg.eigvals(np.maximum(a, 0.0))
-    rho = float(np.abs(vals).max())
+    rho = float(_finite(np.abs(vals), "eigenvalues").max())
     slack = eig_tol * max(1.0, rho)
     attained = bool(
         np.any(
@@ -347,4 +354,7 @@ def perron_frobenius_check(m, eig_tol: float = DEFAULT_TOL.eig_tol) -> PerronRes
 def gershgorin_bound(m) -> float:
     """Max absolute row sum; every eigenvalue lies in [-bound, bound] when
     the diagonal vanishes (true for defect matrices)."""
-    return float(np.abs(_matrix(m)).sum(axis=1).max())
+    a = _matrix(m)
+    with np.errstate(over="ignore"):
+        sums = np.abs(a).sum(axis=1)
+    return float(_finite(sums, "row sums").max())

@@ -9,7 +9,9 @@ eigenvalue is positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from operator import eq
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,12 +105,70 @@ def check_rank_size(n: int, exact: bool) -> None:
         raise ValueError(f"exact mode supports at most {EXACT_RANK_LIMIT} vertices")
 
 
-def _rank_records(graphs: Sequence[Graph], stack: np.ndarray, tol: Optional[Tolerance],
-                  exact: bool) -> List[GraphRankRecord]:
-    """The records of graphs from one pass over their adjacency stack
-    (G, n, n): one ``eigvalsh`` for lambda2, then float clustering within
-    eig_tol or exact root counts on the stacked characteristic polynomials
-    (``charpoly.lambda2_counts``, once per distinct polynomial)."""
+def graph_lines(path) -> Iterator[Tuple[int, List[int]]]:
+    """(n, endpoints u1 v1 u2 v2 ...) of each graph line of a file, in file
+    order; blank and # comment lines are skipped but counted.
+
+    A line passes when its n and edge count m are at least 0, it carries
+    2m endpoints, each in [0, n), and no edge is a self loop. Any other line,
+    or one whose check raises, goes to ``parse_graph_line``, the one source
+    of fault messages, and its fault raises "line N: <fault>"; its reading
+    stands."""
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                n, m, *ends = map(int, line.split())
+                pairs = iter(ends)
+                ok = (n >= 0 and len(ends) == 2 * m
+                      and (not ends or (min(ends) >= 0 and max(ends) < n))
+                      and not any(map(eq, pairs, pairs)))
+            except ValueError:  # a token int() does not read, or fewer than two
+                ok = False
+            if not ok:
+                try:
+                    g = parse_graph_line(line)
+                except ValueError as e:
+                    raise ValueError(f"line {lineno}: {e}") from None
+                n, ends = g.n, _endpoints(g)
+            yield n, ends
+
+
+def _endpoints(g: Graph) -> List[int]:
+    return list(chain.from_iterable(g.edges))
+
+
+def adjacency_stack(n: int, ends: Sequence[Sequence[int]]) -> np.ndarray:
+    """The int64 adjacency stack (G, n, n) of G graphs on n vertices, each
+    given by its endpoints u1 v1 u2 v2 ..., all in [0, n); an edge may come
+    in either order and more than once."""
+    sizes = np.fromiter(map(len, ends), dtype=np.intp, count=len(ends))
+    flat = np.fromiter(chain.from_iterable(ends), dtype=np.intp, count=int(sizes.sum()))
+    g = np.repeat(np.arange(len(ends)), sizes // 2)
+    u, v = flat[0::2], flat[1::2]
+    stack = np.zeros((len(ends), n, n), dtype=np.int64)
+    stack[g, u, v] = stack[g, v, u] = 1
+    return stack
+
+
+def reject_triangles(stack: np.ndarray) -> None:
+    """Raises on the first graph of an adjacency stack (G, n, n) that holds a
+    triangle, naming its index and triangle."""
+    has_triangle = triangle_pairs(stack > 0).any(axis=(1, 2))
+    if has_triangle.any():
+        idx = int(has_triangle.argmax())
+        raise ValueError(f"graph {idx} contains triangle {first_triangle(stack[idx] > 0).witness}")
+
+
+def rank_stack(stack: np.ndarray, tol: Optional[Tolerance],
+               exact: bool) -> Tuple[List[float], List[Tuple[bool, int]]]:
+    """lambda2, and (lambda2 > 0, multiplicity of lambda2), of each graph of
+    an adjacency stack (G, n, n), from one pass over it: one ``eigvalsh``
+    for lambda2, then float clustering within eig_tol or exact root counts
+    on the stacked characteristic polynomials (``charpoly.lambda2_counts``,
+    once per distinct polynomial)."""
     eig_tol = _resolve_tol(None, tol).slack("solver")
     vals = np.linalg.eigvalsh(stack)
     lam2 = vals[:, -2]
@@ -123,10 +183,15 @@ def _rank_records(graphs: Sequence[Graph], stack: np.ndarray, tol: Optional[Tole
     else:
         mult = np.sum(np.abs(vals - lam2[:, None]) <= eig_tol, axis=1).tolist()
         counts = list(zip((lam2 > eig_tol).tolist(), mult))
-    return [
-        GraphRankRecord(graph=g, lambda2=l2, multiplicity=m, rank=g.n - m, lambda2_positive=pos)
-        for g, l2, (pos, m) in zip(graphs, lam2.tolist(), counts)
-    ]
+    return lam2.tolist(), counts
+
+
+def min_rank(n: int, counts: Sequence[Tuple[bool, int]]) -> Tuple[Optional[int], Tuple[int, ...]]:
+    """The least rank n - multiplicity over the graphs with lambda2 > 0, and
+    the indices of the graphs that reach it; (None, ()) when none has."""
+    ranked = [(n - mult, idx) for idx, (positive, mult) in enumerate(counts) if positive]
+    best = min(ranked)[0] if ranked else None
+    return best, tuple(idx for rank, idx in ranked if rank == best)
 
 
 def lambda2_rank(g: Graph, tol: Optional[Tolerance] = None, exact: bool = False) -> GraphRankRecord:
@@ -140,7 +205,9 @@ def lambda2_rank(g: Graph, tol: Optional[Tolerance] = None, exact: bool = False)
     the ``eigvalsh`` value in both modes.
     """
     check_rank_size(g.n, exact)
-    return _rank_records([g], g.adjacency()[None], tol, exact)[0]
+    (lam2,), ((positive, mult),) = rank_stack(adjacency_stack(g.n, [_endpoints(g)]), tol, exact)
+    return GraphRankRecord(graph=g, lambda2=lam2, multiplicity=mult, rank=g.n - mult,
+                           lambda2_positive=positive)
 
 
 @dataclass(frozen=True)
@@ -162,18 +229,17 @@ def min_rank_scan(
     recorded but not ranked. The triangle test and the ranks share one stack."""
     check_rank_size(n, exact)
     m = next((idx for idx, g in enumerate(graphs) if g.n != n), len(graphs))
-    stack = np.array([g.adjacency() for g in graphs[:m]], dtype=np.int64).reshape(m, n, n)
-    has_triangle = triangle_pairs(stack > 0).any(axis=(1, 2))
-    if has_triangle.any():  # only the graphs before the first of the wrong size
-        idx = int(has_triangle.argmax())
-        raise ValueError(f"graph {idx} contains triangle {first_triangle(stack[idx] > 0).witness}")
+    stack = adjacency_stack(n, [_endpoints(g) for g in graphs[:m]])
+    reject_triangles(stack)  # only the graphs before the first of the wrong size
     if m < len(graphs):
         raise ValueError(f"graph {m} has {graphs[m].n} vertices, expected {n}")
-    records = _rank_records(graphs, stack, tol, exact)
-    ranked = [(rec.rank, idx) for idx, rec in enumerate(records) if rec.lambda2_positive]
-    best = min(ranked)[0] if ranked else None
-    argmin = tuple(idx for rank, idx in ranked if rank == best)
-    return ScanResult(min_rank=best, argmin=argmin, records=tuple(records))
+    lam2, counts = rank_stack(stack, tol, exact)
+    records = tuple(
+        GraphRankRecord(graph=g, lambda2=l2, multiplicity=mult, rank=n - mult,
+                        lambda2_positive=positive)
+        for g, l2, (positive, mult) in zip(graphs, lam2, counts)
+    )
+    return ScanResult(*min_rank(n, counts), records=records)
 
 
 def parse_graph_line(line: str) -> Graph:
@@ -193,16 +259,5 @@ def parse_graph_line(line: str) -> Graph:
 
 
 def read_graph_file(path) -> List[Graph]:
-    """The graphs of a file, one per line; blank and # comment lines are
-    skipped but counted, and a fault raises "line N: <fault>"."""
-    graphs = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                graphs.append(parse_graph_line(line))
-            except ValueError as e:
-                raise ValueError(f"line {lineno}: {e}") from None
-    return graphs
+    """The graphs of a file, one per line, as ``graph_lines`` reads them."""
+    return [Graph.from_edges(n, zip(ends[::2], ends[1::2])) for n, ends in graph_lines(path)]

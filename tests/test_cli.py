@@ -720,8 +720,8 @@ def test_weyl_rejects_matrices_of_different_sizes(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command, message", [
-    ("gershgorin", "reports may not contain NaN or infinity"),
-    ("perron", "reports may not contain NaN or infinity"),
+    ("gershgorin", "row sums overflow the float range"),
+    ("perron", "eigenvalues overflow the float range"),
     ("weyl", "eigenvalues overflow the float range"),
 ], ids=["gershgorin", "perron", "weyl"])
 def test_a_result_past_the_float_range_is_a_usage_error(capsys, tmp_path, command, message):
@@ -769,6 +769,38 @@ def test_a_defect_matrix_past_the_float_range_is_a_usage_error(capsys, tmp_path,
     assert (code, rep["outcome"]) == (2, "error")
     assert rep["payload"]["message"] == message
     check_report(rep, command)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pipeline"], ["bounds", "--theorem", "general", "--dim", "1", "--exact"],
+], ids=["pipeline", "bounds-general"])
+def test_an_exact_norm_band_past_the_float_range_is_a_usage_error(capsys, tmp_path, argv):
+    # the squared norms of the recentred pair, 2.5e399, have no float
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"dim": 1, "mode": "exact", "points": [[0], ["1e200"]]}))
+    code = main([*argv, "--input", str(path)])
+    out, err = capsys.readouterr()
+    message = "norm band values overflow the float range"
+    assert err == f"aeq: {message}\n"
+    rep = json.loads(out)
+    assert (code, rep["outcome"]) == (2, "error")
+    assert rep["payload"]["message"] == message
+    check_report(rep, argv[0])
+
+
+@pytest.mark.parametrize("command, mode, far", [
+    ("certify", "float", 1e200), ("pipeline", "float", 1e200), ("certify", "exact", "1e200"),
+    ("pipeline", "exact", "1e200"),
+], ids=["certify-float", "pipeline-float", "certify-exact", "pipeline-exact"])
+def test_a_point_set_past_the_float_range_prints_no_numpy_warning(tmp_path, command, mode, far):
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"dim": 1, "mode": mode, "points": [[0], [far]]}))
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(aeq.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "aeq.cli", command, "--input", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("aeq: "), proc.stderr
 
 
 def assert_payload(rep, want):

@@ -423,3 +423,28 @@ def test_pipeline_certifies_once_per_set(monkeypatch, capsys, tmp_path):
         aeq.certify(s, Tolerance(dist_tol=1e-9, eig_tol=1e-8))
         aeq.certify(s, Tolerance(dist_tol=1e-9, eig_tol=1e-6))
     assert calls[1:] == [1e-8, 1e-6]  # one certificate per tolerance
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 3], [-2, 5]],
+    [[Fraction(1, 2), Fraction(-3, 7)], [Fraction(5), Fraction(0)]],
+    [["1/2", "-3/7"], ["2.5", "1e-3"]],
+    [[0.5, -0.375], [1e-3, 3.0]],
+    [[True, False], [False, True]],
+    [[1, Fraction(1, 3)], ["-2/9", 0.25], [True, 7]],
+], ids=["int", "Fraction", "str", "float", "bool", "mixed"])
+def test_exact_rows_keeps_ints_and_fractions_and_converts_the_rest(rows):
+    got = PointSet.exact_rows(rows)
+    want = PointSet(dim=len(rows[0]), points=[[Fraction(c) for c in r] for r in rows],
+                    mode="exact")
+    x, q = got.form
+    assert q == want.form[1] and x.tolist() == want.form[0].tolist()
+    assert all(type(v) is int for v in x.flat)
+    assert got.points == want.points
+
+
+def test_exact_rows_reports_a_bad_coordinate_as_fraction_does():
+    with pytest.raises(ValueError, match="^Invalid literal for Fraction: 'x'$"):
+        PointSet.exact_rows([[0, "x"]])
+    with pytest.raises(TypeError):
+        PointSet.exact_rows([[0, None]])

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 import aeq
 from aeq import PointSet, Spectrum, Tolerance
+from aeq.spectral import NonFiniteMatrix
 
 
 def test_defect_matrix_rhombus_exact_entries(rhombus):
@@ -341,3 +343,15 @@ def test_weyl_rejects_matrices_whose_spectrum_or_sum_overflows():
         assert aeq.eigenvalues(top).values == (1e308, 0.0)
         with pytest.raises(ValueError, match="^matrix entries must be finite$"):
             aeq.weyl_check(top, top)
+
+
+@pytest.mark.parametrize("check, message", [
+    (aeq.perron_frobenius_check, "eigenvalues overflow the float range"),
+    (aeq.gershgorin_bound, "row sums overflow the float range"),
+], ids=["perron", "gershgorin"])
+def test_a_finite_matrix_whose_result_overflows_raises_non_finite(check, message):
+    # every entry finite; the spectral radius and the row sums are not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and numpy warns of nothing
+        with pytest.raises(NonFiniteMatrix, match=f"^{message}$"):
+            check(np.full((2, 2), 1e308))

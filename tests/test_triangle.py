@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aeq
-from aeq import Graph
+from aeq import Graph, tdgraph
 from aeq.geometry import first_triangle, nonunit_mask, triangle_pairs
 
 DATA = Path(__file__).parent / "data" / "triangle_free_upto8.txt"
@@ -184,7 +184,9 @@ def test_scan_builds_each_adjacency_once(monkeypatch):
     graphs = [g for g in aeq.read_graph_file(DATA) if g.n == 7]
     want = aeq.min_rank_scan(7, graphs)
     calls = []
-    adjacency = Graph.adjacency
+    adjacency, stack = Graph.adjacency, tdgraph.adjacency_stack
     monkeypatch.setattr(Graph, "adjacency", lambda g: calls.append(g) or adjacency(g))
+    monkeypatch.setattr(tdgraph, "adjacency_stack",
+                        lambda n, ends: calls.append(len(ends)) or stack(n, ends))
     assert aeq.min_rank_scan(7, graphs) == want
-    assert len(calls) == len(graphs)
+    assert calls == [len(graphs)]  # one stack of every graph, no adjacency() of one
