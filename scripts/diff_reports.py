@@ -12,6 +12,13 @@ stderr or exit code differ, after the checkout path and the work directory
 are replaced by placeholders. Each (workload, seed) pair given is one run,
 with one summary line; the script exits 1 if any job of any run differs.
 ``--head`` defaults to the checkout that holds this script.
+
+Reports are byte-identical only between checkouts run in one environment:
+the same BLAS build and the same thread count (``OPENBLAS_NUM_THREADS``).
+Both interpreters inherit this script's environment. Under one and under
+two OpenBLAS threads, ``aeq certify`` on the ``certify-large`` set ts500
+writes different last digits of ``trace_u3``, ``lambda_max`` and
+``lambda_min``, with the same code.
 """
 from __future__ import annotations
 

@@ -152,27 +152,35 @@ def lambda2_counts(p: Sequence[int], hint: float) -> Tuple[bool, int]:
 
     Both come from exact root counts N(> x). lambda2 > 0 exactly when
     N(> 0) >= 2. The float ``hint`` only places a dyadic interval (a, b]:
-    when N(> b) <= 1 < N(> a), lambda2 lies in (a, b]; when, in addition,
-    the square-free part p / gcd(p, p') has exactly one root there, every
-    root of p in (a, b] is lambda2 and its multiplicity is N(> a) - N(> b).
-    A single root in (a, b] is simple, so the square-free part is built
-    only when the count is two or more; while it has two roots there, the
-    interval is halved. Raises ArithmeticError when no interval around the
-    hint holds lambda2, or none narrower than 2**-_MAX_BITS isolates it.
+    when N(> b) <= 1 < N(> a), lambda2 lies in (a, b], and ``_multiplicity``
+    completes the count from there. Raises ArithmeticError when no interval
+    around the hint holds lambda2, or none narrower than 2**-_MAX_BITS
+    isolates it.
     """
     p = list(p)
     positive = roots_above(p, 0) >= 2
     for s in _HINT_STEPS:
-        k = math.floor(hint * 2.0 ** s)
-        a, b = k - 1, k + 1
-        above_a, above_b = roots_above(p, a, s), roots_above(p, b, s)
+        a = math.floor(hint * 2.0 ** s) - 1
+        above_a, above_b = roots_above(p, a, s), roots_above(p, a + 2, s)
         if above_b <= 1 < above_a:
-            break
-    else:
-        raise _not_isolated(hint)
+            return positive, _multiplicity(p, a, s, above_a, above_b, hint)
+    raise _not_isolated(hint)
+
+
+def _multiplicity(p: Sequence[int], a: int, s: int, above_a: int, above_b: int, hint: float) -> int:
+    """The multiplicity of lambda2, for an interval (a, b] = (a, a + 2] / 2**s
+    with N(> b) = above_b <= 1 < above_a = N(> a), which holds lambda2.
+
+    When the square-free part p / gcd(p, p') has exactly one root in (a, b],
+    every root of p there is lambda2 and its multiplicity is
+    N(> a) - N(> b). A single root in (a, b] is simple, so the square-free
+    part is built only when the count is two or more; while it has two roots
+    there, the interval is halved.
+    """
+    b = a + 2
     square_free = None
     while above_a - above_b > 1:
-        square_free = square_free or _square_free_part(p)
+        square_free = square_free or _square_free_part(list(p))
         if roots_above(square_free, a, s) - roots_above(square_free, b, s) == 1:
             break
         if s >= _MAX_BITS:
@@ -185,7 +193,63 @@ def lambda2_counts(p: Sequence[int], hint: float) -> Tuple[bool, int]:
             a, above_a = mid, above_mid
         else:
             b, above_b = mid, above_mid
-    return positive, above_a - above_b
+    return above_a - above_b
+
+
+def _sign_changes_stack(c: np.ndarray) -> np.ndarray:
+    """Sign changes down each column of c (m, R) between its nonzero
+    entries; each c[0] is nonzero."""
+    sign = (c > 0).astype(np.int8) - (c < 0)
+    at = np.where(sign != 0, np.arange(len(c))[:, None], 0)
+    # the sign of the last nonzero entry at or above each entry
+    last = np.take_along_axis(sign, np.maximum.accumulate(at, axis=0), axis=0)
+    return np.count_nonzero(last[1:] != last[:-1], axis=0)
+
+
+def _shifted_sign_changes(c: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The sign changes of the Taylor shift P(y + a_r) of each column r of
+    c (n + 1, R), the coefficients of P highest degree first: the Horner
+    passes of ``roots_above``, one row operation for all R, in place."""
+    for i in range(len(c) - 1, 0, -1):
+        acc = c[0]
+        for j in range(1, i + 1):
+            acc = c[j] = c[j] + a * acc
+    return _sign_changes_stack(c)
+
+
+def lambda2_counts_stack(polys: Sequence[Sequence[int]],
+                         hints: Sequence[float]) -> List[Tuple[bool, int]]:
+    """``lambda2_counts(p, hint)`` of each polynomial and its hint, all of
+    one degree n >= 2, coefficients as Python ints (``charpoly_stack``'s),
+    in lists or tuples.
+
+    The counts of the first interval come from one stacked pass over the
+    coefficients, an object array (n + 1, R) of Python ints: N(> 0), and
+    N(> (k - 1) / 2**s) and N(> (k + 1) / 2**s) with s = 20 and
+    k = floor(hint 2**s); every count is exact, the hints only place the
+    intervals. A row whose interval holds lambda2 alone is done; a multiple
+    lambda2 goes on from those counts (``_multiplicity``); a row that the
+    interval does not isolate runs ``lambda2_counts`` whole, which widens
+    the interval or raises its error. Rows finish in order, so the first
+    error is the one the per-row calls raise.
+    """
+    if not polys:
+        return []
+    s = _HINT_STEPS[0]
+    p = np.array(polys, dtype=object).T
+    count = p.shape[1]
+    a = [math.floor(h * 2.0 ** s) - 1 for h in hints]
+    scaled = p * np.array([1 << (s * i) for i in range(len(p))], dtype=object)[:, None]
+    shifts = np.array(a + [v + 2 for v in a], dtype=object)
+    above = _shifted_sign_changes(np.concatenate([scaled, scaled], axis=1), shifts).tolist()
+    positive = (_sign_changes_stack(p) >= 2).tolist()
+    out = []
+    for r, (above_a, above_b) in enumerate(zip(above[:count], above[count:])):
+        if above_b <= 1 < above_a:
+            out.append((positive[r], _multiplicity(polys[r], a[r], s, above_a, above_b, hints[r])))
+        else:
+            out.append(lambda2_counts(polys[r], hints[r]))
+    return out
 
 
 def _trim(p: List[int]) -> List[int]:

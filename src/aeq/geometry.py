@@ -341,7 +341,21 @@ def triangle_pairs(adj: np.ndarray) -> np.ndarray:
     or of each in a stack (..., n, n), whose rows share a set column. A float32
     sum of 0/1 products that holds a 1 cannot round to 0, at any n."""
     a = adj.astype(np.float32)
-    return np.triu(adj & (a @ a.swapaxes(-1, -2) > 0), 1)
+    pairs = adj & (a @ a.swapaxes(-1, -2) > 0)
+    n = adj.shape[-1]
+    if n > len(_ABOVE_DIAGONAL):
+        return np.triu(pairs, 1)
+    pairs &= _ABOVE_DIAGONAL[:n, :n]
+    return pairs
+
+
+# The pairs i < j of every n up to 128, as the top left (n, n) of one
+# constant. np.triu builds its mask anew on each call, about half the time
+# of a small test; past 128 the product dominates, and a large mask kept
+# alive fragments the heap (keeping the one of n = 1002 raised the peak
+# RSS of the certify-large benchmark workload by 8 MB).
+_ABOVE_DIAGONAL = np.triu(np.ones((128, 128), dtype=bool), 1)
+_ABOVE_DIAGONAL.flags.writeable = False
 
 
 def first_triangle(adj: np.ndarray) -> TripleCheck:
@@ -435,10 +449,34 @@ def recenter_to_barycenter(s: PointSet) -> PointSet:
     if s.mode == EXACT_MODE:
         # points - barycenter == (n X - column sums of X) / (n q), in lowest terms
         x, q = s.form
-        y = s.n * x - x.sum(axis=0)
-        g = math.gcd(*y.flat, s.n * q)
-        return PointSet._from_integers(y // g, s.n * q // g)
+        # with m = max|X|, every entry and partial sum of n X - column sums is
+        # at most 2 n m in magnitude, so below 2^63 int64 holds them exactly
+        xi = _small_int64(x, 2 * s.n)
+        if xi is None:
+            return _recentred_objects(x, q, s.n)
+        y = s.n * xi - xi.sum(axis=0)
+        shared = int(np.gcd.reduce(y, axis=None))
+        g = math.gcd(shared, s.n * q)
+        # g divides every entry; an all-zero y stays as it is
+        return PointSet._from_integers((y // g if shared else y).astype(object), s.n * q // g)
     return PointSet.from_array(s.array - s.array.mean(axis=0))
+
+
+def _small_int64(ints: np.ndarray, factor: int) -> Optional[np.ndarray]:
+    """An object array of Python ints as int64, when factor * max|ints| is
+    below 2^63; else None."""
+    try:
+        x = ints.astype(np.int64)
+    except OverflowError:
+        return None
+    return x if factor * max(-int(x.min(initial=0)), int(x.max(initial=0))) < 2 ** 63 else None
+
+
+def _recentred_objects(x: np.ndarray, q: int, n: int) -> PointSet:
+    """The exact recentring over Python ints, for any size of entry."""
+    y = n * x - x.sum(axis=0)
+    g = math.gcd(*y.flat, n * q)
+    return PointSet._from_integers(y // g, n * q // g)
 
 
 def diameter(s: PointSet) -> float:

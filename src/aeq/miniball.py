@@ -12,8 +12,9 @@ coefficient leaves T. Float mode walks the float64 coordinates. Exact mode
 takes the same steps, with no slack, on the integer form X of the set (the
 walk does not depend on the scale): the center is integers over one
 denominator, reduced after each step, the room and rate of every point are
-integers, and only the step ratios of the points hit are compared as
-Fractions; the Gram solve is fraction-free, integers over its determinant.
+integers, and the step ratios of the points hit are compared by
+cross-multiplying; the Gram solve is fraction-free, integers over its
+determinant.
 
 Why the walk ends (in exact arithmetic). The radius never grows, and it
 shrinks at every step of positive length. A drop happens at c = cc(T), so a
@@ -90,14 +91,25 @@ def _solve_int(g, b):
     return np.array([row[-1] for row in m], dtype=object), prev
 
 
+def _first_least(nums, dens) -> int:
+    """The position of the least ratio nums[i] / dens[i] of integers, every
+    dens[i] > 0, the first on ties: compared cross-multiplied, so no
+    Fraction is built."""
+    best = 0
+    for i in range(1, len(nums)):
+        if nums[i] * dens[best] < nums[best] * dens[i]:
+            best = i
+    return best
+
+
 def _walk_exact(x):
     """The float walk's steps in exact arithmetic on an integer x: returns
     (C, den, support) with center C / den, C integers and den > 0.
 
     With c = C / den and cc = CC / det, the room of each point times den^2
     is R = |C - den p0|^2 - |den x - C|^2, and its rate times det den is
-    2 (p0 - x).V with V = den CC - det C; both are integers, so only the
-    step ratios R / rate of the points hit are compared as Fractions.
+    2 (p0 - x).V with V = den CC - det C; both are integers, and the step
+    ratios R / rate of the points hit are compared cross-multiplied.
     """
     c, den = x[0], 1
     d2 = ((x - c) ** 2).sum(axis=1)
@@ -112,8 +124,9 @@ def _walk_exact(x):
         rate = 2 * ((p0 - x) @ v)
         hit = np.flatnonzero(rate > 0)
         if len(hit):
-            k = min(hit, key=lambda i: Fraction(max(room[i], 0), rate[i]))
-            gain = max(room[k], 0)
+            gains = [max(r, 0) for r in room[hit]]
+            j = _first_least(gains, rate[hit])
+            k, gain = hit[j], gains[j]
             # the step goes gain det / (den rate[k]) of the way to cc
             if gain * det < den * rate[k]:
                 c = c * den * rate[k] + gain * v

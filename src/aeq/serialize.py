@@ -11,6 +11,11 @@ in field order, a dict an object keyed by ``str(key)``, a list, tuple or
 (a negative zero is ``-0.0``), and ``None``, bools, ints, numpy integers and
 strings their JSON. NaN and infinity raise ``ValueError`` (the CLI exits 2),
 any other type ``TypeError``. Items go one to a line, a space of indent a level.
+The walk dispatches on the exact type first (float, int, str, bool, None,
+dict, list, tuple), escaping strings with ``json.encoder.encode_basestring_ascii``,
+the function behind ``json.dumps`` of a string; subclasses of those types,
+numpy values, Fractions and dataclasses take an isinstance chain. Both give
+the texts of the rule above.
 
 JSON point sets are decoded by one rule: orjson reads the text and
 ``pointset_from_dict`` checks the tree; if either raises ``ValueError``,
@@ -52,6 +57,7 @@ import math
 import re
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Tuple
 
 import numpy as np
@@ -263,31 +269,59 @@ def dumps_report(obj) -> str:
 def _render(obj, nl: str) -> str:
     """The text of obj; nl is a newline and the indent of obj's own level,
     before its closing bracket, and its items indent one space more."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
+    leaf = _LEAVES.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
+    if type(obj) is dict:
+        return _render_object(obj, nl)
+    if type(obj) is list or type(obj) is tuple:
+        return _render_array(obj, nl)
+    return _render_instance(obj, nl)
+
+
+# the exact leaf types and their texts; None and bool have no subclasses
+_LEAVES = {
+    float: _format_float,
+    int: repr,
+    str: encode_basestring_ascii,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _render_instance(obj, nl: str) -> str:
+    """The text of any other obj, by its isinstance type: subclasses of the
+    exact types, numpy values, Fractions and dataclasses."""
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)
     if isinstance(obj, Fraction):
-        return json.dumps(str(obj))
+        return encode_basestring_ascii(str(obj))
     if isinstance(obj, np.ndarray):
         return _render(obj.tolist(), nl)
     if is_dataclass(obj) and not isinstance(obj, type):
-        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
-    inner = nl + " "
+        return _render_object({f.name: getattr(obj, f.name) for f in fields(obj)}, nl)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f"{json.dumps(str(k))}: {_render(v, inner)}" for k, v in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
+        return _render_object(obj, nl)
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_render(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
+        return _render_array(obj, nl)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _render_object(obj: dict, nl: str) -> str:
+    if not obj:
+        return "{}"
+    inner = nl + " "
+    items = [f"{encode_basestring_ascii(k if type(k) is str else str(k))}: {_render(v, inner)}"
+             for k, v in obj.items()]
+    return "{" + inner + ("," + inner).join(items) + nl + "}"
+
+
+def _render_array(obj, nl: str) -> str:
+    if not obj:
+        return "[]"
+    inner = nl + " "
+    return "[" + inner + ("," + inner).join([_render(v, inner) for v in obj]) + nl + "]"

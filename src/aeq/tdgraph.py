@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .charpoly import charpoly_stack, lambda2_counts
+from .charpoly import charpoly_stack, lambda2_counts_stack
 from .geometry import (
     PointSet,
     Tolerance,
@@ -167,19 +167,19 @@ def rank_stack(stack: np.ndarray, tol: Optional[Tolerance],
     """lambda2, and (lambda2 > 0, multiplicity of lambda2), of each graph of
     an adjacency stack (G, n, n), from one pass over it: one ``eigvalsh``
     for lambda2, then float clustering within eig_tol or exact root counts
-    on the stacked characteristic polynomials (``charpoly.lambda2_counts``,
-    once per distinct polynomial)."""
+    on the stacked characteristic polynomials (``charpoly.lambda2_counts_stack``,
+    once per distinct polynomial, with the hint of its first graph)."""
     eig_tol = _resolve_tol(None, tol).slack("solver")
     vals = np.linalg.eigvalsh(stack)
     lam2 = vals[:, -2]
     if exact:
-        seen: dict = {}  # cospectral graphs share one count
-        counts = []
-        for p, hint in zip(charpoly_stack(stack), lam2):
-            key = tuple(p)
-            if key not in seen:
-                seen[key] = lambda2_counts(p, hint)
-            counts.append(seen[key])
+        keys = [tuple(p) for p in charpoly_stack(stack)]
+        first: dict = {}  # cospectral graphs share one count
+        for i, key in enumerate(keys):
+            first.setdefault(key, i)
+        hints = lam2[list(first.values())].tolist()
+        done = dict(zip(first, lambda2_counts_stack(list(first), hints)))
+        counts = [done[key] for key in keys]
     else:
         mult = np.sum(np.abs(vals - lam2[:, None]) <= eig_tol, axis=1).tolist()
         counts = list(zip((lam2 > eig_tol).tolist(), mult))

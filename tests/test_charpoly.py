@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import aeq
 from aeq import charpoly
-from aeq.charpoly import charpoly_stack, lambda2_counts, roots_above
+from aeq.charpoly import charpoly_stack, lambda2_counts, lambda2_counts_stack, roots_above
 from aeq.tdgraph import EXACT_RANK_LIMIT
 
 
@@ -365,3 +365,108 @@ def test_lambda2_counts_narrows_widens_and_gives_up():
     p = _times(_times([1, -3], [1, -4, 4]), [1, 5])
     assert lambda2_counts(p, 2.6) == (True, 2)
     assert lambda2_counts(_times([1, -1], [1, 2, 1]), -1.0) == (False, 2)
+
+
+# ---------------------------------------- root counts of a stack of polynomials
+
+
+def _polys_and_hints(stack):
+    """The characteristic polynomials of a stack, and eigvalsh's lambda2 of
+    each as its hint, as ``rank_stack`` passes them."""
+    return charpoly_stack(stack), np.linalg.eigvalsh(stack)[:, -2].tolist()
+
+
+def _scalar_counts(polys, hints):
+    return [lambda2_counts(p, h) for p, h in zip(polys, hints)]
+
+
+def _count_scalar_calls(monkeypatch):
+    calls = []
+    scalar = charpoly.lambda2_counts
+
+    def counted(p, hint):
+        calls.append(hint)
+        return scalar(p, hint)
+
+    monkeypatch.setattr(charpoly, "lambda2_counts", counted)
+    return calls
+
+
+def test_lambda2_counts_stack_matches_lambda2_counts_on_corpus(corpus, monkeypatch):
+    calls = _count_scalar_calls(monkeypatch)
+    for n in range(2, 9):
+        polys, hints = _polys_and_hints(np.array([g.adjacency() for g in corpus if g.n == n]))
+        assert lambda2_counts_stack(polys, hints) == _scalar_counts(polys, hints), n
+    assert calls == []  # every first interval isolates lambda2
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(copies=st.sampled_from([1, 1, 2, 3]), data=st.data())
+def test_lambda2_counts_stack_matches_lambda2_counts_on_random_symmetric(copies, data):
+    # block copies repeat every eigenvalue, lambda2 too
+    m = data.draw(st.integers(2 if copies == 1 else 1, EXACT_RANK_LIMIT // copies))
+    span = data.draw(st.sampled_from([1, 3, 40]))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    blocks = rng.integers(-span, span + 1, size=(data.draw(st.integers(1, 6)), m, m))
+    blocks = np.triu(blocks) + np.triu(blocks, 1).transpose(0, 2, 1)
+    stack = np.array([np.kron(np.eye(copies, dtype=np.int64), b) for b in blocks])
+    polys, hints = _polys_and_hints(stack)
+    assert lambda2_counts_stack(polys, hints) == _scalar_counts(polys, hints)
+
+
+def _close_pair(t):
+    """[[t, 1], [1, -t]] beside [t] twice: lambda1 = sqrt(t^2 + 1), about
+    t + 1 / (2t), and lambda2 = t, double."""
+    a = np.diag([t, -t, t, t])
+    a[0, 1] = a[1, 0] = 1
+    return a
+
+
+def test_lambda2_counts_stack_bisects_past_the_first_interval(monkeypatch):
+    # lambda1 - lambda2 is about 2^-21, inside the first interval, 2^-19 wide:
+    # the completion halves it from the stacked counts until lambda1 leaves
+    seen = []
+    counts = charpoly.roots_above
+    monkeypatch.setattr(charpoly, "roots_above", lambda p, a, s=0: seen.append(s) or counts(p, a, s))
+    calls = _count_scalar_calls(monkeypatch)
+    stack = np.array([_close_pair(2 ** 20), _close_pair(3), np.eye(4, dtype=np.int64)])
+    polys, hints = _polys_and_hints(stack)
+    got = lambda2_counts_stack(polys, hints)
+    assert (calls, got) == ([], [(True, 2), (True, 2), (True, 4)])
+    assert max(seen) > 20
+    assert got == _scalar_counts(polys, hints)
+
+
+def test_lambda2_counts_stack_widens_a_poor_hint_and_raises_as_the_scalar_does(monkeypatch):
+    w = _wilkinson(11)
+    double = np.zeros_like(w)  # W5 twice, and a zero row and column
+    double[:10, :10] = np.kron(np.eye(2, dtype=np.int64), _wilkinson(5))
+    stack = np.array([w, double, w + np.eye(11, dtype=np.int64), w])
+    polys, hints = _polys_and_hints(stack)
+    calls = _count_scalar_calls(monkeypatch)
+    # outside the first interval, above both top roots or between them: widened
+    top = np.linalg.eigvalsh(w)[-2:].mean()
+    poor = [hints[0], hints[1] + 1e-4, hints[2], top]
+    assert lambda2_counts_stack(polys, poor) == [(True, 1), (True, 2), (True, 1), (True, 1)]
+    assert calls == [poor[1], poor[3]]
+    # the hints place intervals only; the counts do not move with them
+    jitter = [h + d for h, d in zip(hints, (1e-9, -1e-9, 3e-8, -3e-8))]
+    assert lambda2_counts_stack(polys, jitter) == _scalar_counts(polys, hints)
+    # rows raise in order: the first bad hint names itself, as the scalar call does
+    bad = [hints[0], hints[1] + 3.0, hints[2] - 3.0, hints[3]]
+    with pytest.raises(ArithmeticError) as scalar:
+        lambda2_counts(polys[1], bad[1])
+    with pytest.raises(ArithmeticError) as stacked:
+        lambda2_counts_stack(polys, bad)
+    assert str(stacked.value) == str(scalar.value)
+    assert "cannot isolate the second largest root near" in str(scalar.value)
+
+
+def test_lambda2_counts_stack_of_no_rows_and_of_python_int_rows():
+    assert lambda2_counts_stack([], []) == []
+    # entries near 2^40 send the characteristic polynomial past int64
+    a = _close_pair(2 ** 40)
+    polys, hints = _polys_and_hints(a[None])
+    assert max(map(abs, polys[0])) > 2 ** 63
+    assert lambda2_counts_stack(polys, hints) == _scalar_counts(polys, hints) == [(True, 2)]

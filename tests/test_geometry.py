@@ -132,6 +132,24 @@ def test_recenter_exact(rhombus):
     assert aeq.squared_distance_matrix(centered) == aeq.squared_distance_matrix(rhombus)
 
 
+_big_ints = st.one_of(st.integers(-9, 9), st.integers(-2 ** 62, 2 ** 62),
+                     st.sampled_from([2 ** 63, -2 ** 63, 2 ** 63 - 1, 2 ** 80, -(2 ** 80)]))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(n=st.integers(1, 6), dim=st.integers(1, 3), data=st.data())
+def test_recenter_exact_in_int64_matches_the_object_body(n, dim, data):
+    # entries on either side of the int64 bound 2 n max|X| < 2^63, and past int64
+    rows = data.draw(st.lists(st.lists(st.builds(Fraction, _big_ints, st.sampled_from([1, 2, 7])),
+                                       min_size=dim, max_size=dim), min_size=n, max_size=n))
+    s = PointSet.exact_rows(rows)
+    x, q = s.form
+    got, want = aeq.recenter_to_barycenter(s), geometry._recentred_objects(x, q, s.n)
+    assert got.form[1] == want.form[1]
+    assert got.form[0].dtype == object and got.form[0].tolist() == want.form[0].tolist()
+    assert all(type(v) is int for v in got.form[0].flat)
+
+
 def test_recenter_float():
     rng = np.random.default_rng(7)
     s = PointSet.from_array(rng.normal(size=(9, 3)) + 5.0)

@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -277,3 +278,42 @@ def test_integer_gram_solve_matches_fraction_solve():
             a, det = miniball._solve_int(g, b)
             assert det > 0
             assert [Fraction(v, det) for v in a] == list(solve_fraction(g, b))
+
+
+def _fraction_key_least(nums, dens):
+    """The step choice as a Fraction key: the first least ratio."""
+    return min(range(len(nums)), key=lambda i: Fraction(nums[i], dens[i]))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(1, 4)), min_size=1, max_size=8)
+       | st.lists(st.tuples(st.integers(0, 2 ** 90), st.integers(1, 2 ** 90)), min_size=1, max_size=8))
+def test_step_choice_matches_the_fraction_key(pairs):
+    # small ranges give equal ratios, so ties come up often
+    nums, dens = map(list, zip(*pairs))
+    assert miniball._first_least(nums, dens) == _fraction_key_least(nums, dens)
+
+
+def _walks_as_with_the_fraction_key(rows):
+    x = PointSet.exact_rows(rows).form[0]
+    c, den, support = miniball._walk_exact(x)
+    with mock.patch.object(miniball, "_first_least", _fraction_key_least):
+        kc, kden, ksupport = miniball._walk_exact(x)
+    assert (c.tolist(), den, support) == (kc.tolist(), kden, ksupport)
+
+
+@pytest.mark.parametrize("d", [4, 16, 24])
+def test_exact_walk_of_cross_sets_steps_as_with_the_fraction_key(d):
+    rng = np.random.default_rng(d)
+    shift = [Fraction(int(v), 7) for v in rng.integers(-6, 7, size=d)]
+    rows = [[a + b for a, b in zip(row, shift)] for row in cross_rows(d)]
+    bent = [row[:] for row in rows]
+    bent[0] = [c + (x - c) * Fraction(6, 7) for x, c in zip(bent[0], shift)]
+    for pts in (rows, bent, [rows[i] for i in rng.permutation(2 * d)]):
+        _walks_as_with_the_fraction_key(pts)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(rows=exact_point_lists())
+def test_exact_walk_steps_as_with_the_fraction_key(rows):
+    _walks_as_with_the_fraction_key(rows)

@@ -1,4 +1,5 @@
 import decimal
+import enum
 import json
 import math
 import re
@@ -479,8 +480,28 @@ class _Pair:
     right: object
 
 
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 2 ** 70
+
+
 _finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                     st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]))
+# subclasses of the exact types the renderer dispatches on first
+_subclass_leaves = st.one_of(_finite.map(_Float), st.integers().map(_Int), st.text().map(_Str),
+                             st.sampled_from(_Level))
 _bad_leaves = st.sampled_from([math.nan, -math.inf, np.float64(math.inf), np.float32(math.nan),
                                np.bool_(True), set(), object()])
 _report_leaves = st.one_of(
@@ -490,9 +511,11 @@ _report_leaves = st.one_of(
     st.integers(-2**63, 2**63 - 1).map(np.int64),
     hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=3), elements=_finite),
     hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=3)),
+    _subclass_leaves,
     _bad_leaves,
 )
-_report_keys = st.one_of(st.text(max_size=3), st.integers(), st.fractions(), _finite)
+_report_keys = st.one_of(st.text(max_size=3), st.integers(), st.fractions(), _finite,
+                         _subclass_leaves)
 
 
 def _report_containers(children):

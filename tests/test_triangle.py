@@ -150,6 +150,31 @@ def test_stacked_test_equals_each_slice():
         assert p.any() == (not oracle(adj)[0])
 
 
+def bitset_pairs(adj):
+    """The boolean (n, n) of the pairs i < j with adj[i, j] set whose rows
+    share a set column, from the row masks."""
+    masks = bitset_masks(adj)
+    pairs = np.zeros(adj.shape, dtype=bool)
+    for i, j in bitset_edges(adj):
+        pairs[i, j] = bool(masks[i] & masks[j])
+    return pairs
+
+
+def test_triangle_pairs_matches_the_bitset_pairs_at_every_size():
+    # sizes on both sides of the constant mask's 128, and stacks
+    rng = np.random.default_rng(11)
+    for n in [*range(0, 24), 70, 127, 128, 129, 200]:
+        adj = rng.random((n, n)) < 0.3
+        adj = np.triu(adj, 1) | np.triu(adj, 1).T
+        pairs = triangle_pairs(adj)
+        assert pairs.dtype == bool and pairs.flags.writeable
+        assert np.array_equal(pairs, bitset_pairs(adj))
+        pairs[:] = True  # the result is the caller's: the next call is unchanged
+        assert np.array_equal(triangle_pairs(adj), bitset_pairs(adj))
+        stack = np.array([adj, adj.T, np.zeros_like(adj)])
+        assert np.array_equal(triangle_pairs(stack), np.array([bitset_pairs(a) for a in stack]))
+
+
 # --------------------------------------------------------------- the scan
 
 
