@@ -39,7 +39,6 @@ from .geometry import (
 )
 from .charpoly import (
     charpoly_int,
-    eigen_multiplicities_exact,
     square_free_decomposition,
 )
 from .miniball import min_enclosing_ball

@@ -23,6 +23,7 @@ from .geometry import (
     _resolve_tol,
     band_deviation,
     diameter,
+    float_text,
     nonunit_mask,
     recenter_to_barycenter,
     sphere_defect,
@@ -89,6 +90,10 @@ def sphere_bound(
     return _report("sphere", d, {"radius": r}, bound, detail, points, True)
 
 
+# an exact value in a message is written as a fraction below this size
+_SHORT_FRACTION = 10 ** 40
+
+
 def diameter_bound(
     d: int,
     points: Optional[PointSet] = None,
@@ -108,13 +113,16 @@ def diameter_bound(
     if points is None:
         return _report("diameter", d, {}, bound, detail, None, True)
     tol = _resolve_tol(points, tol)
-    diam = diameter(points)
     d2, scale = points.scaled_sqdist
-    # an exact set caps D at q^2 exactly; a float one caps the diameter
-    if points.mode == EXACT_MODE:
-        if d2.max() > scale:
-            raise ValueError(f"squared diameter {Fraction(d2.max(), scale)} exceeds 1")
-    elif diam > 1.0 + tol.slack("unit"):
+    # an exact set caps D at q^2 exactly, before any float is taken of it,
+    # and names D / q^2 exactly while its digits are few; a float set caps
+    # the diameter
+    if points.mode == EXACT_MODE and d2.max() > scale:
+        top = Fraction(d2.max(), scale)
+        text = str(top) if max(top.numerator, top.denominator) < _SHORT_FRACTION else float_text(top)
+        raise ValueError(f"squared diameter {text} exceeds 1")
+    diam = diameter(points)
+    if diam > 1.0 + tol.slack("unit"):
         raise ValueError(f"diameter {diam:.12g} exceeds 1 + dist_tol")
     cert = certify(points, tol)
     eig_tol = tol.slack("solver")
@@ -202,7 +210,8 @@ def ball_bound(
             too_wide = mer_radius > radius + _resolve_tol(points, tol).slack("ball")
         if too_wide:
             raise ValueError(
-                f"enclosing radius {mer_radius:.12g} exceeds the stated ball radius {radius:.12g}"
+                f"enclosing radius {float_text(mer_radius)} exceeds the stated ball radius"
+                f" {radius:.12g}"
             )
         detail["mer_radius"] = mer_radius
     return _report("ball", d, {"c0": c0}, bound, detail, points, True)
@@ -318,7 +327,8 @@ def anchor_defect_ratio(
     worst = np.abs(dev).max()
     if worst > limit:
         raise ValueError(
-            f"norm band violated: |norm^2 - 1/2| up to {worst / scale:.3e} > x={x:.3e}"
+            f"norm band violated: |norm^2 - 1/2| up to {float_text(worst, scale, '.3e')}"
+            f" > x={x:.3e}"
         )
     kept = np.flatnonzero(nonunit[anchor_index])
     d2, q2 = s.scaled_sqdist

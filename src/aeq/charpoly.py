@@ -1,5 +1,5 @@
 """Exact characteristic polynomials, root counts and square-free
-eigenvalue multiplicities.
+decomposition.
 
 Faddeev-LeVerrier (all intermediates are integral for an integer matrix;
 the divisions are exact): per matrix over Python ints, or over a stack of
@@ -8,13 +8,13 @@ symmetric matrix is real-rooted, so Descartes' rule of signs counts its
 roots above a dyadic point exactly; the second largest root and its
 multiplicity come from two such counts around a float hint.
 
-Yun's square-free decomposition runs over the integers: a characteristic
-polynomial is monic, so by Gauss's lemma every gcd and quotient in Yun's
-algorithm is a monic integer polynomial. The gcds come from primitive
-pseudo-remainder sequences, the quotients from exact division by a monic
-divisor, and Fractions are built only for the factors returned. Yun's
-algorithm with ``np.roots`` (``eigen_multiplicities_exact``) is the
-reference the root counts are tested against. Intended for small
+Musser's square-free decomposition runs over the integers as a chain of
+gcds: a characteristic polynomial is monic, so by Gauss's lemma every gcd
+and quotient in the chain is a monic integer polynomial. The gcds come
+from primitive pseudo-remainder sequences, the quotients from exact
+division by a monic divisor, and Fractions are built only for the factors
+returned. The chain's first step, p / gcd(p, p'), is the square-free part
+that the root counts split a multiple root with. Intended for small
 matrices, n <= 12.
 """
 from __future__ import annotations
@@ -122,13 +122,19 @@ def roots_above(p: Sequence[int], a: int, s: int = 0) -> int:
     not counted.
     """
     c = [int(ci) << (s * i) for i, ci in enumerate(p)]
-    n = len(c) - 1
-    if a:
-        for i in range(n, 0, -1):  # Horner pass i leaves the coefficient of y^(n - i)
-            acc = c[0]
-            for j in range(1, i + 1):
-                acc = c[j] = c[j] + a * acc
-    return _sign_changes(c)
+    return _sign_changes(_taylor_shift(c, a) if a else c)
+
+
+def _taylor_shift(c, a):
+    """c, the coefficients of P highest degree first, turned in place into
+    those of the Taylor shift P(y + a), and returned. c is a list of ints
+    with an int a, or an object array (n + 1, R) of Python ints whose
+    columns are R polynomials, with a row of R shifts as a."""
+    for i in range(len(c) - 1, 0, -1):  # Horner pass i leaves the coefficient of y^(n - i)
+        acc = c[0]
+        for j in range(1, i + 1):
+            acc = c[j] = c[j] + a * acc
+    return c
 
 
 # Dyadic precisions s tried in turn for the interval (k - 1, k + 1] / 2**s,
@@ -206,17 +212,6 @@ def _sign_changes_stack(c: np.ndarray) -> np.ndarray:
     return np.count_nonzero(last[1:] != last[:-1], axis=0)
 
 
-def _shifted_sign_changes(c: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The sign changes of the Taylor shift P(y + a_r) of each column r of
-    c (n + 1, R), the coefficients of P highest degree first: the Horner
-    passes of ``roots_above``, one row operation for all R, in place."""
-    for i in range(len(c) - 1, 0, -1):
-        acc = c[0]
-        for j in range(1, i + 1):
-            acc = c[j] = c[j] + a * acc
-    return _sign_changes_stack(c)
-
-
 def lambda2_counts_stack(polys: Sequence[Sequence[int]],
                          hints: Sequence[float]) -> List[Tuple[bool, int]]:
     """``lambda2_counts(p, hint)`` of each polynomial and its hint, all of
@@ -241,7 +236,8 @@ def lambda2_counts_stack(polys: Sequence[Sequence[int]],
     a = [math.floor(h * 2.0 ** s) - 1 for h in hints]
     scaled = p * np.array([1 << (s * i) for i in range(len(p))], dtype=object)[:, None]
     shifts = np.array(a + [v + 2 for v in a], dtype=object)
-    above = _shifted_sign_changes(np.concatenate([scaled, scaled], axis=1), shifts).tolist()
+    above = _sign_changes_stack(
+        _taylor_shift(np.concatenate([scaled, scaled], axis=1), shifts)).tolist()
     positive = (_sign_changes_stack(p) >= 2).tolist()
     out = []
     for r, (above_a, above_b) in enumerate(zip(above[:count], above[count:])):
@@ -305,51 +301,23 @@ def _divide(a: List[int], b: List[int]) -> List[int]:
     return _trim(q) if q else [0]
 
 
-def _subtract(a: List[int], b: List[int]) -> List[int]:
-    width = max(len(a), len(b))
-    a = [0] * (width - len(a)) + a
-    b = [0] * (width - len(b)) + b
-    return _trim([x - y for x, y in zip(a, b)])
-
-
 def _square_free_part(p: List[int]) -> List[int]:
     """p / gcd(p, p') for a monic integer polynomial p of degree >= 1: the
     monic integer polynomial with the distinct roots of p, each simple."""
     return _divide(p, _gcd(p, _derivative(p)))
 
 
-def _yun(p: List[int]) -> List[Tuple[List[int], int]]:
-    """Yun's algorithm on a monic integer polynomial of degree >= 1. By
-    Gauss's lemma every gcd and quotient is a monic integer polynomial."""
-    dp = _derivative(p)
-    g = _gcd(p, dp)
-    if len(g) == 1:
-        return [(p, 1)]
-    out: List[Tuple[List[int], int]] = []
-    w = _divide(p, g)
-    y = _divide(dp, g)
-    i = 1
-    # invariant: w holds the product of remaining factors, square-free
-    z = _subtract(y, _derivative(w))
-    while len(w) > 1:
-        g_i = _gcd(w, z)
-        if len(g_i) > 1:
-            out.append((g_i, i))
-        w = _divide(w, g_i)
-        y = _divide(z, g_i)
-        z = _subtract(y, _derivative(w))
-        i += 1
-    return out
-
-
 def square_free_decomposition(p: Sequence) -> List[Tuple[List[Fraction], int]]:
-    """Yun's algorithm: returns [(factor, multiplicity)] with each factor
-    square-free and monic, product of factor^multiplicity equal to p up to a
-    constant.
+    """Musser's square-free decomposition: returns [(factor, multiplicity)]
+    with each factor square-free and monic, in increasing multiplicity, and
+    the product of factor^multiplicity equal to p up to a constant.
 
     p is made monic, then scaled to x = t / L with L the lcm of its
-    denominators, which makes it a monic integer polynomial in t; Yun runs
-    there, and each factor is mapped back to x.
+    denominators, which makes it a monic integer polynomial in t. The gcd
+    chain runs there: c = gcd(p, p') and w = p / c, the square-free part;
+    then for i = 1, 2, ...: y = gcd(w, c), w / y is the factor of
+    multiplicity i when it has degree >= 1, w <- y and c <- c / y. Each
+    factor is mapped back to x.
     """
     p = _trim([Fraction(c) for c in p])
     if len(p) <= 1:
@@ -359,21 +327,15 @@ def square_free_decomposition(p: Sequence) -> List[Tuple[List[Fraction], int]]:
     scale = math.lcm(*(c.denominator for c in p))
     # L^n p(t / L): the coefficient of t^(n - i) is p_i L^i
     ints = [c.numerator * (scale ** i // c.denominator) for i, c in enumerate(p)]
-    return [
-        ([Fraction(c, scale ** i) for i, c in enumerate(f)], m) for f, m in _yun(ints)
-    ]
-
-
-def eigen_multiplicities_exact(a: Sequence[Sequence[int]]) -> List[Tuple[float, int]]:
-    """Distinct eigenvalues of an integer symmetric matrix with exact
-    algebraic multiplicities, as (float approximation, multiplicity),
-    sorted by value descending (real parts: np.roots may split close roots)."""
-    coeffs = charpoly_int(a)
-    if any(a[i][j] != a[j][i] for i in range(len(a)) for j in range(i)):
-        raise ValueError("matrix must be symmetric")
-    roots: List[Tuple[float, int]] = []
-    for factor, mult in square_free_decomposition(coeffs):
-        if len(factor) > 1:
-            roots += [(float(r.real), mult) for r in np.roots([float(c) for c in factor])]
-    roots.sort(key=lambda t: -t[0])
-    return roots
+    c = _gcd(ints, _derivative(ints))
+    w = _divide(ints, c)
+    out = []
+    i = 1
+    while len(w) > 1:
+        y = _gcd(w, c)
+        f = _divide(w, y)
+        if len(f) > 1:
+            out.append(([Fraction(v, scale ** k) for k, v in enumerate(f)], i))
+        w, c = y, _divide(c, y)
+        i += 1
+    return out

@@ -424,6 +424,18 @@ def band_deviation(s: PointSet, v, target, tol: Tolerance, slack: str, band=0,
     return np.asarray(v) - float(target), float(band) + tol.slack(slack) * factor, 1
 
 
+def float_text(num, den=1, spec: str = ".12g") -> str:
+    """num / den for an error message: its float formatted by spec, or
+    "past the float range" when it has no finite float. An exact quotient
+    is never written out in decimal digits, which for a long integer can
+    pass Python's limit on them."""
+    try:
+        v = float(num / den)
+    except OverflowError:
+        v = math.inf
+    return "past the float range" if math.isinf(v) else format(v, spec)
+
+
 def sphere_defect(s: PointSet, r: float, tol: Tolerance) -> float:
     """max | |x|^2 - r^2 |; raises when a point is off the sphere of radius r."""
     x, _ = s.form
@@ -432,7 +444,8 @@ def sphere_defect(s: PointSet, r: float, tol: Tolerance) -> float:
     worst = np.abs(dev).max()
     if worst > limit:
         raise ValueError(
-            f"points do not lie on the stated sphere: |norm^2 - r^2| up to {worst / scale:.3e}"
+            "points do not lie on the stated sphere: |norm^2 - r^2| up to "
+            + float_text(worst, scale, ".3e")
         )
     return float(worst / scale)
 

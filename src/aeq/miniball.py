@@ -144,13 +144,24 @@ def _walk_exact(x):
         support.remove(min(out))
 
 
+def _float_sqrt(r2: Fraction) -> float:
+    """sqrt(r2) as math.sqrt(float(r2)) rounds it, or inf past the float
+    range: r2 / 4^k, k >= 0, lies in the float range, its rounding and root
+    are those of r2 scaled by powers of 2, and ldexp scales the root back."""
+    k = max(0, (r2.numerator.bit_length() - r2.denominator.bit_length()) // 2)
+    try:
+        return math.ldexp(math.sqrt(r2 / 4 ** k), k)
+    except OverflowError:
+        return math.inf
+
+
 def min_enclosing_ball(s: PointSet) -> Tuple[tuple, float, Optional[Fraction]]:
     """Returns (center, radius, exact squared radius or None)."""
     if s.mode == EXACT_MODE:
         x, q = s.form  # the walk does not depend on the scale
         c, den, support = _walk_exact(x)
         r2 = Fraction(((den * x[support[0]] - c) ** 2).sum(), (den * q) ** 2)
-        return tuple(Fraction(v, den * q) for v in c), math.sqrt(float(r2)), r2
+        return tuple(Fraction(v, den * q) for v in c), _float_sqrt(r2), r2
     x = s.array
     center, _ = _walk(x)
     # tighten: report the true farthest distance from the computed center

@@ -54,10 +54,8 @@ class Graph:
         return cls(n=n, edges=frozenset(map(tuple, edges)))
 
     def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        for u, v in self.edges:
-            a[u, v] = a[v, u] = 1
-        return a
+        """The int64 adjacency matrix: the one-graph case of ``adjacency_stack``."""
+        return adjacency_stack(self.n, [_endpoints(self)])[0]
 
 
 def is_triangle_free(g: Graph) -> TripleCheck:
@@ -205,7 +203,7 @@ def lambda2_rank(g: Graph, tol: Optional[Tolerance] = None, exact: bool = False)
     the ``eigvalsh`` value in both modes.
     """
     check_rank_size(g.n, exact)
-    (lam2,), ((positive, mult),) = rank_stack(adjacency_stack(g.n, [_endpoints(g)]), tol, exact)
+    (lam2,), ((positive, mult),) = rank_stack(g.adjacency()[None], tol, exact)
     return GraphRankRecord(graph=g, lambda2=lam2, multiplicity=mult, rank=g.n - mult,
                            lambda2_positive=positive)
 

@@ -197,6 +197,15 @@ def test_exact_diameter_just_past_one_fails_the_cap():
     assert aeq.diameter_bound(1, exact_set([0], [1])).satisfied
 
 
+def test_exact_diameter_message_never_writes_a_long_fraction():
+    # D / q^2 = (2 + 10^-2200)^2 has about 4400 digits above and below its
+    # bar, past Python's limit on int strings; the message gives its float
+    s = exact_set([0], [Fraction(2 * 10 ** 2200 + 1, 10 ** 2200)])
+    with pytest.raises(ValueError) as err:
+        aeq.diameter_bound(1, s)
+    assert str(err.value) == "squared diameter 4 exceeds 1"
+
+
 def test_float_diameter_cap_message_keeps_its_text():
     with pytest.raises(ValueError) as err:
         aeq.diameter_bound(1, PointSet.from_array([[0.0], [1.1]]))

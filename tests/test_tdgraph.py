@@ -12,6 +12,7 @@ import aeq
 from aeq import Graph, PointSet, Tolerance
 from aeq.charpoly import charpoly_stack
 from aeq.tdgraph import EXACT_RANK_LIMIT
+from test_charpoly import eigen_multiplicities_exact
 
 
 def cycle(n):
@@ -226,7 +227,7 @@ def test_read_graph_file_skips_comments(tmp_path):
 def _oracle_row(g):
     """(multiplicity, rank, positive) from Yun's factors and np.roots, the
     exact path this scan replaced."""
-    roots = aeq.eigen_multiplicities_exact(g.adjacency().tolist())
+    roots = eigen_multiplicities_exact(g.adjacency().tolist())
     lam2, mult = [(v, m) for v, m in roots for _ in range(m)][1]
     return mult, g.n - mult, lam2 > Tolerance().eig_tol
 
