@@ -2,8 +2,11 @@
 
 Each calculator returns a BoundReport: the numeric bound for the requested
 regime plus, when a configuration is supplied, the observed size and whether
-it satisfies the bound. Nothing here ever silently assumes the hypotheses;
-violated preconditions raise.
+it satisfies the bound. Each calculator raises when a precondition it checks
+fails. The sphere and ball bounds check their geometric hypothesis (points on
+the sphere, or inside the ball) and the count, but not that the set is almost
+equidistant; the diameter bound and the general pipeline also check the
+triple condition.
 """
 from __future__ import annotations
 
@@ -149,6 +152,7 @@ def diameter_bound(
 
 
 CAP_FACTOR = 100  # the threshold scan's window ends at CAP_FACTOR * (d + 1)
+_SCAN_BLOCK = 2 ** 16  # values of n the threshold scan holds at once
 
 
 def ball_bound_threshold(d: int, c0: float) -> Optional[int]:
@@ -160,20 +164,24 @@ def ball_bound_threshold(d: int, c0: float) -> Optional[int]:
     the outer sides cross, i.e. when the cubic side reaches the Weyl side.
     Returns the smallest n in [2d+2, CAP_FACTOR*(d+1)] past which the gap
     stays nonnegative for the rest of the window, or None if it never does.
+    The window is scanned from the top in blocks of ``_SCAN_BLOCK`` values,
+    down to the first block that holds a negative gap.
     """
     _check_dim(d, None)
     if not c0 >= 0:
         raise ValueError("c0 must be nonnegative")
     r = c0 / (d + 1) ** (2.0 / 3.0)
     lo, hi = 2 * d + 2, CAP_FACTOR * (d + 1)
-    ns = np.arange(lo, hi + 1, dtype=float)
-    cubic = (ns - d - 1) ** 3 / (d + 1) ** 2 - (ns - d - 2)
-    weyl = (2.0 * ns * r + 1.0) ** 3
-    bad = np.flatnonzero(cubic - weyl < 0)
-    if len(bad) == 0:
-        return lo
-    last_bad = int(bad[-1])
-    return None if last_bad == len(ns) - 1 else lo + last_bad + 1
+    for top in range(hi, lo - 1, -_SCAN_BLOCK):
+        start = max(lo, top - _SCAN_BLOCK + 1)
+        ns = np.arange(start, top + 1, dtype=float)
+        cubic = (ns - d - 1) ** 3 / (d + 1) ** 2 - (ns - d - 2)
+        weyl = (2.0 * ns * r + 1.0) ** 3
+        bad = np.flatnonzero(cubic - weyl < 0)
+        if len(bad):
+            last_bad = start + int(bad[-1])
+            return None if last_bad == hi else last_bad + 1
+    return lo
 
 
 def ball_bound(

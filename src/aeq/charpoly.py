@@ -2,11 +2,13 @@
 decomposition.
 
 Faddeev-LeVerrier (all intermediates are integral for an integer matrix;
-the divisions are exact): per matrix over Python ints, or over a stack of
-matrices in int64 behind a bound check. The characteristic polynomial of a
-symmetric matrix is real-rooted, so Descartes' rule of signs counts its
-roots above a dyadic point exactly; the second largest root and its
-multiplicity come from two such counts around a float hint.
+the divisions are exact) is one loop over a stack of matrices, in int64
+when one bound on every intermediate, checked up front, allows it, and
+over Python ints otherwise. The characteristic polynomial of a symmetric
+matrix is real-rooted, so Descartes' rule of signs counts its roots above
+a dyadic point exactly; the second largest root and its multiplicity come
+from two such counts around a float hint, taken for a whole stack of
+polynomials at once.
 
 Musser's square-free decomposition runs over the integers as a chain of
 gcds: a characteristic polynomial is monic, so by Gauss's lemma every gcd
@@ -27,77 +29,64 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 
-def charpoly_int(a: Sequence[Sequence[int]]) -> List[int]:
-    """Monic characteristic polynomial coefficients, highest degree first.
-
-    Each Faddeev-LeVerrier step is one object-dtype product, so the
-    arithmetic stays in Python ints and cannot overflow.
-    """
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    a = np.array([[operator.index(v) for v in row] for row in a], dtype=object).reshape(n, n)
-    m = np.identity(n, dtype=int).astype(object)
-    coeffs = [1]
+def _faddeev_leverrier(a: np.ndarray) -> np.ndarray:
+    """The characteristic polynomial coefficients (G, n + 1), highest degree
+    first, of each matrix of a square stack (G, n, n), by one
+    Faddeev-LeVerrier loop in the stack's own dtype: int64, where the caller
+    has bounded every intermediate, or object, over Python ints."""
+    count, n, _ = a.shape
+    coeffs = np.zeros((count, n + 1), dtype=a.dtype)
+    coeffs[:, 0] = 1
+    diag = np.diag_indices(n)
+    m = np.broadcast_to(np.identity(n, dtype=a.dtype), a.shape)
     for k in range(1, n + 1):
-        am = a.dot(m)
-        tr = am.trace()
-        if tr % k != 0:
+        am = a @ m
+        tr = np.trace(am, axis1=1, axis2=2)
+        if np.any(tr % k):
             raise ArithmeticError("trace division is not exact; matrix not integral?")
         c = -tr // k
-        coeffs.append(c)
+        coeffs[:, k] = c
+        am[:, diag[0], diag[1]] += c[:, None]
         m = am
-        m[np.diag_indices(n)] += c
     return coeffs
 
 
+def charpoly_int(a: Sequence[Sequence[int]]) -> List[int]:
+    """Monic characteristic polynomial coefficients, highest degree first,
+    of one square matrix of ints: the Faddeev-LeVerrier loop over Python
+    ints, which cannot overflow."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix must be square")
+    a = np.array([[operator.index(v) for v in row] for row in a], dtype=object).reshape(1, n, n)
+    return _faddeev_leverrier(a)[0].tolist()
+
+
 # Every int64 intermediate stays below 2**62: the factor 2 to the int64
-# limit absorbs the rounding of the bound, which is computed in floats.
-_INT64_BUDGET = 2.0 ** 62
+# limit absorbs the rounding of the row sums, which are taken in floats.
+_INT64_BUDGET = 2 ** 62
 
 
 def charpoly_stack(stack) -> List[List[int]]:
     """``charpoly_int`` of each matrix of an integer stack (G, n, n), by one
-    int64 Faddeev-LeVerrier over the whole stack.
+    Faddeev-LeVerrier loop over the whole stack, in int64 when one bound
+    checked up front allows it and over Python ints otherwise.
 
-    Before each step the step's entries are bounded per matrix: with r the
-    largest absolute row sum of A and m the largest |M|, every partial sum
-    of A @ M is at most r m in magnitude, its trace at most n r m and the
-    updated diagonal at most (n + 1) r m. A matrix whose bound passes the
-    budget leaves the int64 stack and gets ``charpoly_int``.
+    With R = max(1, the largest absolute row sum in the stack), the step
+    matrix M_k = sum_j c_j A^(k - j) has |c_j| <= C(n, j) R^j, so every
+    entry of M_k is at most 2^n R^k. Every partial sum of A @ M, every
+    trace and every updated diagonal is then at most (n + 1) 2^n R^n.
     """
     a = np.asarray(stack)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("stack must have shape (G, n, n)")
     if not np.can_cast(a.dtype, np.int64):
         raise ValueError(f"stack must hold integers, got dtype {a.dtype}")
-    a = whole = a.astype(np.int64)
-    count, n, _ = a.shape
-    coeffs = np.zeros((count, n + 1), dtype=np.int64)
-    coeffs[:, 0] = 1
-    live = np.arange(count)
-    fallback: List[int] = []
-    rows = np.abs(a.astype(float)).sum(axis=2).max(axis=1, initial=0.0)
-    diag = np.diag_indices(n)
-    m = np.broadcast_to(np.identity(n, dtype=np.int64), a.shape)
-    for k in range(1, n + 1):
-        bound = (n + 1) * rows * np.abs(m).max(axis=(1, 2), initial=0).astype(float)
-        fits = bound <= _INT64_BUDGET
-        if not fits.all():
-            fallback += live[~fits].tolist()
-            live, a, m, rows = live[fits], a[fits], m[fits], rows[fits]
-        am = a @ m
-        tr = np.trace(am, axis1=1, axis2=2)
-        if np.any(tr % k):
-            raise ArithmeticError("trace division is not exact; matrix not integral?")
-        c = -tr // k
-        coeffs[live, k] = c
-        am[:, diag[0], diag[1]] += c[:, None]
-        m = am
-    out = coeffs.tolist()
-    for i in fallback:
-        out[i] = charpoly_int(whole[i].tolist())
-    return out
+    a = a.astype(np.int64)
+    n = a.shape[1]
+    r = max(1, int(np.abs(a.astype(float)).sum(axis=2).max(initial=0.0)))
+    fits = (n + 1) * 2 ** n * r ** n <= _INT64_BUDGET
+    return _faddeev_leverrier(a if fits else a.astype(object)).tolist()
 
 
 def _sign_changes(c: List[int]) -> int:
@@ -150,29 +139,6 @@ def _not_isolated(hint: float) -> ArithmeticError:
     return ArithmeticError(f"cannot isolate the second largest root near {float(hint)!r}")
 
 
-def lambda2_counts(p: Sequence[int], hint: float) -> Tuple[bool, int]:
-    """For the characteristic polynomial p (monic, integer, real-rooted,
-    degree >= 2) of a symmetric matrix: whether its second largest root
-    lambda2, counted with multiplicity, is positive, and the multiplicity
-    of lambda2.
-
-    Both come from exact root counts N(> x). lambda2 > 0 exactly when
-    N(> 0) >= 2. The float ``hint`` only places a dyadic interval (a, b]:
-    when N(> b) <= 1 < N(> a), lambda2 lies in (a, b], and ``_multiplicity``
-    completes the count from there. Raises ArithmeticError when no interval
-    around the hint holds lambda2, or none narrower than 2**-_MAX_BITS
-    isolates it.
-    """
-    p = list(p)
-    positive = roots_above(p, 0) >= 2
-    for s in _HINT_STEPS:
-        a = math.floor(hint * 2.0 ** s) - 1
-        above_a, above_b = roots_above(p, a, s), roots_above(p, a + 2, s)
-        if above_b <= 1 < above_a:
-            return positive, _multiplicity(p, a, s, above_a, above_b, hint)
-    raise _not_isolated(hint)
-
-
 def _multiplicity(p: Sequence[int], a: int, s: int, above_a: int, above_b: int, hint: float) -> int:
     """The multiplicity of lambda2, for an interval (a, b] = (a, a + 2] / 2**s
     with N(> b) = above_b <= 1 < above_a = N(> a), which holds lambda2.
@@ -214,37 +180,45 @@ def _sign_changes_stack(c: np.ndarray) -> np.ndarray:
 
 def lambda2_counts_stack(polys: Sequence[Sequence[int]],
                          hints: Sequence[float]) -> List[Tuple[bool, int]]:
-    """``lambda2_counts(p, hint)`` of each polynomial and its hint, all of
-    one degree n >= 2, coefficients as Python ints (``charpoly_stack``'s),
-    in lists or tuples.
+    """For each characteristic polynomial p (monic, integer, real-rooted) of
+    a symmetric matrix, all of one degree n >= 2, coefficients as Python
+    ints (``charpoly_stack``'s) in lists or tuples, and its float hint:
+    whether its second largest root lambda2, counted with multiplicity, is
+    positive, and the multiplicity of lambda2.
 
-    The counts of the first interval come from one stacked pass over the
-    coefficients, an object array (n + 1, R) of Python ints: N(> 0), and
-    N(> (k - 1) / 2**s) and N(> (k + 1) / 2**s) with s = 20 and
-    k = floor(hint 2**s); every count is exact, the hints only place the
-    intervals. A row whose interval holds lambda2 alone is done; a multiple
-    lambda2 goes on from those counts (``_multiplicity``); a row that the
-    interval does not isolate runs ``lambda2_counts`` whole, which widens
-    the interval or raises its error. Rows finish in order, so the first
-    error is the one the per-row calls raise.
+    Both come from exact root counts N(> x). lambda2 > 0 exactly when
+    N(> 0) >= 2. The hint only places a dyadic interval
+    (a, b] = (k - 1, k + 1] / 2**s, k = floor(hint 2**s): when
+    N(> b) <= 1 < N(> a), lambda2 lies in (a, b], and ``_multiplicity``
+    completes the count from there. Each precision s of ``_HINT_STEPS`` in
+    turn counts both ends for the rows it has not placed yet, in one stacked
+    pass over an object array (n + 1, R) of Python ints. Rows finish in
+    order, so the ArithmeticError raised is the first row's for which no
+    interval holds lambda2, or none narrower than 2**-_MAX_BITS isolates it.
     """
     if not polys:
         return []
-    s = _HINT_STEPS[0]
     p = np.array(polys, dtype=object).T
-    count = p.shape[1]
-    a = [math.floor(h * 2.0 ** s) - 1 for h in hints]
-    scaled = p * np.array([1 << (s * i) for i in range(len(p))], dtype=object)[:, None]
-    shifts = np.array(a + [v + 2 for v in a], dtype=object)
-    above = _sign_changes_stack(
-        _taylor_shift(np.concatenate([scaled, scaled], axis=1), shifts)).tolist()
     positive = (_sign_changes_stack(p) >= 2).tolist()
+    placed = {}
+    rows = list(range(p.shape[1]))
+    for s in _HINT_STEPS:
+        a = [math.floor(hints[r] * 2.0 ** s) - 1 for r in rows]
+        scaled = p[:, rows] * np.array([1 << (s * i) for i in range(len(p))], dtype=object)[:, None]
+        shifts = np.array(a + [v + 2 for v in a], dtype=object)
+        above = _sign_changes_stack(
+            _taylor_shift(np.concatenate([scaled, scaled], axis=1), shifts)).tolist()
+        for r, ar, above_a, above_b in zip(rows, a, above[:len(rows)], above[len(rows):]):
+            if above_b <= 1 < above_a:
+                placed[r] = (ar, s, above_a, above_b)
+        rows = [r for r in rows if r not in placed]
+        if not rows:
+            break
     out = []
-    for r, (above_a, above_b) in enumerate(zip(above[:count], above[count:])):
-        if above_b <= 1 < above_a:
-            out.append((positive[r], _multiplicity(polys[r], a[r], s, above_a, above_b, hints[r])))
-        else:
-            out.append(lambda2_counts(polys[r], hints[r]))
+    for r, hint in enumerate(hints):
+        if r not in placed:
+            raise _not_isolated(hint)
+        out.append((positive[r], _multiplicity(polys[r], *placed[r], hint)))
     return out
 
 

@@ -463,15 +463,16 @@ def recenter_to_barycenter(s: PointSet) -> PointSet:
         # points - barycenter == (n X - column sums of X) / (n q), in lowest terms
         x, q = s.form
         # with m = max|X|, every entry and partial sum of n X - column sums is
-        # at most 2 n m in magnitude, so below 2^63 int64 holds them exactly
+        # at most 2 n m in magnitude: int64 holds them exactly below 2^63,
+        # Python ints at any size
         xi = _small_int64(x, 2 * s.n)
-        if xi is None:
-            return _recentred_objects(x, q, s.n)
-        y = s.n * xi - xi.sum(axis=0)
+        v = x if xi is None else xi
+        y = s.n * v - v.sum(axis=0)
         shared = int(np.gcd.reduce(y, axis=None))
         g = math.gcd(shared, s.n * q)
         # g divides every entry; an all-zero y stays as it is
-        return PointSet._from_integers((y // g if shared else y).astype(object), s.n * q // g)
+        return PointSet._from_integers((y // g if shared else y).astype(object, copy=False),
+                                       s.n * q // g)
     return PointSet.from_array(s.array - s.array.mean(axis=0))
 
 
@@ -483,13 +484,6 @@ def _small_int64(ints: np.ndarray, factor: int) -> Optional[np.ndarray]:
     except OverflowError:
         return None
     return x if factor * max(-int(x.min(initial=0)), int(x.max(initial=0))) < 2 ** 63 else None
-
-
-def _recentred_objects(x: np.ndarray, q: int, n: int) -> PointSet:
-    """The exact recentring over Python ints, for any size of entry."""
-    y = n * x - x.sum(axis=0)
-    g = math.gcd(*y.flat, n * q)
-    return PointSet._from_integers(y // g, n * q // g)
 
 
 def diameter(s: PointSet) -> float:

@@ -71,6 +71,8 @@ class SearchConfig:
         r = self.sphere_radius
         if r is not None and not (math.isfinite(r) and r > 0):
             raise ValueError(f"sphere_radius must be finite and positive, got {r}")
+        if r is not None and not math.isfinite(r * r):
+            raise ValueError(f"sphere_radius squared must be finite, got {r}")
         if not (math.isfinite(self.penalty_tol) and self.penalty_tol >= 0):
             raise ValueError(f"penalty_tol must be finite and nonnegative, got {self.penalty_tol}")
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -114,6 +115,39 @@ def test_ball_threshold_monotone_in_c0():
     for d in (3, 10, 100):
         ts = [aeq.ball_bound_threshold(d, c0) for c0 in (0.1, 0.25, 0.4)]
         assert ts[0] <= ts[1] <= ts[2]
+
+
+def ball_threshold_oracle(d, c0):
+    """The threshold scan over the whole window in one array, which the
+    blocked scan of ``ball_bound_threshold`` replaced."""
+    r = c0 / (d + 1) ** (2.0 / 3.0)
+    lo, hi = 2 * d + 2, aeq.bounds.CAP_FACTOR * (d + 1)
+    ns = np.arange(lo, hi + 1, dtype=float)
+    cubic = (ns - d - 1) ** 3 / (d + 1) ** 2 - (ns - d - 2)
+    weyl = (2.0 * ns * r + 1.0) ** 3
+    bad = np.flatnonzero(cubic - weyl < 0)
+    if len(bad) == 0:
+        return lo
+    last_bad = int(bad[-1])
+    return None if last_bad == len(ns) - 1 else lo + last_bad + 1
+
+
+@pytest.mark.parametrize("d", [*range(1, 60), 100, 500, 1000, 5000])
+def test_ball_threshold_matches_the_one_shot_scan(d):
+    # from d = 668 on the window spans more than one block
+    for c0 in (0, 0.01, 0.1, 0.25, 0.4, 0.49, 0.4999, 0.5, 0.6, 1, 5):
+        assert aeq.ball_bound_threshold(d, c0) == ball_threshold_oracle(d, c0), c0
+
+
+def test_ball_threshold_scan_holds_one_block_at_a_time():
+    # the one-shot scan peaks near 300 MB here: five float arrays of 10^7
+    tracemalloc.start()
+    try:
+        assert aeq.ball_bound_threshold(10 ** 5, 0.1) == 203738
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_ball_threshold_validation():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,15 @@ from hypothesis import strategies as st
 
 import aeq
 from aeq import charpoly
-from aeq.charpoly import charpoly_stack, lambda2_counts, lambda2_counts_stack, roots_above
+from aeq.charpoly import (
+    _HINT_STEPS,
+    _faddeev_leverrier,
+    _multiplicity,
+    _not_isolated,
+    charpoly_stack,
+    lambda2_counts_stack,
+    roots_above,
+)
 from aeq.tdgraph import EXACT_RANK_LIMIT
 
 
@@ -313,15 +322,15 @@ def test_charpoly_stack_matches_charpoly_int_on_corpus(corpus):
         assert charpoly_stack(stack) == [aeq.charpoly_int(a.tolist()) for a in stack], n
 
 
-def _count_charpoly_int(monkeypatch):
+def _record_loops(monkeypatch):
+    """The dtype of every stack that the Faddeev-LeVerrier loop runs on."""
     calls = []
-    exact = charpoly.charpoly_int
 
-    def counted(a):
-        calls.append(len(a))
-        return exact(a)
+    def recorded(a):
+        calls.append(a.dtype)
+        return _faddeev_leverrier(a)
 
-    monkeypatch.setattr(charpoly, "charpoly_int", counted)
+    monkeypatch.setattr(charpoly, "_faddeev_leverrier", recorded)
     return calls
 
 
@@ -335,9 +344,49 @@ def test_charpoly_stack_falls_back_where_int64_bound_fails(monkeypatch, n, span,
     small = np.array([np.eye(n, k=1, dtype=np.int64) + np.eye(n, k=-1, dtype=np.int64)])
     stack = np.concatenate([small, big, small])
     want = [charpoly_oracle(a.tolist()) for a in stack]
-    calls = _count_charpoly_int(monkeypatch)
+    calls = _record_loops(monkeypatch)
     assert charpoly_stack(stack) == want
-    assert calls == [n] * count  # only the big matrices left the int64 stack
+    assert calls == [np.dtype(object)]  # one loop, the whole stack over Python ints
+    assert all(type(c) is int for p in charpoly_stack(stack) for c in p)
+
+
+def _largest_fitting_row_sum(n):
+    """The largest R with (n + 1) 2^n R^n <= 2^62, the int64 bound of
+    ``charpoly_stack``."""
+    r = int((2 ** 62 / ((n + 1) * 2 ** n)) ** (1 / n))
+    while (n + 1) * 2 ** n * (r + 1) ** n <= 2 ** 62:
+        r += 1
+    while (n + 1) * 2 ** n * r ** n > 2 ** 62:
+        r -= 1
+    return r
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("over", [0, 1])
+def test_charpoly_stack_switches_to_python_ints_exactly_past_the_bound(monkeypatch, n, over):
+    # from n = 2 on R stays below 2^31, so its float row sum is exact
+    r = _largest_fitting_row_sum(n) + over
+    rng = np.random.default_rng(n)
+    small = rng.integers(-2, 3, size=(2, n, n))
+    big = small[0].copy()
+    big[0, 0] = 0
+    big[0, 0] = r - np.abs(big[0]).sum()  # the largest absolute row sum is r
+    stack = np.concatenate([small, big[None]])
+    assert np.abs(stack).sum(axis=2).max() == r
+    calls = _record_loops(monkeypatch)
+    assert charpoly_stack(stack) == [charpoly_oracle(a.tolist()) for a in stack]
+    assert calls == [np.dtype(object) if over else np.dtype(np.int64)]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(count=st.integers(0, 4), n=st.integers(0, 7), span=st.sampled_from([1, 3, 9]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_faddeev_leverrier_runs_alike_in_int64_and_over_python_ints(count, n, span, seed):
+    stack = np.random.default_rng(seed).integers(-span, span + 1, size=(count, n, n))
+    in_int64 = _faddeev_leverrier(stack.astype(np.int64))
+    over_ints = _faddeev_leverrier(stack.astype(object))
+    assert in_int64.dtype == np.int64 and over_ints.dtype == object
+    assert in_int64.tolist() == over_ints.tolist() == [charpoly_oracle(a.tolist()) for a in stack]
 
 
 def test_charpoly_stack_edge_shapes_and_dtypes():
@@ -399,6 +448,22 @@ def test_eigen_multiplicities_exact_rejects_an_asymmetric_matrix():
         eigen_multiplicities_exact([[1, 0, 0], [0, 1, 0], [0, 1, 1]])
 
 
+def lambda2_counts_oracle(p, hint):
+    """The per-polynomial root counts that ``lambda2_counts_stack`` replaced,
+    kept as its oracle: N(> 0), then the interval around the hint at each
+    precision of ``_HINT_STEPS`` in turn, counted one polynomial at a time
+    by ``roots_above``, until one holds lambda2; ``_multiplicity`` completes
+    the count from there."""
+    p = list(p)
+    positive = roots_above(p, 0) >= 2
+    for s in _HINT_STEPS:
+        a = math.floor(hint * 2.0 ** s) - 1
+        above_a, above_b = roots_above(p, a, s), roots_above(p, a + 2, s)
+        if above_b <= 1 < above_a:
+            return positive, _multiplicity(p, a, s, above_a, above_b, hint)
+    raise _not_isolated(hint)
+
+
 def test_lambda2_counts_narrows_widens_and_gives_up():
     # Wilkinson's W15: lambda1 - lambda2 is about 4e-8, inside the first
     # 2e-6 interval (np.roots, in eigen_multiplicities_exact, splits this
@@ -408,15 +473,19 @@ def test_lambda2_counts_narrows_widens_and_gives_up():
     for a, mult in ((w, 1), (np.kron(np.eye(2, dtype=np.int64), w), 2)):
         p = aeq.charpoly_int(a.tolist())
         hint = np.linalg.eigvalsh(a)[-2]
-        assert lambda2_counts(p, hint) == (True, mult)
-        assert lambda2_counts(p, hint + 1e-4) == (True, mult)  # a poor hint: wider
-        with pytest.raises(ArithmeticError, match="cannot isolate"):
-            lambda2_counts(p, hint + 3.0)
+        for counts in (lambda2_counts_oracle, lambda p, h: lambda2_counts_stack([p], [h])[0]):
+            assert counts(p, hint) == (True, mult)
+            assert counts(p, hint + 1e-4) == (True, mult)  # a poor hint: wider
+            with pytest.raises(ArithmeticError, match="cannot isolate"):
+                counts(p, hint + 3.0)
     # (x - 3)(x - 2)^2(x + 5) with a hint 0.6 off: the widest interval (1, 3]
     # holds 3 and the double root 2, and one halving keeps (1, 2]
     p = _times(_times([1, -3], [1, -4, 4]), [1, 5])
-    assert lambda2_counts(p, 2.6) == (True, 2)
-    assert lambda2_counts(_times([1, -1], [1, 2, 1]), -1.0) == (False, 2)
+    q = _times([1, -1], [1, 2, 1])
+    assert lambda2_counts_oracle(p, 2.6) == (True, 2)
+    assert lambda2_counts_oracle(q, -1.0) == (False, 2)
+    assert lambda2_counts_stack([p, p], [2.6, 2.0]) == [(True, 2), (True, 2)]
+    assert lambda2_counts_stack([q], [-1.0]) == [(False, 2)]
 
 
 # ---------------------------------------- root counts of a stack of polynomials
@@ -429,18 +498,20 @@ def _polys_and_hints(stack):
 
 
 def _scalar_counts(polys, hints):
-    return [lambda2_counts(p, h) for p, h in zip(polys, hints)]
+    return [lambda2_counts_oracle(p, h) for p, h in zip(polys, hints)]
 
 
 def _count_scalar_calls(monkeypatch):
+    """The hints of the rows that ``lambda2_counts_stack`` places past its
+    first interval (s = 20): those its later precisions widen to."""
     calls = []
-    scalar = charpoly.lambda2_counts
 
-    def counted(p, hint):
-        calls.append(hint)
-        return scalar(p, hint)
+    def counted(p, a, s, above_a, above_b, hint):
+        if s != _HINT_STEPS[0]:
+            calls.append(hint)
+        return _multiplicity(p, a, s, above_a, above_b, hint)
 
-    monkeypatch.setattr(charpoly, "lambda2_counts", counted)
+    monkeypatch.setattr(charpoly, "_multiplicity", counted)
     return calls
 
 
@@ -508,7 +579,7 @@ def test_lambda2_counts_stack_widens_a_poor_hint_and_raises_as_the_scalar_does(m
     # rows raise in order: the first bad hint names itself, as the scalar call does
     bad = [hints[0], hints[1] + 3.0, hints[2] - 3.0, hints[3]]
     with pytest.raises(ArithmeticError) as scalar:
-        lambda2_counts(polys[1], bad[1])
+        lambda2_counts_oracle(polys[1], bad[1])
     with pytest.raises(ArithmeticError) as stacked:
         lambda2_counts_stack(polys, bad)
     assert str(stacked.value) == str(scalar.value)

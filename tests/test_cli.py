@@ -315,6 +315,18 @@ def test_bounds_ball_frozen(capsys):
     check_report(rep, "bounds")
 
 
+def test_bounds_ball_in_a_huge_dimension(capsys):
+    # the threshold window holds 10^10 values of n; the scan stops in its
+    # top block, where the chain still holds, so no finite bound
+    code, rep = run_cli(
+        capsys, "bounds", "--theorem", "ball", "--dim", "100000000", "--c0", "0.5"
+    )
+    assert code == 0
+    assert rep["payload"]["bound"] == "asymptotic"
+    assert rep["payload"]["detail"]["threshold"] is None
+    check_report(rep, "bounds")
+
+
 def test_bounds_ball_rejects_an_exact_set_just_outside(capsys, tmp_path):
     # r^2 - 1/2 = 3.5e-15; a set outside the stated ball is a failed check
     probe = tmp_path / "probe.json"
@@ -441,6 +453,16 @@ def test_threads_flag_is_gone(capsys):
 def test_search_meaningless_parameters_are_usage_errors(capsys, flags):
     code, rep = run_cli(capsys, "search", "--dim", "2", "--n", "4", *flags)
     assert code == 2 and rep["outcome"] == "error"
+    check_report(rep, "search")
+
+
+def test_search_sphere_radius_whose_square_overflows_is_a_usage_error(capsys):
+    code = main(["search", "--dim", "2", "--n", "3", "--sphere-radius", "1e200"])
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out)
+    assert code == 2 and rep["outcome"] == "error"
+    assert rep["payload"]["message"] == "sphere_radius squared must be finite, got 1e+200"
+    assert captured.err == "aeq: sphere_radius squared must be finite, got 1e+200\n"
     check_report(rep, "search")
 
 

@@ -132,6 +132,15 @@ def test_recenter_exact(rhombus):
     assert aeq.squared_distance_matrix(centered) == aeq.squared_distance_matrix(rhombus)
 
 
+def recentred_objects(x, q, n):
+    """The exact recentring over Python ints, for any size of entry: the
+    oracle for ``recenter_to_barycenter``, which runs the same body on the
+    int64 view of X when its bound holds."""
+    y = n * x - x.sum(axis=0)
+    g = math.gcd(*y.flat, n * q)
+    return PointSet._from_integers(y // g, n * q // g)
+
+
 _big_ints = st.one_of(st.integers(-9, 9), st.integers(-2 ** 62, 2 ** 62),
                      st.sampled_from([2 ** 63, -2 ** 63, 2 ** 63 - 1, 2 ** 80, -(2 ** 80)]))
 
@@ -144,7 +153,7 @@ def test_recenter_exact_in_int64_matches_the_object_body(n, dim, data):
                                        min_size=dim, max_size=dim), min_size=n, max_size=n))
     s = PointSet.exact_rows(rows)
     x, q = s.form
-    got, want = aeq.recenter_to_barycenter(s), geometry._recentred_objects(x, q, s.n)
+    got, want = aeq.recenter_to_barycenter(s), recentred_objects(x, q, s.n)
     assert got.form[1] == want.form[1]
     assert got.form[0].dtype == object and got.form[0].tolist() == want.form[0].tolist()
     assert all(type(v) is int for v in got.form[0].flat)
