@@ -117,11 +117,12 @@ def diameter_bound(
         return _report("diameter", d, {}, bound, detail, None, True)
     tol = _resolve_tol(points, tol)
     d2, scale = points.scaled_sqdist
+    d2_max = max(d2.max(axis=1).tolist())  # a Python int or float
     # an exact set caps D at q^2 exactly, before any float is taken of it,
     # and names D / q^2 exactly while its digits are few; a float set caps
     # the diameter
-    if points.mode == EXACT_MODE and d2.max() > scale:
-        top = Fraction(d2.max(), scale)
+    if points.mode == EXACT_MODE and d2_max > scale:
+        top = Fraction(d2_max, scale)
         text = str(top) if max(top.numerator, top.denominator) < _SHORT_FRACTION else float_text(top)
         raise ValueError(f"squared diameter {text} exceeds 1")
     diam = diameter(points)
@@ -129,7 +130,7 @@ def diameter_bound(
         raise ValueError(f"diameter {diam:.12g} exceeds 1 + dist_tol")
     cert = certify(points, tol)
     eig_tol = tol.slack("solver")
-    u_max = float((d2.max() - scale) / scale)  # the largest entry of U
+    u_max = float((d2_max - scale) / scale)  # the largest entry of U
     if u_max > eig_tol:
         raise ValueError("matrix has a negative entry")
     # Perron-Frobenius on -U with its negative entries cleared, a change
@@ -236,7 +237,9 @@ class FStatistic:
 
 def f_statistic(s: PointSet) -> FStatistic:
     u = defect_matrix(s)
-    sums = u.values.sum(axis=1)
+    # an int64 U's entries are below 2^53, so its row sums fit int64 while n <= 2^10
+    big = u.values.dtype == np.int64 and u.n > 2 ** 10
+    sums = u.values.sum(axis=1, dtype=object if big else None)
     arg = int(np.abs(sums).argmax())
     sums = sums.tolist()
     if s.mode == EXACT_MODE:
@@ -340,7 +343,8 @@ def anchor_defect_ratio(
         )
     kept = np.flatnonzero(nonunit[anchor_index])
     d2, q2 = s.scaled_sqdist
-    dev = d2[anchor_index, kept] - q2  # q^2 times the defects D / q^2 - 1
+    # q^2 times the defects D / q^2 - 1, as Python numbers: their sum outgrows int64
+    dev = [v - q2 for v in d2[anchor_index, kept].tolist()]
     lhs = abs(sum(dev)) / q2 if s.mode == EXACT_MODE else abs(math.fsum(dev))
     rhs = math.sqrt(s.dim) + s.dim * math.sqrt(x) + s.dim * x
     return AnchorDefectReport(
@@ -391,7 +395,7 @@ def general_bound_pipeline(
     }
     # the branch reads an exact set's exact max |X|^2, a float set's reported radius
     xs, _ = centered.form
-    top = np.einsum("ij,ij->i", xs, xs).max() if s.mode == EXACT_MODE else radius_actual ** 2
+    top = max((xs * xs).sum(axis=1).tolist()) if s.mode == EXACT_MODE else radius_actual ** 2
     dev, limit, _ = band_deviation(centered, [top], Fraction(1, 2), tol, "ball")
     if dev[0] <= limit:
         branch = "critical_ball"

@@ -183,10 +183,13 @@ class PointSet:
     """A finite list of points in R^dim, all rows of equal length.
 
     A set holds one numeric form, ``form`` = (X, q) with points == X / q:
-    a float set its read-only float64 array and q = 1, an exact set a
-    read-only object array of Python ints and q the lcm of the coordinate
-    denominators, in lowest terms. Every check reads that form. The rest is
-    derived on first use and shared: ``points`` (tuples of floats, or of
+    a float set its read-only float64 array and q = 1, an exact set its
+    read-only integers X and q (a Python int), the lcm of the coordinate
+    denominators, in lowest terms. X is int64 when 4 d max|X|^2 < 2^53 for
+    d columns, a bound on every partial sum of a squared distance, and an
+    object array of Python ints otherwise (``_machine_ints``, run once per
+    set). Every check reads that form. The rest is derived on first use and
+    shared: ``points`` (tuples of floats, or of
     Fractions), the float ``array`` of an exact set, the read-only squared
     distances ``scaled_sqdist``, and per tolerance the triple verdict and
     the spectral certificate.
@@ -209,6 +212,8 @@ class PointSet:
                 state["form"] = _integer_form(self.dim, given, _exact_pair, walk)
             else:
                 state["form"] = (_checked_rows(self.dim, given, _float_rows), 1)
+        if self.mode == EXACT_MODE:
+            state["form"] = _machine_ints(self.form[0]), self.form[1]
         x = self.form[0]
         x.flags.writeable = False
         state["n"] = len(x)
@@ -235,8 +240,9 @@ class PointSet:
 
     @cached_property
     def scaled_sqdist(self) -> Tuple[np.ndarray, int]:
-        """(D, q^2) with D / q^2 the squared distances, D read-only: floats
-        with q = 1, or Python ints; a pair is at unit distance iff D is q^2."""
+        """(D, q^2) with D / q^2 the squared distances, D read-only and of
+        X's dtype: floats with q = 1, or ints; a pair is at unit distance
+        iff D is q^2."""
         x, q = self.form
         d2 = pairwise_squared_distances(x)
         d2.flags.writeable = False
@@ -256,11 +262,21 @@ class PointSet:
 
     @classmethod
     def _from_integers(cls, x: np.ndarray, q: int) -> "PointSet":
-        """The exact set X / q, for X and q with no common factor."""
+        """The exact set X / q, for integers X and q with no common factor."""
         s = cls.__new__(cls)
         vars(s).update(dim=x.shape[1], mode=EXACT_MODE, form=(x, q))
         s.__post_init__()
         return s
+
+
+def _machine_ints(x: np.ndarray) -> np.ndarray:
+    """An exact set's integers x (n, d) in their one form (see PointSet)."""
+    try:
+        xi = x.astype(np.int64, copy=False)
+    except OverflowError:  # an entry past int64
+        return x
+    m = max(-int(xi.min(initial=0)), int(xi.max(initial=0)))
+    return xi if 4 * x.shape[-1] * m * m < EXACT_FLOATS else x.astype(object, copy=False)
 
 
 def _resolve_tol(s: Optional[PointSet], tol: Optional[Tolerance]) -> Tolerance:
@@ -274,18 +290,14 @@ def pairwise_squared_distances(x: np.ndarray) -> np.ndarray:
     """Squared distances between the rows of an array (n, d), clamped at 0,
     or of each set in a stack (..., n, d); the package's one distance kernel.
 
-    Serves both modes: a float array gives floats, an object array of
-    Python ints gives exact ints. With m = max|x|, every partial sum of
-    |x_i|^2 + |x_j|^2 - 2 x_i.x_j is an integer of magnitude at most
-    4 d m^2; when that is below 2^53, the ints run the float body, through
-    BLAS, where no such sum can round, and come back as Python ints.
-    Larger ints run the same body over objects. Each slice of a stack
-    equals the call on that slice alone, whichever body each takes.
+    One body in the dtype it is given: floats, Python ints, or an exact
+    set's int64 form, which runs in float64 through BLAS and comes back as
+    int64: under the form's bound 4 d m^2 < 2^53 (m = max|x|) no partial sum
+    of |x_i|^2 + |x_j|^2 - 2 x_i.x_j rounds. Each slice of a stack equals
+    the call on that slice alone.
     """
-    if x.dtype == object:
-        f, m = _as_floats(x)
-        if 4 * x.shape[-1] * m * m < EXACT_FLOATS:
-            return _squared_distances(f).astype(np.int64).astype(object)
+    if x.dtype == np.int64:
+        return _squared_distances(x.astype(float)).astype(np.int64)
     return _squared_distances(x)
 
 
@@ -299,25 +311,13 @@ def _squared_distances(x: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _as_floats(ints: np.ndarray):
-    """(f, m): an object array of Python ints as float64, and m = int(max|f|),
-    which is max|ints| whenever it is below 2^53 (every entry is then exact);
-    (None, inf) when an int is beyond the float range."""
-    try:
-        f = ints.astype(float)
-    except OverflowError:
-        return None, math.inf
-    return f, int(np.abs(f).max(initial=0))
-
-
 def _exact_floats(ints: np.ndarray, scale: int) -> np.ndarray:
     """ints / scale as floats, each entry correctly rounded like
-    float(Fraction(v, scale)); never rounded twice. When every |v| is below
-    2^53 and scale is at most 2^53, both operands are exact floats and one
-    IEEE division rounds correctly; otherwise each entry is divided as ints."""
-    f, m = _as_floats(ints)
-    if m < EXACT_FLOATS and scale <= EXACT_FLOATS:
-        return f / scale
+    float(Fraction(v, scale)); never rounded twice. int64 ints, each below
+    2^53 as the exact form keeps them, over a scale of at most 2^53 take one
+    IEEE division of exact floats; otherwise each entry is divided as ints."""
+    if ints.dtype == np.int64 and scale <= EXACT_FLOATS:
+        return ints / scale
     return np.array([[v / scale for v in row] for row in ints.tolist()], dtype=float)
 
 
@@ -453,42 +453,27 @@ def sphere_defect(s: PointSet, r: float, tol: Tolerance) -> float:
 def barycenter(s: PointSet) -> tuple:
     if s.mode == EXACT_MODE:
         x, q = s.form
-        return tuple(Fraction(v, s.n * q) for v in x.sum(axis=0))
+        return tuple(Fraction(v, s.n * q) for v in x.sum(axis=0).tolist())
     return tuple(s.array.mean(axis=0).tolist())
 
 
 def recenter_to_barycenter(s: PointSet) -> PointSet:
     """Translate so the barycenter is the origin; exact in rational mode."""
     if s.mode == EXACT_MODE:
-        # points - barycenter == (n X - column sums of X) / (n q), in lowest terms
+        # points - barycenter == (n X - column sums of X) / (n q), in lowest terms; each
+        # entry and partial sum is below 2 n max|X| < 2^27 n, in int64 for any n in memory
         x, q = s.form
-        # with m = max|X|, every entry and partial sum of n X - column sums is
-        # at most 2 n m in magnitude: int64 holds them exactly below 2^63,
-        # Python ints at any size
-        xi = _small_int64(x, 2 * s.n)
-        v = x if xi is None else xi
-        y = s.n * v - v.sum(axis=0)
+        y = s.n * x - x.sum(axis=0)
         shared = int(np.gcd.reduce(y, axis=None))
         g = math.gcd(shared, s.n * q)
         # g divides every entry; an all-zero y stays as it is
-        return PointSet._from_integers((y // g if shared else y).astype(object, copy=False),
-                                       s.n * q // g)
+        return PointSet._from_integers(y // g if shared else y, s.n * q // g)
     return PointSet.from_array(s.array - s.array.mean(axis=0))
-
-
-def _small_int64(ints: np.ndarray, factor: int) -> Optional[np.ndarray]:
-    """An object array of Python ints as int64, when factor * max|ints| is
-    below 2^63; else None."""
-    try:
-        x = ints.astype(np.int64)
-    except OverflowError:
-        return None
-    return x if factor * max(-int(x.min(initial=0)), int(x.max(initial=0))) < 2 ** 63 else None
 
 
 def diameter(s: PointSet) -> float:
     d2, scale = s.scaled_sqdist
-    return math.sqrt(d2.max() / scale)
+    return math.sqrt(max(d2.max(axis=1).tolist()) / scale)  # a Python int or float
 
 
 def barycenter_identity_check(x: PointSet, y: PointSet):
@@ -507,6 +492,7 @@ def barycenter_identity_check(x: PointSet, y: PointSet):
         raise ValueError("dimension mismatch")
     (a, qa), (b, qb) = x.form, y.form
     q = math.lcm(qa, qb)
+    a, b = (v.astype(object) if v.dtype == np.int64 else v for v in (a, b))  # sums outgrow int64
     a, b = a * (q // qa), b * (q // qb)
     diff = a[:, None, :] - b[None, :, :]
     lhs = np.einsum("ijk,ijk->", diff, diff)

@@ -111,6 +111,7 @@ def _walk_exact(x):
     2 (p0 - x).V with V = den CC - det C; both are integers, and the step
     ratios R / rate of the points hit are compared cross-multiplied.
     """
+    x = x.astype(object)  # Python ints: the center's integers outgrow int64
     c, den = x[0], 1
     d2 = ((x - c) ** 2).sum(axis=1)
     support = [int(np.argmax(d2))]
@@ -160,7 +161,7 @@ def min_enclosing_ball(s: PointSet) -> Tuple[tuple, float, Optional[Fraction]]:
     if s.mode == EXACT_MODE:
         x, q = s.form  # the walk does not depend on the scale
         c, den, support = _walk_exact(x)
-        r2 = Fraction(((den * x[support[0]] - c) ** 2).sum(), (den * q) ** 2)
+        r2 = Fraction(((den * x[support[0]].astype(object) - c) ** 2).sum(), (den * q) ** 2)
         return tuple(Fraction(v, den * q) for v in c), _float_sqrt(r2), r2
     x = s.array
     center, _ = _walk(x)

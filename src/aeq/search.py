@@ -71,8 +71,11 @@ class SearchConfig:
         r = self.sphere_radius
         if r is not None and not (math.isfinite(r) and r > 0):
             raise ValueError(f"sphere_radius must be finite and positive, got {r}")
-        if r is not None and not math.isfinite(r * r):
-            raise ValueError(f"sphere_radius squared must be finite, got {r}")
+        # iterates lie on the sphere (_project), where D <= 4 r^2: the penalty sums
+        # C(n, 3) triple and C(n, 2) cap terms (D - 1)^2 <= max(1, 4 r^2)^2, C(n + 1, 3) in all
+        top = 0.0 if r is None else max(1.0, 4 * r * r)
+        if not math.isfinite(top * top * math.comb(self.target_n + 1, 3)):
+            raise ValueError(f"sphere_radius too large for a finite search penalty, got {r}")
         if not (math.isfinite(self.penalty_tol) and self.penalty_tol >= 0):
             raise ValueError(f"penalty_tol must be finite and nonnegative, got {self.penalty_tol}")
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .geometry import (
     DEFAULT_TOL,
+    EXACT_FLOATS,
     EXACT_MODE,
     FLOAT_MODE,
     PointSet,
@@ -36,8 +37,9 @@ class DefectMatrix:
 
     In float mode ``values`` holds the entries, a read-only ndarray. In
     exact mode it holds the integers scale * entries (D - q^2 off the
-    diagonal, with scale q^2), a read-only object array; ``array`` gives
-    them as correctly rounded floats, built on first use.
+    diagonal, with scale q^2), read-only: int64, each below 2^53, when D is
+    int64 and q^2 < 2^53, else Python ints; ``array`` gives them as
+    correctly rounded floats, built on first use.
     """
 
     n: int
@@ -84,6 +86,8 @@ def _finite(values: np.ndarray, what: str) -> np.ndarray:
 def defect_matrix(s: PointSet) -> DefectMatrix:
     # s.scaled_sqdist, with float distances read through the layer aeqbench counts
     d2, scale = s.scaled_sqdist if s.mode == EXACT_MODE else (squared_distance_matrix(s), 1)
+    if d2.dtype == np.int64 and scale >= EXACT_FLOATS:  # q^2 past the int64 form's bound
+        d2 = d2.astype(object)
     u = d2 - scale
     np.fill_diagonal(u, 0)
     u.flags.writeable = False

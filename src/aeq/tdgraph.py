@@ -24,6 +24,7 @@ from .geometry import (
     band_deviation,
     first_triangle,
     flag_square,
+    float_text,
     nonunit_mask,
     triangle_pairs,
 )
@@ -80,7 +81,8 @@ def two_distance_to_graph(s: PointSet, a: float, tol: Optional[Tolerance] = None
     if len(off):
         k = off[0]
         raise ValueError(
-            f"pair ({i[k]}, {j[k]}) has squared distance {v[k] / q2:.12g}, neither 1 nor a^2"
+            f"pair ({i[k]}, {j[k]}) has squared distance {float_text(v.tolist()[k], q2)},"
+            " neither 1 nor a^2"
         )
     return Graph.from_edges(s.n, zip(i.tolist(), j.tolist()))
 

@@ -1,11 +1,21 @@
 import pathlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import aeq
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+
+def in_one_form(x) -> bool:
+    """Whether x holds an exact set's integers in their one form: int64 when
+    4 d max|x|^2 < 2^53 (d = x.shape[-1]), else an object array of Python ints."""
+    m = max((abs(int(v)) for v in x.flat), default=0)
+    if 4 * x.shape[-1] * m * m < 2 ** 53:
+        return x.dtype == np.int64
+    return x.dtype == object and all(type(v) is int for v in x.flat)
 
 
 @pytest.fixture(scope="session")

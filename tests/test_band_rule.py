@@ -305,6 +305,14 @@ def test_two_distance_exact_rejects_a_flag_past_its_rounding():
         aeq.two_distance_to_graph(near, 1.5)
 
 
+def test_two_distance_exact_message_writes_a_huge_distance_as_past_the_float_range():
+    # D / q^2 = 10^400 has no float: the message says so instead of raising OverflowError
+    s = exact_set([0], [10 ** 200])
+    with pytest.raises(ValueError, match=r"^pair \(0, 1\) has squared distance past the float"
+                                         r" range, neither 1 nor a\^2$"):
+        aeq.two_distance_to_graph(s, 2.0)
+
+
 def test_two_distance_exact_unit_pairs_are_the_triple_checks():
     # (0, 2) is 1e-17 off unit: the triple check counts it non-unit, so
     # it is not skipped as a unit pair

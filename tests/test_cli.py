@@ -460,9 +460,31 @@ def test_search_sphere_radius_whose_square_overflows_is_a_usage_error(capsys):
     code = main(["search", "--dim", "2", "--n", "3", "--sphere-radius", "1e200"])
     captured = capsys.readouterr()
     rep = json.loads(captured.out)
+    message = "sphere_radius too large for a finite search penalty, got 1e+200"
     assert code == 2 and rep["outcome"] == "error"
-    assert rep["payload"]["message"] == "sphere_radius squared must be finite, got 1e+200"
-    assert captured.err == "aeq: sphere_radius squared must be finite, got 1e+200\n"
+    assert rep["payload"]["message"] == message
+    assert captured.err == f"aeq: {message}\n"
+    check_report(rep, "search")
+
+
+@pytest.mark.parametrize("radius", ["1e77", "1e120"])
+def test_search_sphere_radius_whose_penalty_overflows_is_a_usage_error(capsys, radius):
+    # r^2 is finite, but three points on the sphere reach a penalty near 16 r^4
+    code = main(["search", "--dim", "2", "--n", "3", "--restarts", "1", "--iters", "5",
+                 "--sphere-radius", radius])
+    captured = capsys.readouterr()
+    message = f"sphere_radius too large for a finite search penalty, got {float(radius)!r}"
+    assert code == 2 and json.loads(captured.out)["payload"]["message"] == message
+    assert captured.err == f"aeq: {message}\n"
+
+
+def test_search_sphere_radius_below_the_penalty_limit_still_runs(capsys):
+    # 16 r^4 (C(3, 3) + C(3, 2)) = 6.4e305 is finite: the search runs, and
+    # fails to find a set of three points on a sphere this large
+    code, rep = run_cli(capsys, "search", "--dim", "2", "--n", "3", "--restarts", "1",
+                        "--iters", "5", "--sphere-radius", "1e76")
+    assert code == 1 and rep["outcome"] == "infeasible"
+    assert rep["payload"]["best_penalty"] == pytest.approx(7.6297579732386596e+303, rel=1e-9)
     check_report(rep, "search")
 
 

@@ -25,6 +25,7 @@ from aeq import PointSet, Tolerance
 from aeq.bounds import RecentredNormBounds
 from aeq.geometry import band_deviation, diameter, pairwise_squared_distances
 from aeq.spectral import SpectralCertificate
+from conftest import in_one_form
 
 
 # -- the Fraction oracles ---------------------------------------------------
@@ -146,7 +147,8 @@ def assert_matches_oracle(rows):
     u = aeq.defect_matrix(s)
     ou = oracle_defect(pts)
     assert tuple(tuple(Fraction(v, u.scale) for v in row) for row in u.values.tolist()) == ou
-    assert all(type(v) is int for v in u.values.flat)
+    machine = s.form[0].dtype == np.int64 and u.scale < 2 ** 53  # every entry below 2^53
+    assert (u.values.dtype == np.int64) if machine else all(type(v) is int for v in u.values.flat)
     assert np.array_equal(u.array, np.array([[float(c) for c in row] for row in ou]))
     assert diameter(s) == math.sqrt(max(max(row) for row in d2))  # both correctly rounded
     fs = aeq.f_statistic(s)
@@ -248,7 +250,7 @@ def test_fixtures_match_oracle(rhombus, zigzag):
 def test_integer_form_is_read_only_and_exact(rhombus):
     x, q = rhombus.form
     assert q == 5
-    assert all(type(v) is int for v in x.flat)
+    assert in_one_form(x) and x.dtype == np.int64
     assert all(Fraction(v, q) == c for row, p in zip(x.tolist(), rhombus.points)
                for v, c in zip(row, p))
     d2, q2 = rhombus.scaled_sqdist
@@ -353,7 +355,7 @@ def test_recentred_integer_form_is_the_lcm_form_of_its_fractions(rows):
     x, q = centred.form
     want_x, want_q = _lcm_form(centred.points)
     assert q == want_q and x.tolist() == want_x
-    assert all(type(v) is int for v in x.flat) and not x.flags.writeable
+    assert in_one_form(x) and not x.flags.writeable
     assert centred.points == oracle_recenter(PointSet.exact_rows(rows).points)
 
 
@@ -370,7 +372,7 @@ def test_both_exact_builders_give_the_lcm_form(rows, data):
     for s in (PointSet.exact_rows(rows), aeq.pointset_from_dict(obj)):
         x, q = s.form
         assert q == want_q and x.tolist() == want_x
-        assert all(type(v) is int for v in x.flat) and not x.flags.writeable
+        assert in_one_form(x) and not x.flags.writeable
 
 
 # -- the two-branch code that one form (X, q) replaced, as oracles -------------

@@ -20,6 +20,7 @@ import aeq
 from aeq import PointSet
 from aeq.geometry import _checked_rows, _exact_pair
 from aeq.serialize import MAX_EXPONENT, _fraction
+from conftest import in_one_form
 
 # -- the per-coordinate walks -------------------------------------------------
 
@@ -32,7 +33,8 @@ def walked_form(rows):
     if g > 1:
         q //= g
         x = [[v // g for v in row] for row in x]
-    return np.array(x, dtype=object), q
+    m = max(abs(v) for row in x for v in row)
+    return np.array(x, dtype=np.int64 if 4 * len(x[0]) * m * m < 2 ** 53 else object), q
 
 
 def text_ratio(text):
@@ -85,7 +87,7 @@ def outcome(make):
         x, q = make()
     except Exception as e:
         return type(e).__name__, str(e)
-    assert x.dtype == object and x.ndim == 2
+    assert x.ndim == 2 and in_one_form(x)
     return q, [[(type(v), v) for v in row] for row in x.tolist()]
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import aeq
 from aeq import PointSet, Tolerance, geometry
+from conftest import in_one_form
 
 
 def brute_triple_check(points, dist_tol=1e-9):
@@ -135,7 +136,8 @@ def test_recenter_exact(rhombus):
 def recentred_objects(x, q, n):
     """The exact recentring over Python ints, for any size of entry: the
     oracle for ``recenter_to_barycenter``, which runs the same body on the
-    int64 view of X when its bound holds."""
+    int64 form of X when its bound holds."""
+    x = x.astype(object)
     y = n * x - x.sum(axis=0)
     g = math.gcd(*y.flat, n * q)
     return PointSet._from_integers(y // g, n * q // g)
@@ -148,15 +150,14 @@ _big_ints = st.one_of(st.integers(-9, 9), st.integers(-2 ** 62, 2 ** 62),
 @settings(max_examples=150, deadline=None, database=None)
 @given(n=st.integers(1, 6), dim=st.integers(1, 3), data=st.data())
 def test_recenter_exact_in_int64_matches_the_object_body(n, dim, data):
-    # entries on either side of the int64 bound 2 n max|X| < 2^63, and past int64
+    # entries on either side of the int64 form's bound 4 d max|X|^2 < 2^53, and past int64
     rows = data.draw(st.lists(st.lists(st.builds(Fraction, _big_ints, st.sampled_from([1, 2, 7])),
                                        min_size=dim, max_size=dim), min_size=n, max_size=n))
     s = PointSet.exact_rows(rows)
     x, q = s.form
     got, want = aeq.recenter_to_barycenter(s), recentred_objects(x, q, s.n)
     assert got.form[1] == want.form[1]
-    assert got.form[0].dtype == object and got.form[0].tolist() == want.form[0].tolist()
-    assert all(type(v) is int for v in got.form[0].flat)
+    assert in_one_form(got.form[0]) and got.form[0].tolist() == want.form[0].tolist()
 
 
 def test_recenter_float():
@@ -279,10 +280,12 @@ def int_stacks(draw):
 @given(x=int_stacks())
 def test_exact_kernel_tiers_match_the_per_pair_oracle(x):
     d, m = x.shape[-1], max(abs(v) for v in x.flat)
+    x = geometry._machine_ints(x)
+    assert in_one_form(x)
     with kernel_bodies() as seen:
         got = geometry.pairwise_squared_distances(x)
     assert seen == [np.dtype(float) if 4 * d * m * m < 2 ** 53 else np.dtype(object)]
-    assert got.dtype == object and all(type(v) is int for v in got.flat)
+    assert got.dtype == x.dtype
     for idx in np.ndindex(*x.shape[:-2]):
         assert got[idx].tolist() == per_pair(x[idx].tolist())
         assert np.array_equal(got[idx], geometry.pairwise_squared_distances(x[idx]))
@@ -294,7 +297,7 @@ def test_ints_that_would_round_in_float64_take_the_object_body():
     want = per_pair(x.tolist())
     assert int(geometry._squared_distances(x.astype(float))[0, 1]) != want[0][1]  # it rounds
     with kernel_bodies() as seen:
-        got = geometry.pairwise_squared_distances(x)
+        got = geometry.pairwise_squared_distances(geometry._machine_ints(x))
     assert seen == [np.dtype(object)]
     assert got.tolist() == want and all(type(v) is int for v in got.flat)
 
@@ -303,12 +306,13 @@ def test_stack_slices_equal_the_one_set_call_across_tiers():
     x = np.random.default_rng(3).integers(-1000, 1000, size=(3, 5, 2)).astype(object)
     x[1, 0, 0] = 2 ** 26 + 1  # too large for float64 in slice 1, and so in the stack
     with kernel_bodies() as seen:
-        got = geometry.pairwise_squared_distances(x)
-        slices = [geometry.pairwise_squared_distances(x[i]) for i in range(3)]
+        got = geometry.pairwise_squared_distances(geometry._machine_ints(x))
+        slices = [geometry.pairwise_squared_distances(geometry._machine_ints(x[i]))
+                  for i in range(3)]
     assert seen == [np.dtype(t) for t in (object, float, object, float)]
     for g, one, rows in zip(got, slices, x.tolist()):
         assert g.tolist() == one.tolist() == per_pair(rows)
-        assert all(type(v) is int for v in g.flat)
+    assert all(type(v) is int for v in got.flat)
 
 
 def test_cross160_takes_the_float_tier_and_matches_the_object_body():
@@ -322,12 +326,12 @@ def test_cross160_takes_the_float_tier_and_matches_the_object_body():
             row[k + 1] += b
             rows.append(row)
     x, q = PointSet.exact_rows(rows).form
-    assert q == 14
+    assert q == 14 and x.dtype == np.int64
     with kernel_bodies() as seen:
         got = geometry.pairwise_squared_distances(x)
     assert seen == [np.dtype(float)]
-    assert got.dtype == object and all(type(v) is int for v in got.flat)
-    assert got.tolist() == geometry._squared_distances(x).tolist()
+    assert got.dtype == np.int64
+    assert got.tolist() == geometry._squared_distances(x.astype(object)).tolist()
 
 
 EDGES = (0, 1, -1, 3, -7, 2 ** 53 - 1, -(2 ** 53 - 1), 2 ** 53, -(2 ** 53),
@@ -466,7 +470,7 @@ def test_exact_rows_keeps_ints_and_fractions_and_converts_the_rest(rows):
                     mode="exact")
     x, q = got.form
     assert q == want.form[1] and x.tolist() == want.form[0].tolist()
-    assert all(type(v) is int for v in x.flat)
+    assert in_one_form(x)
     assert got.points == want.points
 
 

@@ -126,7 +126,7 @@ def test_exact_unit_pairs_step_across_one():
     for b, ok in ((1 - step, False), (Fraction(1), True), (1 + step, False)):
         s = unit_triple(b)
         d2, q2 = s.scaled_sqdist
-        assert (d2[0, 1] == q2) is ok  # the old exact test, D = q^2
+        assert bool(d2[0, 1] == q2) is ok  # the old exact test, D = q^2
         assert aeq.is_almost_equidistant(s).ok is ok
         assert aeq.is_almost_equidistant(s, Tolerance(1e-3)).ok is ok  # reads no float slack
 
